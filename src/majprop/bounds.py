@@ -1,7 +1,9 @@
 """Symmetry penalties and floors on the ground-state overlap.
 
-A truncated propagation gives faithful energies but no direct overlap with
-the ground state, so the overlap is bracketed from below instead.  The
+A propagation gives energies but no direct overlap with the ground state,
+so the overlap is bracketed from below instead.  Every floor needs a
+variational energy, e >= e0; a truncated propagation can report less, and
+such energies are refused rather than certified.  The
 energy alone already forces a floor: a state between the ground and first
 excited energies cannot avoid the ground state entirely.  Spectral gaps
 within the correct symmetry sector sharpen it, provided the weight leaking
@@ -38,7 +40,10 @@ class OverlapBound(NamedTuple):
     raw: float
 
 
-def _clamped(raw: float) -> OverlapBound:
+def _floor(raw: float, e: float, e0: float) -> OverlapBound:
+    if e < e0 - 1e-9:
+        raise ValueError(f"energy {e!r} lies below the ground-state energy {e0!r}; "
+                         "a sub-ground energy (truncation error) certifies no overlap")
     return OverlapBound(min(1.0, max(0.0, raw)), raw)
 
 
@@ -174,7 +179,7 @@ def lower_bound_simple(e: float, e0: float, e1: float) -> OverlapBound:
     """
     if not e0 < e1:
         raise ValueError("need e0 < e1 for the two-level overlap bound")
-    return _clamped(1.0 - (e - e0) / (e1 - e0))
+    return _floor(1.0 - (e - e0) / (e1 - e0), e, e0)
 
 
 def lower_bound_known_alpha(
@@ -191,7 +196,7 @@ def lower_bound_known_alpha(
     if not 0.0 <= alpha_sq <= 1.0:
         raise ValueError("alpha_sq is a squared overlap and must lie in [0, 1]")
     gap = s1 - e0
-    return _clamped((s1 - e) / gap - alpha_sq * (s1 - s1_top) / gap)
+    return _floor((s1 - e) / gap - alpha_sq * (s1 - s1_top) / gap, e, e0)
 
 
 def lower_bound_penalty(data: SpectralData) -> OverlapBound:
@@ -209,9 +214,8 @@ def lower_bound_penalty(data: SpectralData) -> OverlapBound:
         )
     gap = data.s1 - data.e0
     rate = data.lambda2 if data.s1_top < data.s1 else data.lambda_p
-    return _clamped(
-        (data.s1 - data.e) / gap - (data.p / rate) * (data.s1 - data.s1_top) / gap
-    )
+    raw = (data.s1 - data.e) / gap - (data.p / rate) * (data.s1 - data.s1_top) / gap
+    return _floor(raw, data.e, data.e0)
 
 
 def lower_bound_unknown_gap(
@@ -238,4 +242,4 @@ def lower_bound_unknown_gap(
     raw = (s1 - e) / (s1 - e0)
     if s1top_below:
         raw -= p / lambda2
-    return _clamped(raw)
+    return _floor(raw, e, e0)

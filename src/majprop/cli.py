@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -52,18 +51,6 @@ class VerificationFailure(RuntimeError):
     """The engine/oracle cross-check exceeded tolerance."""
 
 
-def _apply_threads(threads: int) -> None:
-    if threads <= 0:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(threads)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-
-
 def _timed(fn) -> float:
     tic = time.perf_counter()
     fn()
@@ -75,10 +62,6 @@ def cli() -> None:
     """Adaptive fermionic circuit synthesis on the Majorana propagation engine."""
 
 
-_threads_option = click.option(
-    "--threads", type=int, default=0, show_default=True,
-    help="Cap BLAS threads (0 keeps the library default).",
-)
 _seed_option = click.option(
     "--seed", type=int, default=0, show_default=True,
     help="Seed for the random instances of verify/bench.",
@@ -102,12 +85,10 @@ _seed_option = click.option(
 @click.option("--selection", type=click.Choice(["gradient", "ggf", "mixed"]), default=None)
 @click.option("--trim-tau", type=int, default=None, help="Pool survivors kept between refreshes.")
 @click.option("--trim-kappa", type=int, default=None, help="Iterations between pool refreshes.")
-@_threads_option
 @_seed_option
 def run(fcidump_path, config_path, out_dir, cutoff, picture, iterations,
-        selection, trim_tau, trim_kappa, threads, seed) -> None:
+        selection, trim_tau, trim_kappa, seed) -> None:
     """Grow and optimize a circuit for the given integrals."""
-    _apply_threads(threads)
     data = json.loads(Path(config_path).read_text()) if config_path else {}
     overrides = {
         "cutoff": None if cutoff == 0 else cutoff,
@@ -152,10 +133,8 @@ def run(fcidump_path, config_path, out_dir, cutoff, picture, iterations,
               default="heisenberg", show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the table as CSV.")
-@_threads_option
-def evaluate(fcidump_path, circuit_path, cutoffs, picture, out_path, threads) -> None:
+def evaluate(fcidump_path, circuit_path, cutoffs, picture, out_path) -> None:
     """Recompute a saved circuit's energy over a ladder of cutoffs."""
-    _apply_threads(threads)
     try:
         ladder = [int(c) for c in cutoffs.split(",") if c.strip()]
     except ValueError as exc:
@@ -254,11 +233,9 @@ def bound(spectral_path, energy, penalty) -> None:
 @click.option("--instances", type=int, default=5, show_default=True)
 @click.option("--gates", type=int, default=12, show_default=True)
 @click.option("--tolerance", type=float, default=1e-10, show_default=True)
-@_threads_option
 @_seed_option
-def verify(modes, instances, gates, tolerance, threads, seed) -> None:
+def verify(modes, instances, gates, tolerance, seed) -> None:
     """Cross-check truncation-free propagation against the dense oracle."""
-    _apply_threads(threads)
     if modes > _DENSE_LIMIT:
         raise click.UsageError(f"--modes above the dense oracle limit {_DENSE_LIMIT}")
     import majprop.instances as inst
@@ -291,11 +268,9 @@ def verify(modes, instances, gates, tolerance, threads, seed) -> None:
 @click.option("--gates", type=int, default=30, show_default=True)
 @click.option("--cutoff", type=int, default=4, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@_threads_option
 @_seed_option
-def bench(modes, gates, cutoff, out_path, threads, seed) -> None:
+def bench(modes, gates, cutoff, out_path, seed) -> None:
     """Time surrogate construction, re-evaluation, and gradients."""
-    _apply_threads(threads)
     import majprop.instances as inst
 
     try:

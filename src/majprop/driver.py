@@ -38,9 +38,9 @@ from .pool import (
     Pool,
     SelectionScore,
     build_majoranic_pool,
-    fit_second_harmonic,
-    fit_sinusoid,
     is_refresh_iteration,
+    landscape_minimum,
+    probe_landscape,
     rank_candidates,
     reduce_pool_equivalence,
     score_pool_ggf,
@@ -49,11 +49,11 @@ from .pool import (
 )
 from .surrogate import (
     SurrogateGraph,
-    _forward,
     build_surrogate,
     eval_energy,
     eval_energy_and_gradient,
     extend_surrogate,
+    final_layer,
 )
 
 __all__ = [
@@ -418,8 +418,7 @@ def _gradient_scores(
     n_modes = hamiltonian.n_modes
     if placement == "front":
         if picture == "heisenberg":
-            coeffs, _ = _forward(graph, theta, keep_layers=False)
-            evolved = SparseOperator(n_modes, graph.final_keys, coeffs)
+            evolved = SparseOperator(n_modes, graph.final_keys, final_layer(graph, theta))
         else:
             evolved = propagate(hamiltonian, circuit, "heisenberg", policy, params=theta)
         return score_pool_gradient(pool, evolved, occupation=occupation, indices=indices)
@@ -451,14 +450,13 @@ def _ggf_scores(
     """Greedy improvement scores, inserting candidates at the body's end.
 
     Front placement matches the surrogate's own front extension, so the
-    pool scorer handles it (incrementally when the picture makes the front
+    pool scorer handles it (in closed form when the picture makes the front
     the natural end).  Back placement must keep the active rotations
-    outermost, so each candidate is spliced in before them and the graph
-    rebuilt.
+    outermost, so each candidate is spliced in before them and its
+    landscape probed on the rebuilt graph.
     """
     if placement == "front":
         return list(score_pool_ggf(pool, graph, theta, "front", indices))
-    half_pi = 0.5 * math.pi
     e0 = eval_energy(graph, theta)
     out = []
     for idx in indices:
@@ -466,21 +464,12 @@ def _ggf_scores(
         trial = circuit.copy()
         trial.params = np.append(theta, 0.0)
         trial.gates[n_body:n_body] = cand.gates(slot=theta.size)
-        trial_graph = build_surrogate(
-            hamiltonian, trial, occupation, policy, picture
+        trial_graph = build_surrogate(hamiltonian, trial, occupation, policy, picture)
+        # a zero-angle gate is an exact identity, so e0 is the landscape at 0
+        coeffs = probe_landscape(
+            lambda t: eval_energy(trial_graph, np.append(theta, t)), e0, cand.is_composite
         )
-        if cand.is_composite:
-            probes = (half_pi, -half_pi, 0.5 * half_pi, -0.5 * half_pi)
-            evals = {
-                t: eval_energy(trial_graph, np.append(theta, t)) for t in probes
-            }
-            evals[0.0] = e0  # a zero-angle gate is an exact identity on the eval
-            improvement, theta_star = fit_second_harmonic(evals)
-        else:
-            ep = eval_energy(trial_graph, np.append(theta, half_pi))
-            em = eval_energy(trial_graph, np.append(theta, -half_pi))
-            improvement, theta_star = fit_sinusoid(e0, ep, em)
-        out.append(SelectionScore(index=idx, score=improvement, theta_star=theta_star))
+        out.append(SelectionScore(idx, *landscape_minimum(coeffs)))
     return out
 
 

@@ -9,11 +9,11 @@ representative per excitation suffices).
 
 Two scoring schemes are provided.  Gradient scores read the derivative at
 theta = 0 straight off the evolved operator via a commutator formula.  GGF
-(greedy gradient-free) scores fit the exact single-angle landscape -- a
-sinusoid for a single-monomial gate, a second-harmonic trigonometric
-polynomial for a composite -- from a handful of surrogate evaluations, and
-report the achievable energy improvement together with the minimizing
-angle.
+(greedy gradient-free) scores minimize the exact single-angle landscape --
+a sinusoid for a single-monomial gate, second harmonics for a composite --
+whose coefficients are closed-form at the surrogate graph's natural end and
+fitted to probe energies on a rebuilt graph anywhere else, and report the
+achievable energy improvement together with the minimizing angle.
 """
 
 from __future__ import annotations
@@ -21,14 +21,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .engine import Gate
 from .operators import SparseOperator
-from .surrogate import SurrogateGraph, _forward, extend_surrogate
+from .surrogate import (
+    SurrogateGraph,
+    eval_energy,
+    extend_surrogate,
+    natural_end_landscapes,
+)
 
 __all__ = [
     "Pool",
@@ -38,15 +43,14 @@ __all__ = [
     "reduce_pool_equivalence",
     "score_pool_gradient",
     "fit_sinusoid",
-    "fit_second_harmonic",
+    "landscape_minimum",
+    "probe_landscape",
     "score_pool_ggf",
     "single_excitation_monomials",
     "trim_pool",
     "is_refresh_iteration",
     "score_rows",
 ]
-
-_FLAT_AMPLITUDE = 1e-14  # below this the landscape is treated as constant
 
 
 def _mode_bits(mode: int) -> tuple[int, int]:
@@ -335,93 +339,50 @@ def score_pool_gradient(
 
 # ---- GGF scoring ------------------------------------------------------------
 
+_HALF_PI = 0.5 * math.pi
+_PROBES = (_HALF_PI, -_HALF_PI, 0.5 * _HALF_PI, -0.5 * _HALF_PI)
+_TIE_HA = 1e-12  # energies or scores this close count as tied
 
-def _wrap_angle(theta: float) -> float:
-    return math.remainder(theta, 2.0 * math.pi)
+
+def landscape_minimum(coeffs: Sequence[float]) -> tuple[float, float]:
+    """(improvement, theta*) of a0 + a1 cos t + b1 sin t + a2 cos 2t + b2 sin 2t.
+
+    Stationary angles are roots of a quartic in z = e^{it} on the unit
+    circle.  Among those within 1e-12 Ha of the lowest (and t = 0), the one
+    nearest zero wins, and the positive one of a +-t pair: a composite
+    acting on a Fock state has a pi-periodic landscape, and roundoff in the
+    roots must not pick between t* and t* +- pi.  The improvement is <= 0,
+    and a landscape flat to 1e-12 gives (0, 0).
+    """
+    _, a1, b1, a2, b2 = coeffs
+    c1, c2 = a1 - 1j * b1, a2 - 1j * b2
+    roots = np.roots([2 * c2, c1, 0.0, -np.conj(c1), -2 * np.conj(c2)])
+    angles = np.append(0.0, np.angle(roots[np.abs(np.abs(roots) - 1.0) < 1e-6]))
+    z = np.exp(1j * angles)
+    values = (c1 * z + c2 * z * z).real  # E(t) - a0
+    lowest = values <= values.min() + _TIE_HA
+    nearest = lowest & (np.abs(angles) <= np.abs(angles[lowest]).min() + 1e-9)
+    best = np.flatnonzero(nearest)[np.argmax(angles[nearest])]
+    return min(float(values[best] - values[0]), 0.0), float(angles[best])
+
+
+def probe_landscape(energy: Callable[[float], float], e0: float, composite: bool) -> np.ndarray:
+    """Landscape coefficients fitted to energies at a few probe angles.
+
+    ``energy(t)`` evaluates the circuit with the candidate at angle t, and
+    ``e0`` is its value at t = 0.  A single-monomial gate's sinusoid is
+    pinned by the probes at +-pi/2; a composite (two rotations sharing the
+    angle) has harmonics up to 2 and needs +-pi/4 as well.
+    """
+    t = np.array((0.0,) + _PROBES[: 4 if composite else 2])
+    basis = np.stack([np.ones_like(t), np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)], 1)
+    values = [e0] + [energy(x) for x in t[1:]]
+    return np.append(np.linalg.solve(basis[:, : t.size], values), np.zeros(5 - t.size))
 
 
 def fit_sinusoid(e0: float, ep: float, em: float) -> tuple[float, float]:
     """(improvement, theta*) of A sin(theta+B)+C from values at {0, +-pi/2}."""
-    c = 0.5 * (ep + em)
-    a_sin_b = e0 - c
-    a_cos_b = 0.5 * (ep - em)
-    amplitude = math.hypot(a_sin_b, a_cos_b)
-    if amplitude < _FLAT_AMPLITUDE:
-        return 0.0, 0.0
-    phase = math.atan2(a_sin_b, a_cos_b)
-    improvement = c - amplitude - e0
-    return min(improvement, 0.0), _wrap_angle(-0.5 * math.pi - phase)
-
-
-def fit_second_harmonic(evals: dict[float, float]) -> tuple[float, float]:
-    """Exact minimum of a0 + a1 cos t + b1 sin t + a2 cos 2t + b2 sin 2t.
-
-    Five samples determine the coefficients; stationary angles are roots of
-    a quartic in z = e^{it} on the unit circle.
-    """
-    thetas = list(evals)
-    rows = [
-        [1.0, math.cos(t), math.sin(t), math.cos(2 * t), math.sin(2 * t)]
-        for t in thetas
-    ]
-    a0, a1, b1, a2, b2 = np.linalg.solve(
-        np.array(rows), np.array([evals[t] for t in thetas])
-    )
-    if max(abs(a1), abs(b1), abs(a2), abs(b2)) < _FLAT_AMPLITUDE:
-        return 0.0, 0.0
-    c1, c2 = a1 - 1j * b1, a2 - 1j * b2
-    roots = np.roots([2 * c2, c1, 0.0, -np.conj(c1), -2 * np.conj(c2)])
-    angles = [float(np.angle(z)) for z in roots if abs(abs(z) - 1.0) < 1e-6]
-    angles.append(0.0)
-
-    def value(t: float) -> float:
-        return float(
-            a0
-            + a1 * math.cos(t)
-            + b1 * math.sin(t)
-            + a2 * math.cos(2 * t)
-            + b2 * math.sin(2 * t)
-        )
-
-    best = min(angles, key=value)
-    improvement = value(best) - value(0.0)
-    return min(improvement, 0.0), _wrap_angle(best)
-
-
-def _candidate_energies(
-    graph: SurrogateGraph,
-    v_final: np.ndarray,
-    params: np.ndarray,
-    cand: PoolCandidate,
-    where: str,
-    thetas: Sequence[float],
-) -> dict[float, float]:
-    slot = params.size
-    extended = graph
-    for gate in cand.gates(slot):
-        extended = extend_surrogate(extended, gate, where)
-    # natural-end extensions reuse the base graph's step objects verbatim
-    incremental = all(
-        a is b for a, b in zip(extended.steps, graph.steps)
-    ) and len(extended.steps) > len(graph.steps)
-    values = {}
-    for theta in thetas:
-        full = np.append(params, theta)
-        if incremental:
-            v = v_final
-            for step in extended.steps[len(graph.steps) :]:
-                t = full[step.slot]
-                out = np.zeros(step.n_out)
-                out[step.copy_dst] = v[step.copy_src]
-                out[step.cos_dst] = math.cos(t) * v[step.cos_src]
-                if step.sin_src.size:
-                    out[step.sin_dst] += (step.sin_w * math.sin(t)) * v[step.sin_src]
-                v = out
-            values[theta] = float(np.dot(v, extended.sink))
-        else:
-            v, _ = _forward(extended, full, keep_layers=False)
-            values[theta] = float(np.dot(v, extended.sink))
-    return values
+    return landscape_minimum(probe_landscape({_HALF_PI: ep, -_HALF_PI: em}.get, e0, False))
 
 
 def score_pool_ggf(
@@ -433,33 +394,35 @@ def score_pool_ggf(
 ) -> list[SelectionScore]:
     """Exact achievable improvement and optimal angle per candidate.
 
-    Single-monomial gates produce an A sin(theta+B)+C landscape, pinned by
-    three evaluations at {0, +-pi/2}.  Composites (two rotations sharing the
-    angle) produce harmonics up to 2, pinned by five evaluations.  All
+    At the graph's natural end (front in the Heisenberg picture, back in
+    the Schrodinger picture) the landscape coefficients come in closed form
+    from ``natural_end_landscapes``.  At the other end each candidate's
+    graph is rebuilt and the landscape fitted to probe energies.  All
     improvements are <= 0; a flat landscape scores 0 with theta* = 0.
     """
+    if where not in ("front", "back"):
+        raise ValueError(f"unknown placement {where!r}")
     params = np.asarray(params, dtype=np.float64)
-    half_pi = 0.5 * math.pi
-    v_final, _ = _forward(graph, params, keep_layers=False)
-    e0 = float(np.dot(v_final, graph.sink))
-    chosen = range(len(pool.candidates)) if indices is None else indices
-    out = []
-    for idx in chosen:
-        cand = pool.candidates[idx]
-        if cand.is_composite:
-            probe = (half_pi, -half_pi, 0.5 * half_pi, -0.5 * half_pi)
-            evals = _candidate_energies(graph, v_final, params, cand, where, probe)
-            evals[0.0] = e0
-            improvement, theta_star = fit_second_harmonic(evals)
-        else:
-            evals = _candidate_energies(
-                graph, v_final, params, cand, where, (half_pi, -half_pi)
+    chosen = list(range(len(pool.candidates)) if indices is None else indices)
+    cands = [pool.candidates[idx] for idx in chosen]
+    slot = params.size
+    if (graph.picture == "heisenberg") == (where == "front"):
+        landscapes = natural_end_landscapes(graph, params, [c.gates(slot) for c in cands])
+    else:
+        e0 = eval_energy(graph, params)
+        landscapes = []
+        for cand in cands:
+            extended = graph
+            for gate in cand.gates(slot):
+                extended = extend_surrogate(extended, gate, where)
+            coeffs = probe_landscape(
+                lambda t: eval_energy(extended, np.append(params, t)), e0, cand.is_composite
             )
-            improvement, theta_star = fit_sinusoid(
-                e0, evals[half_pi], evals[-half_pi]
-            )
-        out.append(SelectionScore(index=idx, score=improvement, theta_star=theta_star))
-    return out
+            landscapes.append(coeffs)
+    return [
+        SelectionScore(idx, *landscape_minimum(coeffs))
+        for idx, coeffs in zip(chosen, landscapes)
+    ]
 
 
 # ---- trimming ---------------------------------------------------------------
@@ -475,9 +438,20 @@ def is_refresh_iteration(iteration: int, kappa: int | None) -> bool:
 def rank_candidates(
     scores: Sequence[SelectionScore], larger_is_better: bool = True
 ) -> list[SelectionScore]:
-    """Best-first ordering with lowest-index tie-breaking."""
+    """Best-first ordering with lowest-index tie-breaking.
+
+    Scores within 1e-12 of the first of their run count as tied, so that
+    roundoff cannot choose between symmetry-equivalent candidates.
+    """
     sign = -1.0 if larger_is_better else 1.0
-    return sorted(scores, key=lambda s: (sign * s.score, s.index))
+    out: list[SelectionScore] = []
+    run: list[SelectionScore] = []
+    for s in sorted(scores, key=lambda s: sign * s.score):
+        if run and sign * (s.score - run[0].score) > _TIE_HA:
+            out += sorted(run, key=lambda r: r.index)
+            run = []
+        run.append(s)
+    return out + sorted(run, key=lambda r: r.index)
 
 
 def trim_pool(

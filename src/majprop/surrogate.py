@@ -32,14 +32,15 @@ evaluations of one graph from several threads are not supported.
 
 Graphs extend cheaply at the end they were recorded towards (front of the
 circuit in the Heisenberg picture, back in the Schrodinger picture); the
-other end triggers a rebuild from the stored inputs.
+other end triggers a rebuild from the stored inputs.  At that natural end a
+new gate's single-angle landscape is closed-form in the final layer alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -69,6 +70,8 @@ __all__ = [
     "eval_energy",
     "eval_energy_and_gradient",
     "extend_surrogate",
+    "final_layer",
+    "natural_end_landscapes",
 ]
 
 
@@ -412,7 +415,8 @@ def _record_step(
     )
     sin_dst = np.searchsorted(next_keys, kept)
     # each new key comes from a distinct source, so sine targets never clash
-    assert np.unique(sin_dst).size == sin_dst.size
+    if np.unique(sin_dst).size != sin_dst.size:
+        raise RuntimeError(f"sine branches of gate {gamma:#x} collide in one key")
     step = _Step(
         slot=gate.slot,
         copy_src=positions[~anti],
@@ -521,14 +525,18 @@ def _forward(
     return v, layers
 
 
+def final_layer(graph: SurrogateGraph, params: np.ndarray) -> np.ndarray:
+    """Propagated coefficients over ``graph.final_keys`` at the given angles."""
+    return _forward(graph, _check_params(graph, params), keep_layers=False)[0]
+
+
 def eval_energy(graph: SurrogateGraph, params: np.ndarray) -> float:
     """Energy at the given angles from one forward pass over the graph."""
     params = _check_params(graph, params)
     plan = _ensure_compiled(graph, params)
     if plan is not None:
         return _kernel_energy(plan)
-    v, _ = _forward(graph, params, keep_layers=False)
-    return float(np.dot(v, graph.sink))
+    return float(np.dot(final_layer(graph, params), graph.sink))
 
 
 def eval_energy_and_gradient(
@@ -609,4 +617,53 @@ def extend_surrogate(
         final_keys=keys,
     )
     out.sink = _sink_weights(out, keys)
+    return out
+
+
+# c^i s^j of the shared angle as [a0, a1, b1, a2, b2], by (i, j): c^2 =
+# (1 + cos 2t)/2, s^2 = (1 - cos 2t)/2, cs = (sin 2t)/2
+_HARMONICS = {
+    (0, 0): np.array([1.0, 0, 0, 0, 0]), (1, 0): np.array([0, 1.0, 0, 0, 0]),
+    (0, 1): np.array([0, 0, 1.0, 0, 0]), (2, 0): np.array([0.5, 0, 0, 0.5, 0]),
+    (0, 2): np.array([0.5, 0, 0, -0.5, 0]), (1, 1): np.array([0, 0, 0, 0, 0.5]),
+}
+
+
+def natural_end_landscapes(
+    graph: SurrogateGraph, params: np.ndarray, gate_sets: Sequence[Sequence[Gate]]
+) -> np.ndarray:
+    """Landscape coefficients of each gate set appended at the natural end.
+
+    Row k holds [a0, a1, b1, a2, b2] of E(t) = a0 + a1 cos t + b1 sin t +
+    a2 cos 2t + b2 sin 2t for the (at most two) gates of ``gate_sets[k]``
+    sharing one new angle t.  The final layer's nonzero terms are split per
+    gate in c = cos t and s = sin t as ``extend_surrogate`` would record
+    them: a commuting key keeps its factor, an anticommuting key gains c,
+    and its partner k ^ gamma gains the signed s where the policy keeps it.
+    """
+    v = final_layer(graph, params)
+    live = v != 0.0
+    base = {(0, 0): (graph.final_keys[live], v[live], graph.sink[live])}
+    sin_sign = 1.0 if graph.picture == "heisenberg" else -1.0
+    out = np.zeros((len(gate_sets), 5))
+    for row, gates in zip(out, gate_sets):
+        if len(gates) > 2:
+            raise ValueError("landscapes are resolved for at most two gates")
+        terms = base  # (cos power, sin power) -> keys, weights, sink weights
+        for gate in gates:
+            split: dict[tuple[int, int], list] = {}
+            for (i, j), (k, w, h) in terms.items():
+                anti = _kernels.anticommutes_with(gate.generator, k)
+                partner = k[anti] ^ np.uint64(gate.generator)
+                keep = graph.policy.survivor_mask(partner, np.zeros(partner.shape))
+                sign = _kernels.product_sign_with(gate.generator, k[anti][keep])
+                sin_w = (sin_sign * gate.sign) * sign * w[anti][keep]
+                split.setdefault((i, j), []).append((k[~anti], w[~anti], h[~anti]))
+                split.setdefault((i + 1, j), []).append((k[anti], w[anti], h[anti]))
+                split.setdefault((i, j + 1), []).append(
+                    (partner[keep], sin_w, _sink_weights(graph, partner[keep]))
+                )
+            terms = {ij: tuple(map(np.concatenate, zip(*parts))) for ij, parts in split.items()}
+        for ij, (_, w, h) in terms.items():
+            row += float(np.dot(w, h)) * _HARMONICS[ij]
     return out

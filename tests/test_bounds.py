@@ -139,6 +139,24 @@ def test_simple_bound_endpoints_and_clamping():
         lower_bound_simple(-1.5, -1.0, -1.0)
 
 
+def test_bounds_refuse_sub_ground_energies():
+    """An energy below e0 (a truncated run can report one) is not variational,
+    so no floor may turn it into an overlap certificate."""
+    e = -2.0 - 1e-6
+    for call in (
+        lambda: lower_bound_simple(e, -2.0, -1.0),
+        lambda: lower_bound_known_alpha(e, -2.0, -1.0, -1.3, 0.0),
+        lambda: lower_bound_penalty(
+            SpectralData(-2.0, -1.0, -1.5, 1.0, 20.0, 0.0, e)
+        ),
+        lambda: lower_bound_unknown_gap(e, -2.0, -1.0, 0.0, 1.0),
+    ):
+        with pytest.raises(ValueError, match="below the ground-state energy"):
+            call()
+    # roundoff under e0 still certifies the ground state
+    assert lower_bound_simple(-2.0 - 1e-12, -2.0, -1.0).value == 1.0
+
+
 def test_known_alpha_reductions():
     ratio = lower_bound_known_alpha(-1.6, -2.0, -1.0, -1.3, 0.0)
     assert ratio.raw == pytest.approx((-1.0 + 1.6) / (-1.0 + 2.0))

@@ -24,6 +24,7 @@ def test_help_and_bad_usage_exit_codes(capsys):
     assert "Commands" in capsys.readouterr().out
     assert main(["no-such-command"]) == 1
     assert main(["pool-info", "--occupied", "many", "--virtual", "1"]) == 1
+    assert main(["verify", "--threads", "2"]) == 1  # the option is gone
 
 
 def test_pool_info_reference_counts(capsys):
@@ -145,6 +146,12 @@ def test_bound_command(tmp_path, capsys):
     assert main([
         "bound", "--spectral", str(sidecar), "--energy", "-1.6", "--penalty", "1.5",
     ]) == 1
+    # an energy below e0 (truncation error) certifies nothing
+    capsys.readouterr()
+    assert main(["bound", "--spectral", str(sidecar), "--energy", "-2.05"]) == 1
+    captured = capsys.readouterr()
+    assert "below the ground-state energy" in captured.err
+    assert "two-level" not in captured.out
     sidecar.write_text(json.dumps({"e0": -2.0, "s1": -1.0}))
     assert main(["bound", "--spectral", str(sidecar), "--energy", "-1.6"]) == 1
 

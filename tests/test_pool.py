@@ -23,6 +23,8 @@ from majprop.pool import (
     SelectionScore,
     build_majoranic_pool,
     is_refresh_iteration,
+    landscape_minimum,
+    probe_landscape,
     rank_candidates,
     reduce_pool_equivalence,
     score_pool_ggf,
@@ -31,7 +33,12 @@ from majprop.pool import (
     single_excitation_monomials,
     trim_pool,
 )
-from majprop.surrogate import build_surrogate, eval_energy, extend_surrogate
+from majprop.surrogate import (
+    build_surrogate,
+    eval_energy,
+    extend_surrogate,
+    natural_end_landscapes,
+)
 
 N = 8
 OCC = 0b00001111
@@ -307,74 +314,77 @@ def test_gradient_scoring_respects_index_subset(rng):
 
 def test_ggf_single_monomial_landscape_is_a_sinusoid(rng):
     """Even on a truncated graph the single-gate landscape is exactly
-    A sin(theta+B) + C, so the three-point fit reproduces every angle."""
-    h = inst.random_molecular_hamiltonian(N, rng)
-    circuit = inst.random_circuit(N, 8, rng)
-    theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
-    policy = TruncationPolicy(length_cutoff=4)
-    graph = build_surrogate(h, circuit, OCC, policy)
-    cand = PoolCandidate((int(inst.random_monomial_bits(N, 4, rng)),), (1,), "probe")
-    pool = Pool(N, [cand])
-    (score,) = score_pool_ggf(pool, graph, theta, where="front")
+    A sin(theta+B) + C, so the three-point fit reproduces every angle --
+    also without paired acceptance, where the survivor mask drops partners."""
+    for paired_accept in (None, False):
+        h = inst.random_molecular_hamiltonian(N, rng)
+        circuit = inst.random_circuit(N, 8, rng)
+        theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
+        policy = TruncationPolicy(length_cutoff=4, paired_accept=paired_accept)
+        graph = build_surrogate(h, circuit, OCC, policy)
+        cand = PoolCandidate((int(inst.random_monomial_bits(N, 4, rng)),), (1,), "probe")
+        pool = Pool(N, [cand])
+        (score,) = score_pool_ggf(pool, graph, theta, where="front")
 
-    e0 = eval_energy(graph, theta)
-    ep = _extended_energy(h, circuit, theta, cand, np.pi / 2, "front", policy)
-    em = _extended_energy(h, circuit, theta, cand, -np.pi / 2, "front", policy)
-    c = 0.5 * (ep + em)
-    a_sin, a_cos = e0 - c, 0.5 * (ep - em)
-    for _ in range(10):
-        t = float(rng.uniform(-np.pi, np.pi))
-        fitted = c + a_sin * math.cos(t) + a_cos * math.sin(t)
-        brute = _extended_energy(h, circuit, theta, cand, t, "front", policy)
-        assert fitted == pytest.approx(brute, abs=1e-10)
+        e0 = eval_energy(graph, theta)
+        ep = _extended_energy(h, circuit, theta, cand, np.pi / 2, "front", policy)
+        em = _extended_energy(h, circuit, theta, cand, -np.pi / 2, "front", policy)
+        c = 0.5 * (ep + em)
+        a_sin, a_cos = e0 - c, 0.5 * (ep - em)
+        for _ in range(10):
+            t = float(rng.uniform(-np.pi, np.pi))
+            fitted = c + a_sin * math.cos(t) + a_cos * math.sin(t)
+            brute = _extended_energy(h, circuit, theta, cand, t, "front", policy)
+            assert fitted == pytest.approx(brute, abs=1e-10)
 
-    at_star = _extended_energy(h, circuit, theta, cand, score.theta_star, "front", policy)
-    assert at_star == pytest.approx(e0 + score.score, abs=1e-10)
-    grid = [
-        _extended_energy(h, circuit, theta, cand, t, "front", policy)
-        for t in np.linspace(-np.pi, np.pi, 201)
-    ]
-    assert at_star <= min(grid) + 1e-12
-    assert score.score <= 0.0
+        at_star = _extended_energy(h, circuit, theta, cand, score.theta_star, "front", policy)
+        assert at_star == pytest.approx(e0 + score.score, abs=1e-10)
+        grid = [
+            _extended_energy(h, circuit, theta, cand, t, "front", policy)
+            for t in np.linspace(-np.pi, np.pi, 201)
+        ]
+        assert at_star <= min(grid) + 1e-12
+        assert score.score <= 0.0
 
 
 def test_ggf_composite_landscape_has_two_harmonics(rng):
-    h = inst.random_molecular_hamiltonian(N, rng)
-    circuit = inst.random_circuit(N, 6, rng)
-    theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
-    policy = TruncationPolicy(length_cutoff=4)
-    graph = build_surrogate(h, circuit, OCC, policy)
-    a, b = single_excitation_monomials(2, 4)
-    cand = PoolCandidate((a, b), (1, 1), "single excitation")
-    pool = Pool(N, [cand])
-    (score,) = score_pool_ggf(pool, graph, theta, where="front")
+    for paired_accept in (None, False):
+        h = inst.random_molecular_hamiltonian(N, rng)
+        circuit = inst.random_circuit(N, 6, rng)
+        theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
+        policy = TruncationPolicy(length_cutoff=4, paired_accept=paired_accept)
+        graph = build_surrogate(h, circuit, OCC, policy)
+        a, b = single_excitation_monomials(2, 4)
+        cand = PoolCandidate((a, b), (1, 1), "single excitation")
+        pool = Pool(N, [cand])
+        (score,) = score_pool_ggf(pool, graph, theta, where="front")
 
-    # pin the five harmonic coefficients from five brute-force energies
-    probes = [0.0, np.pi / 2, -np.pi / 2, np.pi / 4, -np.pi / 4]
-    rows = [
-        [1.0, math.cos(t), math.sin(t), math.cos(2 * t), math.sin(2 * t)]
-        for t in probes
-    ]
-    vals = [
-        _extended_energy(h, circuit, theta, cand, t, "front", policy) for t in probes
-    ]
-    coeff = np.linalg.solve(np.array(rows), np.array(vals))
-    for _ in range(10):
-        t = float(rng.uniform(-np.pi, np.pi))
-        fitted = float(
-            coeff @ [1.0, math.cos(t), math.sin(t), math.cos(2 * t), math.sin(2 * t)]
-        )
-        brute = _extended_energy(h, circuit, theta, cand, t, "front", policy)
-        assert fitted == pytest.approx(brute, abs=1e-10)
+        # pin the five harmonic coefficients from five brute-force energies
+        probes = [0.0, np.pi / 2, -np.pi / 2, np.pi / 4, -np.pi / 4]
+        rows = [
+            [1.0, math.cos(t), math.sin(t), math.cos(2 * t), math.sin(2 * t)]
+            for t in probes
+        ]
+        vals = [
+            _extended_energy(h, circuit, theta, cand, t, "front", policy) for t in probes
+        ]
+        coeff = np.linalg.solve(np.array(rows), np.array(vals))
+        for _ in range(10):
+            t = float(rng.uniform(-np.pi, np.pi))
+            fitted = float(
+                coeff @ [1.0, math.cos(t), math.sin(t), math.cos(2 * t), math.sin(2 * t)]
+            )
+            brute = _extended_energy(h, circuit, theta, cand, t, "front", policy)
+            assert fitted == pytest.approx(brute, abs=1e-10)
 
-    e0 = eval_energy(graph, theta)
-    at_star = _extended_energy(h, circuit, theta, cand, score.theta_star, "front", policy)
-    assert at_star == pytest.approx(e0 + score.score, abs=1e-10)
-    grid = [
-        _extended_energy(h, circuit, theta, cand, t, "front", policy)
-        for t in np.linspace(-np.pi, np.pi, 2001)
-    ]
-    assert at_star <= min(grid) + 1e-10
+        e0 = eval_energy(graph, theta)
+        at_star = _extended_energy(h, circuit, theta, cand, score.theta_star, "front", policy)
+        assert at_star == pytest.approx(e0 + score.score, abs=1e-10)
+        grid = [
+            _extended_energy(h, circuit, theta, cand, t, "front", policy)
+            for t in np.linspace(-np.pi, np.pi, 2001)
+        ]
+        assert at_star <= min(grid) + 1e-10
 
 
 def test_ggf_flat_landscape_scores_zero():
@@ -389,56 +399,145 @@ def test_ggf_flat_landscape_scores_zero():
 
 
 def test_ggf_back_placement_on_schrodinger_graph(rng):
-    h = inst.random_molecular_hamiltonian(N, rng)
-    circuit = inst.random_circuit(N, 4, rng)
-    theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
-    policy = TruncationPolicy(length_cutoff=6)
-    graph = build_surrogate(h, circuit, OCC, policy, "schrodinger")
-    a, b = single_excitation_monomials(1, 3)
-    pool = Pool(
-        N,
-        [
-            PoolCandidate((a, b), (1, 1), "pair"),
-            PoolCandidate((int(inst.random_monomial_bits(N, 4, rng)),), (1,), "mono"),
-        ],
-    )
-    for score, cand in zip(
-        score_pool_ggf(pool, graph, theta, where="back"), pool.candidates
-    ):
-        e0 = eval_energy(graph, theta)
-        at_star = _extended_energy(
-            h, circuit, theta, cand, score.theta_star, "back", policy, "schrodinger"
+    # paired_accept None resolves to off for states; on keeps long paired terms
+    for paired_accept in (None, True):
+        h = inst.random_molecular_hamiltonian(N, rng)
+        circuit = inst.random_circuit(N, 4, rng)
+        theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
+        policy = TruncationPolicy(length_cutoff=6, paired_accept=paired_accept)
+        graph = build_surrogate(h, circuit, OCC, policy, "schrodinger")
+        a, b = single_excitation_monomials(1, 3)
+        pool = Pool(
+            N,
+            [
+                PoolCandidate((a, b), (1, 1), "pair"),
+                PoolCandidate((int(inst.random_monomial_bits(N, 4, rng)),), (1,), "mono"),
+            ],
         )
-        assert at_star == pytest.approx(e0 + score.score, abs=1e-10)
-        assert score.score <= 0.0
+        for score, cand in zip(
+            score_pool_ggf(pool, graph, theta, where="back"), pool.candidates
+        ):
+            e0 = eval_energy(graph, theta)
+            at_star = _extended_energy(
+                h, circuit, theta, cand, score.theta_star, "back", policy, "schrodinger"
+            )
+            assert at_star == pytest.approx(e0 + score.score, abs=1e-10)
+            assert score.score <= 0.0
 
 
 def test_ggf_rebuild_placement_matches_brute_force(rng):
-    """Scoring at the non-natural end (Heisenberg + back) goes through the
-    full-rebuild path and must agree with independent propagation."""
+    """Scoring away from the natural end (Heisenberg + back, Schrodinger +
+    front) probes rebuilt graphs and must agree with independent
+    propagation."""
+    for picture, where in (("heisenberg", "back"), ("schrodinger", "front")):
+        h = inst.random_molecular_hamiltonian(N, rng)
+        circuit = inst.random_circuit(N, 5, rng)
+        theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
+        policy = TruncationPolicy(length_cutoff=4)
+        graph = build_surrogate(h, circuit, OCC, policy, picture)
+        a, b = single_excitation_monomials(2, 5)
+        pool = Pool(
+            N,
+            [
+                PoolCandidate((int(inst.random_monomial_bits(N, 4, rng)),), (1,), "mono"),
+                PoolCandidate((a, b), (-1, -1), "pair"),
+            ],
+        )
+        e0 = eval_energy(graph, theta)
+        for score, cand in zip(
+            score_pool_ggf(pool, graph, theta, where=where), pool.candidates
+        ):
+            at_star = _extended_energy(
+                h, circuit, theta, cand, score.theta_star, where, policy, picture
+            )
+            assert at_star == pytest.approx(e0 + score.score, abs=1e-10)
+            probe = _extended_energy(h, circuit, theta, cand, 0.8, where, policy, picture)
+            assert probe >= e0 + score.score - 1e-10
+
+
+def _random_candidates(rng, n_each=3):
+    cands = [
+        PoolCandidate((int(inst.random_monomial_bits(N, d, rng)),), (1,), f"m{d}")
+        for d in (2, 4)
+        for _ in range(n_each)
+    ]
+    for _ in range(n_each):
+        p, q = rng.choice(np.arange(1, N + 1), size=2, replace=False)
+        signs = tuple(int(x) for x in rng.choice([-1, 1], size=2))
+        cands.append(PoolCandidate(single_excitation_monomials(p, q), signs, "s"))
+    return cands
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+def test_ggf_closed_form_matches_probed_graphs(rng, picture):
+    """The closed-form landscape at the natural end equals the energies of
+    the recorded extension: scores to 1e-12 and theta* to 1e-9 against the
+    probe-and-fit route, and the coefficients reproduce a fresh build at
+    random angles, with and without the survivor mask on partners."""
+    where = "front" if picture == "heisenberg" else "back"
+    for paired_accept in (None, False, True):
+        for _ in range(3):
+            h = inst.random_molecular_hamiltonian(N, rng)
+            circuit = inst.random_circuit(N, 6, rng)
+            theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
+            occ = int(rng.integers(0, 1 << N))
+            policy = TruncationPolicy(length_cutoff=4, paired_accept=paired_accept)
+            graph = build_surrogate(h, circuit, occ, policy, picture)
+            pool = Pool(N, _random_candidates(rng))
+            slot = circuit.n_slots
+            scores = score_pool_ggf(pool, graph, theta, where=where)
+            coeffs = natural_end_landscapes(
+                graph, theta, [c.gates(slot) for c in pool.candidates]
+            )
+            e0 = eval_energy(graph, theta)
+            for cand, score, row in zip(pool.candidates, scores, coeffs):
+                extended = graph
+                for gate in cand.gates(slot):
+                    extended = extend_surrogate(extended, gate, where)
+                probed = probe_landscape(
+                    lambda t: eval_energy(extended, np.append(theta, t)),
+                    e0,
+                    cand.is_composite,
+                )
+                ref_score, ref_star = landscape_minimum(probed)
+                assert score.score == pytest.approx(ref_score, abs=1e-12)
+                assert score.theta_star == pytest.approx(ref_star, abs=1e-9)
+                trial = circuit.copy()
+                trial.params = np.append(theta, 0.0)
+                gates = cand.gates(slot)
+                if where == "front":
+                    trial.insert_front(gates)
+                else:
+                    trial.append_back(gates)
+                fresh = build_surrogate(h, trial, occ, policy, picture)
+                for t in rng.uniform(-np.pi, np.pi, 3):
+                    model = row @ [1.0, np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)]
+                    brute = eval_energy(fresh, np.append(theta, t))
+                    assert model == pytest.approx(brute, abs=1e-12)
+
+
+def test_ggf_front_composite_prefers_the_smaller_degenerate_angle(rng):
+    """A composite acting on the Fock state has a pi-periodic landscape, so
+    theta* and theta* +- pi tie; the tie must resolve to the smaller |theta|
+    whatever roundoff leaves in the first harmonic."""
     h = inst.random_molecular_hamiltonian(N, rng)
     circuit = inst.random_circuit(N, 5, rng)
     theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
-    policy = TruncationPolicy(length_cutoff=4)
-    graph = build_surrogate(h, circuit, OCC, policy, "heisenberg")
-    a, b = single_excitation_monomials(2, 5)
-    pool = Pool(
-        N,
-        [
-            PoolCandidate((int(inst.random_monomial_bits(N, 4, rng)),), (1,), "mono"),
-            PoolCandidate((a, b), (-1, -1), "pair"),
-        ],
-    )
-    e0 = eval_energy(graph, theta)
-    for score, cand in zip(
-        score_pool_ggf(pool, graph, theta, where="back"), pool.candidates
-    ):
-        at_star = _extended_energy(
-            h, circuit, theta, cand, score.theta_star, "back", policy
-        )
-        assert at_star == pytest.approx(e0 + score.score, abs=1e-10)
-        probe = _extended_energy(h, circuit, theta, cand, 0.8, "back", policy)
-        assert probe >= e0 + score.score - 1e-10
+    graph = build_surrogate(h, circuit, OCC)
+    cand = PoolCandidate(single_excitation_monomials(2, 6), (1, 1), "occ->virt")
+    (score,) = score_pool_ggf(Pool(N, [cand]), graph, theta, where="front")
+    assert score.score < -1e-6
+    assert abs(score.theta_star) <= 0.5 * np.pi
+    at_star = _extended_energy(h, circuit, theta, cand, score.theta_star, "front")
+    shifted = score.theta_star - math.copysign(np.pi, score.theta_star)
+    at_shifted = _extended_energy(h, circuit, theta, cand, shifted, "front")
+    assert at_shifted == pytest.approx(at_star, abs=1e-12)
+    assert at_star == pytest.approx(eval_energy(graph, theta) + score.score, abs=1e-10)
+    (row,) = natural_end_landscapes(graph, theta, [cand.gates(circuit.n_slots)])
+    assert max(abs(row[1]), abs(row[2])) < 1e-12
+    for da, db in rng.normal(scale=1e-15, size=(20, 2)):
+        noisy = row + np.array([0.0, da, db, 0.0, 0.0])
+        assert landscape_minimum(noisy)[1] == pytest.approx(score.theta_star, abs=1e-9)
 
 
 # ---- trimming and ranking ------------------------------------------------------
@@ -463,6 +562,9 @@ def test_rank_candidates_breaks_ties_by_index():
     assert [s.index for s in rank_candidates(neg, larger_is_better=False)] == [
         1, 2, 0, 3,
     ]
+    # roundoff-level differences are ties too: the lower index still leads
+    near = [SelectionScore(4, -0.25 - 4e-16), SelectionScore(2, -0.25), SelectionScore(7, -0.3)]
+    assert [s.index for s in rank_candidates(near, larger_is_better=False)] == [7, 2, 4]
 
 
 def test_trim_pool_semantics():

@@ -180,3 +180,13 @@ def test_repeated_evaluation_compiles_without_drift(rng, picture):
         assert energy == pytest.approx(ref_energy, abs=1e-13)
         np.testing.assert_allclose(grad, ref_grad, atol=1e-13)
     assert graph._compiled is not None
+
+
+def test_colliding_sine_branches_raise_a_real_error():
+    """The distinct-sine-target invariant survives ``python -O``: a layer
+    holding one anticommuting key twice must raise, not corrupt the step."""
+    from majprop.surrogate import _record_step
+
+    keys = np.array([0b110, 0b110], dtype=np.uint64)
+    with pytest.raises(RuntimeError, match="collide"):
+        _record_step(keys, Gate(0b11, slot=0), 1.0, TruncationPolicy())
