@@ -15,11 +15,12 @@ energies alone down to a penalty expectation with unknown gap ordering.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .hamiltonian import accumulate_ladder_term, assemble_operator, spin_orbital_mode
+import numpy as np
+
+from .hamiltonian import assemble_operator, ladder_terms
 from .operators import SparseOperator
 
 __all__ = [
@@ -85,44 +86,30 @@ def build_penalty_hamiltonian(
         raise ValueError(f"unknown lambda_p convention {convention!r}")
 
     n_spatial = n_modes // 2
-    modes = range(1, n_modes + 1)
+    modes = np.arange(1, n_modes + 1)
     # alpha modes are odd under the interleaved layout
-    sigma = {m: 1.0 if m % 2 else -1.0 for m in modes}
-
-    def number(m: int) -> list[tuple[int, bool]]:
-        return [(m, True), (m, False)]
-
-    acc: dict[int, complex] = defaultdict(complex)
-    if a:
-        acc[0] += a * n_expected**2
-        for m in modes:
-            accumulate_ladder_term(acc, -2.0 * a * n_expected, number(m))
-        for m in modes:
-            for mp in modes:
-                accumulate_ladder_term(acc, a, number(m) + number(mp))
-    sz_sq = b + c  # Sz^2 enters on its own and inside S^2 = S-S+ + Sz(Sz+1)
-    if sz_sq:
-        for m in modes:
-            for mp in modes:
-                accumulate_ladder_term(
-                    acc, 0.25 * sz_sq * sigma[m] * sigma[mp], number(m) + number(mp)
-                )
-    if c:
-        for m in modes:
-            accumulate_ladder_term(acc, 0.5 * c * sigma[m], number(m))
-        for p in range(1, n_spatial + 1):
-            for q in range(1, n_spatial + 1):
-                accumulate_ladder_term(
-                    acc,
-                    c,
-                    [
-                        (spin_orbital_mode(p, "beta", n_spatial), True),
-                        (spin_orbital_mode(p, "alpha", n_spatial), False),
-                        (spin_orbital_mode(q, "alpha", n_spatial), True),
-                        (spin_orbital_mode(q, "beta", n_spatial), False),
-                    ],
-                )
-    operator = assemble_operator(acc, n_modes)
+    sigma = np.where(modes % 2, 1.0, -1.0)
+    m, mp = np.repeat(modes, n_modes), np.tile(modes, n_modes)
+    p, q = np.repeat(modes[::2], n_spatial), np.tile(modes[::2], n_spatial)  # alpha modes
+    number, number_pair = (True, False), (True, False, True, False)
+    operator = assemble_operator(
+        [
+            ladder_terms([[]], (), [a * n_expected**2]),  # the empty string is the identity
+            # the linear parts of A(N - N_exp)^2 and of Sz(Sz+1) inside S^2
+            ladder_terms(
+                np.stack([modes, modes], axis=1), number, -2.0 * a * n_expected + 0.5 * c * sigma
+            ),
+            # A N^2, plus Sz^2 on its own and inside S^2 = S-S+ + Sz(Sz+1)
+            ladder_terms(
+                np.stack([m, m, mp, mp], axis=1),
+                number_pair,
+                a + 0.25 * (b + c) * sigma[m - 1] * sigma[mp - 1],
+            ),
+            # C S-S+ = C sum_pq b+_p a_p a+_q b_q, beta mode = alpha mode + 1
+            ladder_terms(np.stack([p + 1, p, q, q + 1], axis=1), number_pair, np.full(p.size, c)),
+        ],
+        n_modes,
+    )
 
     lambda2 = min(v for v in (a, 2.0 * c, 0.25 * b) if v > 0)
     deviation = max(n_modes - n_expected, n_expected)

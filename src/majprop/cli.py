@@ -85,9 +85,8 @@ _seed_option = click.option(
 @click.option("--selection", type=click.Choice(["gradient", "ggf", "mixed"]), default=None)
 @click.option("--trim-tau", type=int, default=None, help="Pool survivors kept between refreshes.")
 @click.option("--trim-kappa", type=int, default=None, help="Iterations between pool refreshes.")
-@_seed_option
 def run(fcidump_path, config_path, out_dir, cutoff, picture, iterations,
-        selection, trim_tau, trim_kappa, seed) -> None:
+        selection, trim_tau, trim_kappa) -> None:
     """Grow and optimize a circuit for the given integrals."""
     data = json.loads(Path(config_path).read_text()) if config_path else {}
     overrides = {
@@ -117,6 +116,10 @@ def run(fcidump_path, config_path, out_dir, cutoff, picture, iterations,
         f"final energy {result.energy:.12f} after "
         f"{len(result.trajectory) - 1} iterations"
     )
+    for row in result.trajectory:
+        if not row.opt_converged:
+            click.echo(f"warning: iteration {row.iteration}: the optimizer stopped unconverged "
+                       f"after {row.opt_nfev} evaluations", err=True)
 
 
 # ---- evaluate --------------------------------------------------------------------
@@ -289,7 +292,7 @@ def bench(modes, gates, cutoff, out_path, seed) -> None:
         graph = build_surrogate(h, circuit, occupation, policy)
         build_s = time.perf_counter() - tic
         theta = rng.uniform(-0.5, 0.5, circuit.n_slots)
-        for _ in range(4):  # steady state: repeated evaluation compiles the graph
+        for _ in range(4):  # steady state: the first gradient call compiles the graph
             eval_energy(graph, theta)
             eval_energy_and_gradient(graph, theta)
         eval_s = min(

@@ -60,6 +60,7 @@ __all__ = [
     "AdaptResult",
     "MemoryBudgetError",
     "OptimizationError",
+    "Optimum",
     "RunConfig",
     "Trajectory",
     "TrajectoryRow",
@@ -157,12 +158,26 @@ def init_active_rotations(
 # ---- parameter optimization ----------------------------------------------------
 
 
+class Optimum(tuple):
+    """``(theta, energy)`` of one optimizer run, with its status attached.
+
+    ``nfev`` counts the energy-and-gradient evaluations; ``converged`` is
+    False when L-BFGS-B stopped on its evaluation or iteration budget, or
+    abnormally, instead of meeting its tolerance.
+    """
+
+    def __new__(cls, theta: np.ndarray, energy: float, nfev: int, converged: bool):
+        self = super().__new__(cls, (theta, energy))
+        self.nfev, self.converged = nfev, converged
+        return self
+
+
 def optimize_parameters(
     graph: SurrogateGraph,
     theta0: np.ndarray,
     gtol: float = 1e-7,
     maxfun: int = 200,
-) -> tuple[np.ndarray, float]:
+) -> Optimum:
     """Minimize the surrogate energy with L-BFGS-B and analytic gradients.
 
     Returns the best point seen during the run, which is never worse than
@@ -170,7 +185,7 @@ def optimize_parameters(
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
     if theta0.size == 0:
-        return theta0, eval_energy(graph, theta0)
+        return Optimum(theta0, eval_energy(graph, theta0), 1, True)
     best_f = math.inf
     best_x = theta0.copy()
 
@@ -185,14 +200,14 @@ def optimize_parameters(
             best_f, best_x = energy, x.copy()
         return energy, grad
 
-    scipy.optimize.minimize(
+    result = scipy.optimize.minimize(
         objective,
         theta0,
         jac=True,
         method="L-BFGS-B",
         options={"gtol": gtol, "maxfun": maxfun},
     )
-    return best_x, float(best_f)
+    return Optimum(best_x, float(best_f), int(result.nfev), bool(result.success))
 
 
 # ---- run records ----------------------------------------------------------------
@@ -207,6 +222,10 @@ class TrajectoryRow:
     wall_time_s: float
     pool_evaluated: int
     live_monomials: int
+    # the iteration's optimizer run: evaluations made, and False when it
+    # stopped on its budget (or abnormally) instead of converging
+    opt_nfev: int = 0
+    opt_converged: bool = True
 
 
 _CSV_COLUMNS = (
@@ -531,9 +550,10 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
 
     trajectory = Trajectory()
     tic = time.perf_counter()
-    theta, energy = optimize_parameters(
+    optimum = optimize_parameters(
         graph, np.zeros(n_rot_slots), config.opt_gtol, config.opt_maxfun
     )
+    theta, energy = optimum
     trajectory.append(
         TrajectoryRow(
             iteration=0,
@@ -543,6 +563,8 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
             wall_time_s=time.perf_counter() - tic,
             pool_evaluated=0,
             live_monomials=int(graph.final_keys.size),
+            opt_nfev=optimum.nfev,
+            opt_converged=optimum.converged,
         )
     )
 
@@ -599,9 +621,10 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
         n_body += len(gates)
         _check_budget(graph, config, trajectory)
 
-        theta, energy = optimize_parameters(
+        optimum = optimize_parameters(
             graph, np.append(theta, init_angle), config.opt_gtol, config.opt_maxfun
         )
+        theta, energy = optimum
         trajectory.append(
             TrajectoryRow(
                 iteration=iteration,
@@ -611,6 +634,8 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
                 wall_time_s=time.perf_counter() - tic,
                 pool_evaluated=len(indices),
                 live_monomials=int(graph.final_keys.size),
+                opt_nfev=optimum.nfev,
+                opt_converged=optimum.converged,
             )
         )
 

@@ -16,8 +16,8 @@ each layer's vector, a rolling adjoint runs backwards, and the derivative
 of each gate is two dot products -- at most a threefold overhead on top of
 one energy evaluation, independent of the parameter count.
 
-Graphs that get evaluated repeatedly (parameter optimization, probing) are
-additionally compiled, after a few calls, into per-gate CSR matrices whose
+Graphs that get differentiated (parameter optimization) are additionally
+compiled, on their first gradient call, into per-gate CSR matrices whose
 copy entries are constant 1 and whose cos/sin entries are rewritten in one
 vectorized pass per evaluation; each gate is then a single C matvec, and
 the adjoint sweep reuses the same arrays as the transpose.  Compilation
@@ -97,10 +97,6 @@ class _Step:
     def n_edges(self) -> int:
         return int(self.copy_src.size + self.cos_src.size + self.sin_src.size)
 
-
-# Compile a graph into kernel form only once it has seen this many
-# evaluations: one-shot probes (pool scoring) should never pay for it.
-_COMPILE_AFTER = 3
 
 _kernel_state: bool | None = None
 
@@ -293,13 +289,16 @@ def _compile_sweep(graph: SurrogateGraph) -> _CompiledSweep:
     )
 
 
-def _ensure_compiled(graph: SurrogateGraph, params: np.ndarray) -> _CompiledSweep | None:
-    """Return the refreshed kernel plan once a graph is evaluated repeatedly."""
-    if not graph.steps or graph.source.size == 0 or not _kernels_usable():
-        return None
+def _compiled_plan(
+    graph: SurrogateGraph, params: np.ndarray, may_compile: bool
+) -> _CompiledSweep | None:
+    """The graph's kernel plan refreshed at ``params``, compiled on demand.
+
+    Only gradient calls compile: energy-only probes (pool scoring) evaluate
+    one-shot trial graphs and should never pay for it.
+    """
     if graph._compiled is None:
-        graph._evals += 1
-        if graph._evals < _COMPILE_AFTER:
+        if not may_compile or not graph.steps or graph.source.size == 0 or not _kernels_usable():
             return None
         graph._compiled = _compile_sweep(graph)
     graph._compiled.refresh(params)
@@ -374,7 +373,6 @@ class SurrogateGraph:
     _compiled: _CompiledSweep | None = field(
         default=None, repr=False, compare=False
     )
-    _evals: int = field(default=0, repr=False, compare=False)
 
     @property
     def n_slots(self) -> int:
@@ -533,7 +531,7 @@ def final_layer(graph: SurrogateGraph, params: np.ndarray) -> np.ndarray:
 def eval_energy(graph: SurrogateGraph, params: np.ndarray) -> float:
     """Energy at the given angles from one forward pass over the graph."""
     params = _check_params(graph, params)
-    plan = _ensure_compiled(graph, params)
+    plan = _compiled_plan(graph, params, may_compile=False)
     if plan is not None:
         return _kernel_energy(plan)
     return float(np.dot(final_layer(graph, params), graph.sink))
@@ -544,17 +542,26 @@ def eval_energy_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Energy and its gradient w.r.t. every parameter slot.
 
+    The first call compiles the graph; without the compiled kernels every
+    call runs the interpreted :func:`_sweep_gradient`.
+    """
+    params = _check_params(graph, params)
+    plan = _compiled_plan(graph, params, may_compile=True)
+    if plan is None:
+        return _sweep_gradient(graph, params)
+    grad = np.zeros(params.size)
+    return _kernel_gradient(plan, params, grad), grad
+
+
+def _sweep_gradient(graph: SurrogateGraph, params: np.ndarray) -> tuple[float, np.ndarray]:
+    """The interpreted gradient sweep over the recorded steps.
+
     Forward pass with stored layers, then a rolling backward adjoint; the
     derivative of gate k is two dot products between the stored layer and
     the adjoint, accumulated into the gate's slot (shared slots sum by the
     chain rule).
     """
-    params = _check_params(graph, params)
     grad = np.zeros(params.size)
-    plan = _ensure_compiled(graph, params)
-    if plan is not None:
-        energy = _kernel_gradient(plan, params, grad)
-        return energy, grad
     v, layers = _forward(graph, params, keep_layers=True)
     energy = float(np.dot(v, graph.sink))
     w = graph.sink.copy()

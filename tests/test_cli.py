@@ -25,6 +25,7 @@ def test_help_and_bad_usage_exit_codes(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["pool-info", "--occupied", "many", "--virtual", "1"]) == 1
     assert main(["verify", "--threads", "2"]) == 1  # the option is gone
+    assert main(["run", "--fcidump", H2, "--seed", "5"]) == 1  # run draws nothing at random
 
 
 def test_pool_info_reference_counts(capsys):
@@ -52,6 +53,14 @@ def test_run_writes_trajectory_and_circuit(tmp_path, capsys):
     circuit, occupation = load_circuit_json((tmp_path / "circuit.json").read_text())
     assert occupation == 0b0011
     assert circuit.n_modes == 4
+
+
+def test_run_warns_when_the_optimizer_budget_runs_out(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"opt_maxfun": 3, "max_iterations": 1, "cutoff": None}))
+    h4 = str(FIXTURES / "h4_chain_r20.fcidump")
+    assert main(["run", "--fcidump", h4, "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert "iteration 1: the optimizer stopped unconverged" in capsys.readouterr().err
 
 
 def test_run_iterations_zero_keeps_only_the_baseline(tmp_path):

@@ -256,6 +256,21 @@ def test_k_zero_records_only_the_baseline():
     assert result.energy <= ref["e_hf"] + 1e-10
 
 
+def test_exhausted_optimizer_budget_is_reported():
+    tensors, _ = _fixture("h4_chain_r20")
+    rows = {
+        maxfun: run_adapt_vmpe(
+            tensors, RunConfig(max_iterations=2, cutoff=None, opt_maxfun=maxfun)
+        ).trajectory.rows
+        for maxfun in (3, 200)
+    }
+    assert [r.gate for r in rows[3]] == [r.gate for r in rows[200]]
+    for starved, full in zip(rows[3][1:], rows[200][1:]):
+        assert not starved.opt_converged and starved.opt_nfev > 3
+        assert full.opt_converged and 3 < full.opt_nfev <= 200
+        assert starved.energy > full.energy
+
+
 def _rows_sans_time(trajectory):
     return [
         (r.iteration, r.energy, r.gate, r.theta_hash, r.pool_evaluated, r.live_monomials)

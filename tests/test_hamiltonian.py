@@ -6,7 +6,13 @@ import scipy.linalg
 
 from majprop import _kernels
 from majprop.engine import expectation
-from majprop.hamiltonian import build_majorana_hamiltonian, ladder_product, spin_orbital_mode
+from majprop.hamiltonian import (
+    assemble_operator,
+    build_majorana_hamiltonian,
+    ladder_product,
+    ladder_terms,
+    spin_orbital_mode,
+)
 from majprop.instances import random_restricted_integrals
 from majprop.integrals import (
     FcidumpError,
@@ -127,19 +133,27 @@ def test_hamiltonian_has_even_low_length_terms_only(rng):
     assert set(np.unique(degrees)).issubset({0, 2, 4})
 
 
+def _dense_ladder(mode, dagger, n_modes):
+    odd = dense_monomial(MajoranaMonomial(1 << (2 * mode - 2), n_modes))
+    even = dense_monomial(MajoranaMonomial(1 << (2 * mode - 1), n_modes))
+    return 0.5 * (odd - 1j * even) if dagger else 0.5 * (odd + 1j * even)
+
+
+def _dense_terms(keys, values, n_modes):
+    dim = 1 << n_modes
+    out = np.zeros((dim, dim), dtype=complex)
+    for k, v in zip(keys, values):
+        out += v * dense_monomial(MajoranaMonomial(int(k), n_modes))
+    return out
+
+
 def _dense_from_ladders(t, ordering="interleaved"):
     """Independent dense build: multiply explicit ladder matrices."""
     n = t.n_spatial
     n_modes = 2 * n
     dim = 1 << n_modes
-
-    def _ladder(mode, dagger):
-        odd = dense_monomial(MajoranaMonomial(1 << (2 * mode - 2), n_modes))
-        even = dense_monomial(MajoranaMonomial(1 << (2 * mode - 1), n_modes))
-        return 0.5 * (odd - 1j * even) if dagger else 0.5 * (odd + 1j * even)
-
-    create = {m: _ladder(m, True) for m in range(1, n_modes + 1)}
-    destroy = {m: _ladder(m, False) for m in range(1, n_modes + 1)}
+    create = {m: _dense_ladder(m, True, n_modes) for m in range(1, n_modes + 1)}
+    destroy = {m: _dense_ladder(m, False, n_modes) for m in range(1, n_modes + 1)}
     H = t.core_energy * np.eye(dim, dtype=complex)
     for sector in ("alpha", "beta"):
         h1 = t.h1_block(sector)
@@ -227,6 +241,49 @@ def test_ladder_product_reproduces_anticommutator():
     total = {k: left.get(k, 0) + right.get(k, 0) for k in set(left) | set(right)}
     assert total[0] == pytest.approx(1.0)
     assert all(abs(v) < 1e-15 for k, v in total.items() if k != 0)
+    # n_2 = (1 + M_pair)/2 on the canonical pair monomial, a_2 a+_2 = 1 - n_2
+    pair = 0b11 << 2
+    assert ladder_product([(2, True), (2, False)]) == {0: 0.5, pair: 0.5}
+    assert ladder_product([(2, False), (2, True)]) == {0: 0.5, pair: -0.5}
+    # a+_2 a+_2 = 0, and {a_1, a+_2} = 0 cancels term by term
+    assert ladder_product([(2, True), (2, True)]) == {}
+    left = ladder_product([(1, False), (2, True)])
+    right = ladder_product([(2, True), (1, False)])
+    assert left == {k: -v for k, v in right.items()}
+
+
+@pytest.mark.parametrize("n_modes", [3, 4])
+def test_ladder_terms_match_dense_ladder_products(rng, n_modes):
+    """Random strings of 0-4 ladder operators, repeated modes included."""
+    for length in range(5):
+        daggers = tuple(bool(d) for d in rng.integers(0, 2, size=length))
+        modes = rng.integers(1, n_modes + 1, size=(5, length))
+        weights = rng.normal(size=5)
+        keys, values = ladder_terms(modes, daggers, weights)
+        assert keys.size == 5 << length
+        want = np.zeros((1 << n_modes,) * 2, dtype=complex)
+        for row, w in zip(modes, weights):
+            string = np.eye(1 << n_modes, dtype=complex)
+            for mode, dagger in zip(row, daggers):
+                string = string @ _dense_ladder(mode, dagger, n_modes)
+            want += w * string
+            single = ladder_product(list(zip(row.tolist(), daggers)))
+            assert np.allclose(_dense_terms(single, single.values(), n_modes), string, atol=1e-12)
+        assert np.allclose(_dense_terms(keys, values, n_modes), want, atol=1e-12)
+
+
+def test_ladder_terms_reject_modes_outside_the_key_width():
+    for mode in (0, 33):
+        with pytest.raises(ValueError, match="1..32"):
+            ladder_product([(1, False), (mode, True)])
+
+
+def test_assembling_a_non_hermitian_term_raises():
+    hop = np.array([[1, 2], [2, 1]])
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        assemble_operator([ladder_terms(hop[:1], (True, False), [1.0])], 2)
+    op = assemble_operator([ladder_terms(hop, (True, False), [1.0, 1.0])], 2)
+    assert np.allclose(dense_operator(op), _dense_terms(*ladder_terms(hop, (True, False), [1, 1]), 2))
 
 
 # ---- dressing -------------------------------------------------------------------
