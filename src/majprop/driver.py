@@ -24,11 +24,10 @@ import numpy as np
 import scipy.optimize
 
 from . import _kernels
-from .engine import (
+from .engine import (  # noqa: F401 -- perfbench/tracing.py wraps driver.propagate
     FermionicCircuit,
     Gate,
     TruncationPolicy,
-    expand_fock_projector,
     propagate,
 )
 from .hamiltonian import build_majorana_hamiltonian, spin_orbital_mode
@@ -39,8 +38,6 @@ from .pool import (
     SelectionScore,
     build_majoranic_pool,
     is_refresh_iteration,
-    landscape_minimum,
-    probe_landscape,
     rank_candidates,
     reduce_pool_equivalence,
     score_pool_ggf,
@@ -50,6 +47,7 @@ from .pool import (
 from .surrogate import (
     SurrogateGraph,
     build_surrogate,
+    cut_landscapes,
     eval_energy,
     eval_energy_and_gradient,
     extend_surrogate,
@@ -161,14 +159,15 @@ def init_active_rotations(
 class Optimum(tuple):
     """``(theta, energy)`` of one optimizer run, with its status attached.
 
-    ``nfev`` counts the energy-and-gradient evaluations; ``converged`` is
-    False when L-BFGS-B stopped on its evaluation or iteration budget, or
-    abnormally, instead of meeting its tolerance.
+    ``nfev`` counts the energy-and-gradient evaluations and ``nit`` the
+    L-BFGS-B iterations; ``converged`` is False when L-BFGS-B stopped on its
+    evaluation or iteration budget, or abnormally, instead of meeting its
+    tolerance.
     """
 
-    def __new__(cls, theta: np.ndarray, energy: float, nfev: int, converged: bool):
+    def __new__(cls, theta: np.ndarray, energy: float, nfev: int, converged: bool, nit: int):
         self = super().__new__(cls, (theta, energy))
-        self.nfev, self.converged = nfev, converged
+        self.nfev, self.converged, self.nit = nfev, converged, nit
         return self
 
 
@@ -185,7 +184,7 @@ def optimize_parameters(
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
     if theta0.size == 0:
-        return Optimum(theta0, eval_energy(graph, theta0), 1, True)
+        return Optimum(theta0, eval_energy(graph, theta0), 1, True, 0)
     best_f = math.inf
     best_x = theta0.copy()
 
@@ -207,7 +206,7 @@ def optimize_parameters(
         method="L-BFGS-B",
         options={"gtol": gtol, "maxfun": maxfun},
     )
-    return Optimum(best_x, float(best_f), int(result.nfev), bool(result.success))
+    return Optimum(best_x, float(best_f), int(result.nfev), bool(result.success), int(result.nit))
 
 
 # ---- run records ----------------------------------------------------------------
@@ -222,10 +221,11 @@ class TrajectoryRow:
     wall_time_s: float
     pool_evaluated: int
     live_monomials: int
-    # the iteration's optimizer run: evaluations made, and False when it
-    # stopped on its budget (or abnormally) instead of converging
+    # the iteration's optimizer run: evaluations and iterations made, and
+    # False when it stopped on its budget (or abnormally) instead of converging
     opt_nfev: int = 0
     opt_converged: bool = True
+    opt_nit: int = 0
 
 
 _CSV_COLUMNS = (
@@ -410,86 +410,44 @@ def load_circuit_json(text: str) -> tuple[FermionicCircuit, int]:
 # ---- scoring dispatch ---------------------------------------------------------------
 
 
-def _projector_budget(cutoff: int | None, n_modes: int) -> int | None:
-    return None if cutoff is None else min(cutoff // 2, n_modes)
-
-
 def _gradient_scores(
     pool: Pool,
     indices: Sequence[int],
-    placement: str,
-    picture: str,
+    cut: int,
     graph: SurrogateGraph,
     theta: np.ndarray,
-    hamiltonian: SparseOperator,
-    circuit: FermionicCircuit,
-    n_body: int,
     occupation: int,
-    policy: TruncationPolicy,
 ) -> list[SelectionScore]:
-    """Derivative magnitudes at theta=0 for a gate at the configured spot.
+    """Derivative magnitudes at theta=0 for a gate inserted at ``cut``.
 
-    A front gate touches the reference state directly, so its derivative
-    reads off the fully evolved observable.  A back gate sits between the
-    body and the active rotations: the state evolved through the body meets
-    the Hamiltonian conjugated through the rotations alone.
+    A Heisenberg front gate touches the reference state directly, so when
+    the policy keeps every paired partner its derivative reads off the
+    fully evolved observable.  Anywhere else it is |b1 + 2 b2| of the
+    candidate's closed-form landscape at the cut.
     """
-    n_modes = hamiltonian.n_modes
-    if placement == "front":
-        if picture == "heisenberg":
-            evolved = SparseOperator(n_modes, graph.final_keys, final_layer(graph, theta))
-        else:
-            evolved = propagate(hamiltonian, circuit, "heisenberg", policy, params=theta)
+    if cut == 0 and graph.picture == "heisenberg" and graph.policy.paired_accept:
+        evolved = SparseOperator(graph.n_modes, graph.final_keys, final_layer(graph, theta))
         return score_pool_gradient(pool, evolved, occupation=occupation, indices=indices)
-    body = FermionicCircuit(n_modes, list(circuit.gates[:n_body]), theta)
-    rotations = FermionicCircuit(n_modes, list(circuit.gates[n_body:]), theta)
-    h_rot = propagate(hamiltonian, rotations, "heisenberg", policy, params=theta)
-    state = expand_fock_projector(
-        occupation, n_modes, _projector_budget(policy.length_cutoff, n_modes)
-    )
-    state = propagate(state, body, "schrodinger", policy, params=theta)
-    return score_pool_gradient(
-        pool, state, picture="schrodinger", hamiltonian=h_rot, indices=indices
-    )
+    gate_sets = [pool.candidates[idx].gates(theta.size) for idx in indices]
+    landscapes = cut_landscapes(graph, theta, cut, gate_sets)
+    return [
+        SelectionScore(idx, abs(b1 + 2.0 * b2))
+        for idx, (_, _, b1, _, b2) in zip(indices, landscapes)
+    ]
 
 
 def _ggf_scores(
     pool: Pool,
     indices: Sequence[int],
-    placement: str,
-    picture: str,
+    cut: int,
     graph: SurrogateGraph,
     theta: np.ndarray,
-    hamiltonian: SparseOperator,
-    circuit: FermionicCircuit,
-    n_body: int,
     occupation: int,
-    policy: TruncationPolicy,
 ) -> list[SelectionScore]:
-    """Greedy improvement scores, inserting candidates at the body's end.
-
-    Front placement matches the surrogate's own front extension, so the
-    pool scorer handles it (in closed form when the picture makes the front
-    the natural end).  Back placement must keep the active rotations
-    outermost, so each candidate is spliced in before them and its
-    landscape probed on the rebuilt graph.
-    """
-    if placement == "front":
-        return list(score_pool_ggf(pool, graph, theta, "front", indices))
-    e0 = eval_energy(graph, theta)
-    out = []
-    for idx in indices:
-        cand = pool.candidates[idx]
-        trial = circuit.copy()
-        trial.params = np.append(theta, 0.0)
-        trial.gates[n_body:n_body] = cand.gates(slot=theta.size)
-        trial_graph = build_surrogate(hamiltonian, trial, occupation, policy, picture)
-        # a zero-angle gate is an exact identity, so e0 is the landscape at 0
-        coeffs = probe_landscape(
-            lambda t: eval_energy(trial_graph, np.append(theta, t)), e0, cand.is_composite
-        )
-        out.append(SelectionScore(idx, *landscape_minimum(coeffs)))
-    return out
+    """Greedy improvement scores for candidates inserted at ``cut``, which
+    is the circuit front or the body's end (the active rotations stay
+    outermost); the landscapes are closed-form either way."""
+    return score_pool_ggf(pool, graph, theta, cut, indices)
 
 
 # ---- the outer loop ---------------------------------------------------------------
@@ -565,6 +523,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
             live_monomials=int(graph.final_keys.size),
             opt_nfev=optimum.nfev,
             opt_converged=optimum.converged,
+            opt_nit=optimum.nit,
         )
     )
 
@@ -580,10 +539,8 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
             config.selection == "mixed" and refresh
         )
         scorer = _gradient_scores if use_gradient else _ggf_scores
-        scores = scorer(
-            pool, indices, placement, picture, graph, theta,
-            hamiltonian, circuit, n_body, occupation, policy,
-        )
+        cut = 0 if placement == "front" else n_body
+        scores = scorer(pool, indices, cut, graph, theta, occupation)
         if config.trim_tau is not None:
             active = trim_pool(
                 scores, config.trim_tau, config.trim_kappa, iteration,
@@ -591,10 +548,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
             )
         best = rank_candidates(scores, larger_is_better=use_gradient)[0]
         if use_gradient:
-            ggf_best = _ggf_scores(
-                pool, [best.index], placement, picture, graph, theta,
-                hamiltonian, circuit, n_body, occupation, policy,
-            )[0]
+            ggf_best = _ggf_scores(pool, [best.index], cut, graph, theta, occupation)[0]
         else:
             ggf_best = best
         if abs(ggf_best.score) < config.improvement_floor:
@@ -636,6 +590,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
                 live_monomials=int(graph.final_keys.size),
                 opt_nfev=optimum.nfev,
                 opt_converged=optimum.converged,
+                opt_nit=optimum.nit,
             )
         )
 

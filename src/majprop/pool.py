@@ -11,9 +11,9 @@ Two scoring schemes are provided.  Gradient scores read the derivative at
 theta = 0 straight off the evolved operator via a commutator formula.  GGF
 (greedy gradient-free) scores minimize the exact single-angle landscape --
 a sinusoid for a single-monomial gate, second harmonics for a composite --
-whose coefficients are closed-form at the surrogate graph's natural end and
-fitted to probe energies on a rebuilt graph anywhere else, and report the
-achievable energy improvement together with the minimizing angle.
+whose coefficients are closed-form at any insertion point of the surrogate
+graph's circuit, and report the achievable energy improvement together
+with the minimizing angle.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ import numpy as np
 from . import _kernels
 from .engine import Gate
 from .operators import SparseOperator
-from .surrogate import (
+from .surrogate import (  # noqa: F401 -- perfbench/tracing.py wraps pool.extend_surrogate
     SurrogateGraph,
-    eval_energy,
+    cut_landscapes,
     extend_surrogate,
-    natural_end_landscapes,
 )
 
 __all__ = [
@@ -389,36 +388,23 @@ def score_pool_ggf(
     pool: Pool,
     graph: SurrogateGraph,
     params: np.ndarray,
-    where: Literal["front", "back"] = "front",
+    where: Literal["front", "back"] | int = "front",
     indices: Sequence[int] | None = None,
 ) -> list[SelectionScore]:
     """Exact achievable improvement and optimal angle per candidate.
 
-    At the graph's natural end (front in the Heisenberg picture, back in
-    the Schrodinger picture) the landscape coefficients come in closed form
-    from ``natural_end_landscapes``.  At the other end each candidate's
-    graph is rebuilt and the landscape fitted to probe energies.  All
-    improvements are <= 0; a flat landscape scores 0 with theta* = 0.
+    ``where`` is the insertion point: "front", "back", or a gate index
+    (the candidate goes before that gate of ``graph.circuit``).  The
+    landscape coefficients come in closed form from ``cut_landscapes`` at
+    any point.  All improvements are <= 0; a flat landscape scores 0 with
+    theta* = 0.
     """
-    if where not in ("front", "back"):
+    cut = {"front": 0, "back": len(graph.circuit)}.get(where, where)
+    if not isinstance(cut, (int, np.integer)):
         raise ValueError(f"unknown placement {where!r}")
-    params = np.asarray(params, dtype=np.float64)
     chosen = list(range(len(pool.candidates)) if indices is None else indices)
-    cands = [pool.candidates[idx] for idx in chosen]
-    slot = params.size
-    if (graph.picture == "heisenberg") == (where == "front"):
-        landscapes = natural_end_landscapes(graph, params, [c.gates(slot) for c in cands])
-    else:
-        e0 = eval_energy(graph, params)
-        landscapes = []
-        for cand in cands:
-            extended = graph
-            for gate in cand.gates(slot):
-                extended = extend_surrogate(extended, gate, where)
-            coeffs = probe_landscape(
-                lambda t: eval_energy(extended, np.append(params, t)), e0, cand.is_composite
-            )
-            landscapes.append(coeffs)
+    gate_sets = [pool.candidates[idx].gates(np.size(params)) for idx in chosen]
+    landscapes = cut_landscapes(graph, params, cut, gate_sets)
     return [
         SelectionScore(idx, *landscape_minimum(coeffs))
         for idx, coeffs in zip(chosen, landscapes)

@@ -32,8 +32,12 @@ evaluations of one graph from several threads are not supported.
 
 Graphs extend cheaply at the end they were recorded towards (front of the
 circuit in the Heisenberg picture, back in the Schrodinger picture); the
-other end triggers a rebuild from the stored inputs.  At that natural end a
-new gate's single-angle landscape is closed-form in the final layer alone.
+other end triggers a rebuild from the stored inputs.  Scoring a new gate
+needs neither: its single-angle landscape at any insertion point is
+closed-form.  The graph's layer at the cut is split through the gate, and
+the rest of the sweep, recorded once from all split keys together, weighs
+each key by its sink weight pulled back to the cut.  At the natural end
+that rest is empty and the final layer alone gives the landscape.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ __all__ = [
     "SurrogateGraph",
     "UnsupportedPolicyError",
     "build_surrogate",
+    "cut_landscapes",
     "eval_energy",
     "eval_energy_and_gradient",
     "extend_surrogate",
@@ -294,8 +299,8 @@ def _compiled_plan(
 ) -> _CompiledSweep | None:
     """The graph's kernel plan refreshed at ``params``, compiled on demand.
 
-    Only gradient calls compile: energy-only probes (pool scoring) evaluate
-    one-shot trial graphs and should never pay for it.
+    Only gradient calls compile: energy-only probes (``probe_landscape``)
+    evaluate one-shot trial graphs and should never pay for it.
     """
     if graph._compiled is None:
         if not may_compile or not graph.steps or graph.source.size == 0 or not _kernels_usable():
@@ -506,11 +511,12 @@ def _check_params(graph: SurrogateGraph, params: np.ndarray) -> np.ndarray:
 
 
 def _forward(
-    graph: SurrogateGraph, params: np.ndarray, keep_layers: bool
+    graph: SurrogateGraph, params: np.ndarray, keep_layers: bool, depth: int | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Layer ``depth`` (default: the final one) and, optionally, all before it."""
     v = graph.source
     layers = [v] if keep_layers else []
-    for step in graph.steps:
+    for step in graph.steps[:depth]:
         theta = params[step.slot]
         out = np.zeros(step.n_out)
         out[step.copy_dst] = v[step.copy_src]
@@ -575,13 +581,18 @@ def _sweep_gradient(graph: SurrogateGraph, params: np.ndarray) -> tuple[float, n
             np.dot(step.sin_w * w[step.sin_dst], prev[step.sin_src])
         )
         grad[step.slot] += d_cos + d_sin
-        w_prev = np.zeros(prev.size)
-        w_prev[step.copy_src] = w[step.copy_dst]
-        w_prev[step.cos_src] = cos_t * w[step.cos_dst]
-        if step.sin_src.size:
-            w_prev[step.sin_src] += (step.sin_w * sin_t) * w[step.sin_dst]
-        w = w_prev
+        w = _adjoint_step(step, w, cos_t, sin_t)
     return energy, grad
+
+
+def _adjoint_step(step: _Step, w: np.ndarray, cos_t: float, sin_t: float) -> np.ndarray:
+    """Weights on a step's input keys from the weights on its output keys."""
+    w_prev = np.zeros(step.copy_src.size + step.cos_src.size)
+    w_prev[step.copy_src] = w[step.copy_dst]
+    w_prev[step.cos_src] = cos_t * w[step.cos_dst]
+    if step.sin_src.size:
+        w_prev[step.sin_src] += (step.sin_w * sin_t) * w[step.sin_dst]
+    return w_prev
 
 
 def extend_surrogate(
@@ -636,41 +647,111 @@ _HARMONICS = {
 }
 
 
-def natural_end_landscapes(
-    graph: SurrogateGraph, params: np.ndarray, gate_sets: Sequence[Sequence[Gate]]
+def _layer_keys(graph: SurrogateGraph, depth: int) -> np.ndarray:
+    """Keys of layer ``depth``, walked back from the final layer (a step
+    carries every input key to its own output slot)."""
+    keys = graph.final_keys
+    for step in reversed(graph.steps[depth:]):
+        prev = np.empty(step.copy_src.size + step.cos_src.size, dtype=np.uint64)
+        prev[step.copy_src] = keys[step.copy_dst]
+        prev[step.cos_src] = keys[step.cos_dst]
+        keys = prev
+    return keys
+
+
+def _far_weights(
+    graph: SurrogateGraph, params: np.ndarray, keys: np.ndarray, gates: Sequence[Gate]
 ) -> np.ndarray:
-    """Landscape coefficients of each gate set appended at the natural end.
+    """Sink weights pulled back through ``gates`` onto ``keys``.
+
+    The gates are recorded from ``keys`` exactly as a build records them
+    (each key branches and truncates on its own), then one adjoint sweep at
+    ``params`` carries the sink back to the start.
+    """
+    sin_sign = 1.0 if graph.picture == "heisenberg" else -1.0
+    steps = []
+    for gate in gates:
+        keys, step = _record_step(keys, gate, sin_sign, graph.policy)
+        steps.append(step)
+    w = _sink_weights(graph, keys)
+    for step in reversed(steps):
+        theta = params[step.slot]
+        w = _adjoint_step(step, w, math.cos(theta), math.sin(theta))
+    return w
+
+
+def cut_landscapes(
+    graph: SurrogateGraph, params: np.ndarray, cut: int, gate_sets: Sequence[Sequence[Gate]]
+) -> np.ndarray:
+    """Landscape coefficients of each gate set inserted at ``cut`` in the gate list.
 
     Row k holds [a0, a1, b1, a2, b2] of E(t) = a0 + a1 cos t + b1 sin t +
     a2 cos 2t + b2 sin 2t for the (at most two) gates of ``gate_sets[k]``
-    sharing one new angle t.  The final layer's nonzero terms are split per
-    gate in c = cos t and s = sin t as ``extend_surrogate`` would record
-    them: a commuting key keeps its factor, an anticommuting key gains c,
-    and its partner k ^ gamma gains the signed s where the policy keeps it.
+    placed before ``graph.circuit.gates[cut]`` with one new angle t (cut 0
+    is the front, ``len(graph.circuit)`` the back).  The graph's own layer
+    at the cut (the near half) is split per gate set in c = cos t and
+    s = sin t; the rest of the sweep (the far half) is recorded once from
+    the union of all split keys and its sink pulled back to the cut, which
+    weighs every key as a fresh build of the extended circuit would.  At
+    the natural end the far half is empty and the weights are the sink's.
     """
-    v = final_layer(graph, params)
+    params = _check_params(graph, params)
+    n_steps = len(graph.steps)
+    if not 0 <= cut <= n_steps:
+        raise ValueError(f"cut {cut} lies outside the gate list 0..{n_steps}")
+    depth = n_steps - cut if graph.picture == "heisenberg" else cut
+    v = _forward(graph, params, keep_layers=False, depth=depth)[0]
     live = v != 0.0
-    base = {(0, 0): (graph.final_keys[live], v[live], graph.sink[live])}
+    keys, v = _layer_keys(graph, depth)[live], v[live]
     sin_sign = 1.0 if graph.picture == "heisenberg" else -1.0
+
+    def landscapes(weigh):
+        """Per gate set, (cos power, sin power) -> keys, weights, sink weights.
+
+        A commuting key keeps its factor, an anticommuting key gains c, and
+        its partner k ^ gamma gains the signed s where the policy keeps it.
+        """
+        base = {(0, 0): (keys, v, weigh(keys))}
+        for gates in gate_sets:
+            if len(gates) > 2:
+                raise ValueError("landscapes are resolved for at most two gates")
+            terms = base
+            for gate in gates:
+                split: dict[tuple[int, int], list] = {}
+                for (i, j), (k, w, h) in terms.items():
+                    anti = _kernels.anticommutes_with(gate.generator, k)
+                    partner = k[anti] ^ np.uint64(gate.generator)
+                    keep = graph.policy.survivor_mask(partner, np.zeros(partner.shape))
+                    sign = _kernels.product_sign_with(gate.generator, k[anti][keep])
+                    sin_w = (sin_sign * gate.sign) * sign * w[anti][keep]
+                    split.setdefault((i, j), []).append((k[~anti], w[~anti], h[~anti]))
+                    split.setdefault((i + 1, j), []).append((k[anti], w[anti], h[anti]))
+                    split.setdefault((i, j + 1), []).append(
+                        (partner[keep], sin_w, weigh(partner[keep]))
+                    )
+                terms = {ij: tuple(map(np.concatenate, zip(*parts))) for ij, parts in split.items()}
+            yield terms
+
+    if depth == n_steps:
+        weigh = lambda k: _sink_weights(graph, k)  # noqa: E731
+    else:
+        # terms without a sine factor hold layer keys only
+        seen = [k for terms in landscapes(lambda k: k) for (_, j), (k, _, _) in terms.items() if j]
+        union = np.unique(np.concatenate([keys] + seen))
+        far = _processed_gates(graph.circuit, graph.picture)[depth:]
+        pulled = _far_weights(graph, params, union, far)
+        weigh = lambda k: pulled[np.searchsorted(union, k)]  # noqa: E731
     out = np.zeros((len(gate_sets), 5))
-    for row, gates in zip(out, gate_sets):
-        if len(gates) > 2:
-            raise ValueError("landscapes are resolved for at most two gates")
-        terms = base  # (cos power, sin power) -> keys, weights, sink weights
-        for gate in gates:
-            split: dict[tuple[int, int], list] = {}
-            for (i, j), (k, w, h) in terms.items():
-                anti = _kernels.anticommutes_with(gate.generator, k)
-                partner = k[anti] ^ np.uint64(gate.generator)
-                keep = graph.policy.survivor_mask(partner, np.zeros(partner.shape))
-                sign = _kernels.product_sign_with(gate.generator, k[anti][keep])
-                sin_w = (sin_sign * gate.sign) * sign * w[anti][keep]
-                split.setdefault((i, j), []).append((k[~anti], w[~anti], h[~anti]))
-                split.setdefault((i + 1, j), []).append((k[anti], w[anti], h[anti]))
-                split.setdefault((i, j + 1), []).append(
-                    (partner[keep], sin_w, _sink_weights(graph, partner[keep]))
-                )
-            terms = {ij: tuple(map(np.concatenate, zip(*parts))) for ij, parts in split.items()}
+    for row, terms in zip(out, landscapes(weigh)):
         for ij, (_, w, h) in terms.items():
             row += float(np.dot(w, h)) * _HARMONICS[ij]
     return out
+
+
+def natural_end_landscapes(
+    graph: SurrogateGraph, params: np.ndarray, gate_sets: Sequence[Sequence[Gate]]
+) -> np.ndarray:
+    """:func:`cut_landscapes` at the end the graph was recorded towards
+    (circuit front in the Heisenberg picture, back in the Schrodinger one)."""
+    cut = 0 if graph.picture == "heisenberg" else len(graph.steps)
+    return cut_landscapes(graph, params, cut, gate_sets)

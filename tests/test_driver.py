@@ -10,13 +10,14 @@ import pytest
 import scipy.linalg
 
 import majprop.instances as inst
-from majprop import FermionicCircuit, Gate, expectation, fock_expectation
+from majprop import FermionicCircuit, Gate, TruncationPolicy, expectation, fock_expectation
 from majprop.driver import (
     AdaptResult,
     OptimizationError,
     RunConfig,
     Trajectory,
     TrajectoryRow,
+    _gradient_scores,
     decompose_single_excitation,
     init_active_rotations,
     load_circuit_json,
@@ -27,7 +28,7 @@ from majprop.hamiltonian import build_majorana_hamiltonian, ladder_product, spin
 from majprop.integrals import aufbau_occupation, dress_integrals, parse_fcidump
 from majprop.monomials import MajoranaMonomial
 from majprop.oracle import basis_state, circuit_state, dense_monomial
-from majprop.pool import single_excitation_monomials
+from majprop.pool import Pool, PoolCandidate, single_excitation_monomials
 from majprop.surrogate import build_surrogate, eval_energy
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -268,6 +269,7 @@ def test_exhausted_optimizer_budget_is_reported():
     for starved, full in zip(rows[3][1:], rows[200][1:]):
         assert not starved.opt_converged and starved.opt_nfev > 3
         assert full.opt_converged and 3 < full.opt_nfev <= 200
+        assert 1 <= full.opt_nit <= full.opt_nfev
         assert starved.energy > full.energy
 
 
@@ -321,6 +323,42 @@ def test_gradient_selection_runs_heisenberg_front():
     result = run_adapt_vmpe(tensors, config)
     assert result.energy == pytest.approx(ref["e_fci"], abs=1e-5)
     assert (np.diff(result.trajectory.energies) <= 1e-12).all()
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+@pytest.mark.parametrize("placement", ["front", "back"])
+def test_gradient_scores_are_derivatives_of_the_rebuilt_graph(rng, picture, placement):
+    """Each gradient score is |dE/dt| at t = 0 of a fresh build with the
+    candidate spliced in at the placement's cut (central differences, to
+    1e-8), whatever the cutoff and the paired-acceptance rule."""
+    n, n_body, step = 8, 3, 1e-5
+    for cutoff in (None, 4):
+        for paired_accept in (None, False, True):
+            for _ in range(2):
+                h = inst.random_molecular_hamiltonian(n, rng)
+                circuit = inst.random_circuit(n, 6, rng)
+                theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
+                occ = int(rng.integers(0, 1 << n))
+                policy = TruncationPolicy(length_cutoff=cutoff, paired_accept=paired_accept)
+                graph = build_surrogate(h, circuit, occ, policy, picture)
+                cands = [
+                    PoolCandidate((int(inst.random_monomial_bits(n, d, rng)),), (1,), "m")
+                    for d in (2, 4, 4, 4)
+                ] + [
+                    PoolCandidate(single_excitation_monomials(p, q), (1, -1), "s")
+                    for p, q in ((1, 4), (2, 7))
+                ]
+                cut = 0 if placement == "front" else n_body
+                scores = _gradient_scores(
+                    Pool(n, cands), list(range(len(cands))), cut, graph, theta, occ
+                )
+                for score, cand in zip(scores, cands):
+                    trial = circuit.copy()
+                    trial.params = np.append(theta, 0.0)
+                    trial.gates[cut:cut] = cand.gates(theta.size)
+                    fresh = build_surrogate(h, trial, occ, policy, picture)
+                    up, down = (eval_energy(fresh, np.append(theta, t)) for t in (step, -step))
+                    assert score.score == pytest.approx(abs(up - down) / (2 * step), abs=1e-8)
 
 
 def test_circuit_json_roundtrip():

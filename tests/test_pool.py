@@ -1,6 +1,7 @@
 """Pool construction, orbit reduction, and both selection scorers."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,15 +9,18 @@ import scipy.linalg
 
 import majprop.instances as inst
 from majprop import TruncationPolicy, expectation
+from majprop.driver import init_active_rotations
 from majprop.engine import (
     FermionicCircuit,
+    Gate,
     expand_fock_projector,
     propagate,
 )
-from majprop.hamiltonian import ladder_product
+from majprop.hamiltonian import build_majorana_hamiltonian, ladder_product
+from majprop.integrals import aufbau_occupation, parse_fcidump
 from majprop.monomials import MajoranaMonomial
 from majprop.operators import SparseOperator
-from majprop.oracle import dense_monomial
+from majprop.oracle import circuit_state, dense_expectation, dense_monomial
 from majprop.pool import (
     Pool,
     PoolCandidate,
@@ -35,6 +39,7 @@ from majprop.pool import (
 )
 from majprop.surrogate import (
     build_surrogate,
+    cut_landscapes,
     eval_energy,
     extend_surrogate,
     natural_end_landscapes,
@@ -42,6 +47,7 @@ from majprop.surrogate import (
 
 N = 8
 OCC = 0b00001111
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _empty_circuit(n_modes=N):
@@ -538,6 +544,83 @@ def test_ggf_front_composite_prefers_the_smaller_degenerate_angle(rng):
     for da, db in rng.normal(scale=1e-15, size=(20, 2)):
         noisy = row + np.array([0.0, da, db, 0.0, 0.0])
         assert landscape_minimum(noisy)[1] == pytest.approx(score.theta_star, abs=1e-9)
+
+
+def _spliced(circuit, theta, cand, cut):
+    trial = circuit.copy()
+    trial.params = np.append(theta, 0.0)
+    trial.gates[cut:cut] = cand.gates(slot=theta.size)
+    return trial
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+def test_ggf_scores_at_any_cut_match_probed_fresh_builds(rng, picture):
+    """Closed-form landscapes at the front, mid-body and back equal
+    probe-and-fit on a fresh build of the circuit with the candidate spliced
+    in at the cut (scores to 1e-12, theta* to 1e-9), for every cutoff and
+    paired-acceptance rule, singles and composites."""
+    for cutoff in (None, 4, 6):
+        for paired_accept in (None, False, True):
+            h = inst.random_molecular_hamiltonian(N, rng)
+            circuit = inst.random_circuit(N, 6, rng)
+            theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
+            occ = int(rng.integers(0, 1 << N))
+            policy = TruncationPolicy(length_cutoff=cutoff, paired_accept=paired_accept)
+            graph = build_surrogate(h, circuit, occ, policy, picture)
+            pool = Pool(N, _random_candidates(rng, n_each=2))
+            e0 = eval_energy(graph, theta)
+            for where, cut in (("front", 0), (3, 3), ("back", len(circuit))):
+                scores = score_pool_ggf(pool, graph, theta, where=where)
+                for score, cand in zip(scores, pool.candidates):
+                    fresh = build_surrogate(
+                        h, _spliced(circuit, theta, cand, cut), occ, policy, picture
+                    )
+                    probed = probe_landscape(
+                        lambda t: eval_energy(fresh, np.append(theta, t)),
+                        e0,
+                        cand.is_composite,
+                    )
+                    ref_score, ref_star = landscape_minimum(probed)
+                    assert score.score == pytest.approx(ref_score, abs=1e-12)
+                    assert score.theta_star == pytest.approx(ref_star, abs=1e-9)
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+def test_mid_body_landscape_matches_the_dense_oracle(rng, picture):
+    """H4 exact: the landscape of a candidate placed inside the body, or
+    between the body and the active rotations, reproduces dense statevector
+    energies."""
+    tensors = parse_fcidump((FIXTURES / "h4_chain_r20.fcidump").read_text())
+    h = build_majorana_hamiltonian(tensors)
+    occ = aufbau_occupation(tensors.n_electrons)
+    rotations, n_rot, _ = init_active_rotations(tensors.n_spatial)
+    pool = build_majoranic_pool(tensors.n_spatial, 2)
+    body = [g for c in pool.candidates[::9] for g in c.gates(slot=n_rot)]
+    body = [Gate(g.generator, n_rot + k, g.sign) for k, g in enumerate(body)]
+    circuit = FermionicCircuit(h.n_modes, body + rotations, np.zeros(n_rot + len(body)))
+    theta = rng.uniform(-0.5, 0.5, circuit.n_slots)
+    graph = build_surrogate(h, circuit, occ, None, picture)
+    cands = [pool.candidates[1], pool.candidates[-1]]  # a single and a double
+    for cut in (2, len(body)):
+        rows = cut_landscapes(graph, theta, cut, [c.gates(theta.size) for c in cands])
+        for cand, row in zip(cands, rows):
+            trial = _spliced(circuit, theta, cand, cut)
+            for t in rng.uniform(-np.pi, np.pi, 5):
+                psi = circuit_state(
+                    trial.rotation_sequence(np.append(theta, t)), occ, h.n_modes
+                )
+                model = row @ [1.0, np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)]
+                assert model == pytest.approx(dense_expectation(h, psi), abs=1e-10)
+
+
+def test_ggf_rejects_a_cut_outside_the_circuit(rng):
+    h = inst.random_molecular_hamiltonian(N, rng)
+    circuit = inst.random_circuit(N, 3, rng)
+    graph = build_surrogate(h, circuit, OCC)
+    pool = Pool(N, _random_candidates(rng, n_each=1))
+    for where in (-1, len(circuit) + 1, "middle"):
+        with pytest.raises(ValueError):
+            score_pool_ggf(pool, graph, circuit.params, where=where)
 
 
 # ---- trimming and ranking ------------------------------------------------------
