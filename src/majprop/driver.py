@@ -436,20 +436,6 @@ def _gradient_scores(
     ]
 
 
-def _ggf_scores(
-    pool: Pool,
-    indices: Sequence[int],
-    cut: int,
-    graph: SurrogateGraph,
-    theta: np.ndarray,
-    occupation: int,
-) -> list[SelectionScore]:
-    """Greedy improvement scores for candidates inserted at ``cut``, which
-    is the circuit front or the body's end (the active rotations stay
-    outermost); the landscapes are closed-form either way."""
-    return score_pool_ggf(pool, graph, theta, cut, indices)
-
-
 # ---- the outer loop ---------------------------------------------------------------
 
 
@@ -538,9 +524,13 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
         use_gradient = config.selection == "gradient" or (
             config.selection == "mixed" and refresh
         )
-        scorer = _gradient_scores if use_gradient else _ggf_scores
+        # new gates go in at the circuit front or at the body's end: the
+        # active rotations stay outermost
         cut = 0 if placement == "front" else n_body
-        scores = scorer(pool, indices, cut, graph, theta, occupation)
+        if use_gradient:
+            scores = _gradient_scores(pool, indices, cut, graph, theta, occupation)
+        else:
+            scores = score_pool_ggf(pool, graph, theta, cut, indices)
         if config.trim_tau is not None:
             active = trim_pool(
                 scores, config.trim_tau, config.trim_kappa, iteration,
@@ -548,7 +538,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
             )
         best = rank_candidates(scores, larger_is_better=use_gradient)[0]
         if use_gradient:
-            ggf_best = _ggf_scores(pool, [best.index], cut, graph, theta, occupation)[0]
+            ggf_best = score_pool_ggf(pool, graph, theta, cut, [best.index])[0]
         else:
             ggf_best = best
         if abs(ggf_best.score) < config.improvement_floor:

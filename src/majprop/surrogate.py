@@ -11,24 +11,24 @@ k-th processed gate, and each gate contributes three edge families
     sin:   new monomials weighted by +/- sin(theta),
 
 so re-evaluating the energy at new angles is a handful of fancy-indexing
-passes per gate.  Gradients use a two-copy sweep: the forward pass stores
-each layer's vector, a rolling adjoint runs backwards, and the derivative
-of each gate is two dot products -- at most a threefold overhead on top of
-one energy evaluation, independent of the parameter count.
+passes per gate.  Gradients use a two-copy sweep: the forward pass keeps
+each gate's gathered inputs, a rolling adjoint runs backwards, and the
+derivative of each gate is two dot products -- at most a threefold
+overhead on top of one energy evaluation, independent of the parameter
+count.
 
-Graphs that get differentiated (parameter optimization) are additionally
-compiled, on their first gradient call, into per-gate CSR matrices whose
-copy entries are constant 1 and whose cos/sin entries are rewritten in one
-vectorized pass per evaluation; each gate is then a single C matvec, and
-the adjoint sweep reuses the same arrays as the transpose.  Compilation
-also prunes every monomial with no branch path to a nonzero sink weight --
-typically the vast majority, since layers only ever grow while few keys
-measure.  Every surviving intermediate value is reproduced bit for bit
-(each output slot receives at most a carried value plus one sine branch,
-so no sum is reassociated); only the closing dot products see a different
-summation tree, leaving energies and gradients equal to roundoff.  Because
-the shared coefficient buffer is rewritten in place, concurrent
-evaluations of one graph from several threads are not supported.
+Building or extending a graph also prunes it once: every monomial with no
+branch path to a nonzero sink weight is dropped -- typically the vast
+majority, since layers only ever grow while few keys measure.  Energies
+and gradients run over the pruned steps, whose layers hold the carried keys
+first and the new keys last, so the carried values land in slices.  Every
+surviving intermediate value is reproduced bit for bit (each output slot
+receives at most a carried value plus one sine branch, so no sum is
+reassociated); only the closing dot products see a different summation
+tree, leaving energies and gradients equal to the full sweep's to roundoff.
+Evaluation never writes to the graph.  The final layer and the scoring
+landscapes keep running over the full recorded steps, since a new gate can
+turn keys that reach no sink weight into ones that do.
 
 Graphs extend cheaply at the end they were recorded towards (front of the
 circuit in the Heisenberg picture, back in the Schrodinger picture); the
@@ -59,14 +59,6 @@ from .engine import (
 )
 from .operators import SparseOperator
 
-try:  # private but stable for decades; verified once before first use
-    from scipy.sparse import _sparsetools as _spt
-
-    _CSR_MATVEC = _spt.csr_matvec
-    _CSC_MATVEC = _spt.csc_matvec
-except (ImportError, AttributeError):  # pragma: no cover - scipy too old/new
-    _CSR_MATVEC = _CSC_MATVEC = None
-
 __all__ = [
     "SurrogateGraph",
     "UnsupportedPolicyError",
@@ -76,7 +68,6 @@ __all__ = [
     "eval_energy_and_gradient",
     "extend_surrogate",
     "final_layer",
-    "natural_end_landscapes",
 ]
 
 
@@ -86,16 +77,20 @@ class UnsupportedPolicyError(ValueError):
 
 @dataclass
 class _Step:
-    """Edge arrays for one processed gate (all indices are layer positions)."""
+    """Edge arrays for one processed gate (all indices are layer positions).
+
+    A pruned step's copy and cosine targets are slices of its output layer.
+    """
 
     slot: int
     copy_src: np.ndarray
-    copy_dst: np.ndarray
+    copy_dst: np.ndarray | slice
     cos_src: np.ndarray
-    cos_dst: np.ndarray
+    cos_dst: np.ndarray | slice
     sin_src: np.ndarray
     sin_dst: np.ndarray
     sin_w: np.ndarray  # +/-1 branch sign x gate sign x picture sign
+    n_in: int
     n_out: int
 
     @property
@@ -103,81 +98,13 @@ class _Step:
         return int(self.copy_src.size + self.cos_src.size + self.sin_src.size)
 
 
-_kernel_state: bool | None = None
-
-
-def _kernels_usable() -> bool:
-    """One-time sanity check of the raw scipy matvec kernels."""
-    global _kernel_state
-    if _kernel_state is None:
-        if _CSR_MATVEC is None:
-            _kernel_state = False
-        else:
-            # y += A @ x and y += A.T @ w for A = [[2, 0, 3], [0, 5, 0]]
-            indptr = np.array([0, 2, 3], dtype=np.int32)
-            indices = np.array([0, 2, 1], dtype=np.int32)
-            data = np.array([2.0, 3.0, 5.0])
-            x = np.array([1.0, 10.0, 100.0])
-            y = np.zeros(2)
-            w = np.array([1.0, 1.0])
-            z = np.zeros(3)
-            try:
-                _CSR_MATVEC(2, 3, indptr, indices, data, x, y)
-                _CSC_MATVEC(3, 2, indptr, indices, data, w, z)
-                _kernel_state = np.array_equal(y, [302.0, 50.0]) and np.array_equal(
-                    z, [2.0, 5.0, 3.0]
-                )
-            except Exception:  # pragma: no cover - incompatible signature
-                _kernel_state = False
-    return _kernel_state
-
-
 @dataclass
-class _CompiledSweep:
-    """Pruned per-gate CSR matrices sharing one rewritable coefficient buffer.
+class _Sweep:
+    """Source weights, steps and sink weights of one evaluable sweep."""
 
-    Monomials with no branch path to a nonzero sink weight can never touch
-    the energy, and in practice they dominate the recorded layers (the final
-    layer keeps every key ever created, but only paired keys measure).  The
-    compile pass therefore drops everything outside the backward-reachable
-    set before building the matrices.  Every kept slot receives precisely
-    the same contributions as in the recording pass (within a row the
-    carried entry precedes any colliding sine entry, matching its
-    write-then-add order); dropped terms are exact zeros, so results differ
-    from the recording pass only through the closing dots' summation tree.
-    """
-
-    # per gate: (n_out, n_in, indptr, indices, data view into `data`)
-    gates: list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]
-    slots: np.ndarray  # per-gate parameter slot
     source: np.ndarray
+    steps: list[_Step]
     sink: np.ndarray
-    data: np.ndarray
-    cos_pos: np.ndarray  # positions in `data` holding cos(theta[slot])
-    cos_slot: np.ndarray
-    sin_pos: np.ndarray  # positions holding +/- sin(theta[slot])
-    sin_slot: np.ndarray
-    sin_w: np.ndarray
-    max_width: int
-    # gradient scratch: [source | layer 1 | ... | layer K] and its adjoint
-    # twin, plus the per-gate output windows into each
-    layer_buf: np.ndarray
-    adj_buf: np.ndarray
-    out_views: list[np.ndarray]
-    adj_views: list[np.ndarray]
-    # derivative edges in buffer coordinates, segmented by gate index
-    dot_cos_src: np.ndarray
-    dot_cos_dst: np.ndarray
-    dot_cos_gate: np.ndarray
-    dot_sin_src: np.ndarray
-    dot_sin_dst: np.ndarray
-    dot_sin_gate: np.ndarray
-    dot_sin_w: np.ndarray
-
-    def refresh(self, params: np.ndarray) -> None:
-        self.data[self.cos_pos] = np.cos(params)[self.cos_slot]
-        if self.sin_pos.size:
-            self.data[self.sin_pos] = self.sin_w * np.sin(params)[self.sin_slot]
 
 
 def _keep_masks(graph: SurrogateGraph) -> list[np.ndarray]:
@@ -185,7 +112,7 @@ def _keep_masks(graph: SurrogateGraph) -> list[np.ndarray]:
     masks = [graph.sink != 0.0]
     for step in reversed(graph.steps):
         out = masks[-1]
-        prev = np.zeros(step.copy_src.size + step.cos_src.size, dtype=bool)
+        prev = np.zeros(step.n_in, dtype=bool)
         prev[step.copy_src[out[step.copy_dst]]] = True
         prev[step.cos_src[out[step.cos_dst]]] = True
         prev[step.sin_src[out[step.sin_dst]]] = True
@@ -194,176 +121,54 @@ def _keep_masks(graph: SurrogateGraph) -> list[np.ndarray]:
     return masks
 
 
-def _compile_sweep(graph: SurrogateGraph) -> _CompiledSweep:
+def _prune(graph: SurrogateGraph) -> _Sweep:
+    """The recorded sweep restricted to slots that can reach the sink.
+
+    Each pruned layer lists the kept copy targets, then the kept cosine
+    targets, then the kept keys only a sine branch reaches.  A kept carried
+    slot always has a kept input, so no edge into a kept slot is lost.
+    """
     masks = _keep_masks(graph)
-    renum = [np.cumsum(m, dtype=np.int64) - 1 for m in masks]
-    widths = [int(m.sum()) for m in masks]
-    layer_off = np.concatenate([[0], np.cumsum(widths)])
-    chunks: list[np.ndarray] = []
-    meta = []
-    cos_pos, cos_slot, sin_pos, sin_slot, sin_wts = [], [], [], [], []
-    d_cs, d_cd, d_cg, d_ss, d_sd, d_sg, d_sw = [], [], [], [], [], [], []
-    offset = 0
-    for k, step in enumerate(graph.steps):
-        new_in, new_out = renum[k], renum[k + 1]
-        keep_out = masks[k + 1]
-        m_copy = keep_out[step.copy_dst]
-        m_cos = keep_out[step.cos_dst]
-        m_sin = keep_out[step.sin_dst]
-        copy_src = new_in[step.copy_src[m_copy]]
-        copy_dst = new_out[step.copy_dst[m_copy]]
-        cos_src = new_in[step.cos_src[m_cos]]
-        cos_dst = new_out[step.cos_dst[m_cos]]
-        sin_src = new_in[step.sin_src[m_sin]]
-        sin_dst = new_out[step.sin_dst[m_sin]]
-        sin_w = step.sin_w[m_sin]
-        n_in, n_out = widths[k], widths[k + 1]
-        rows = np.concatenate([copy_dst, cos_dst, sin_dst])
-        cols = np.concatenate([copy_src, cos_src, sin_src])
-        kind = np.repeat(
-            np.array([0, 1, 2], dtype=np.int8),
-            [copy_src.size, cos_src.size, sin_src.size],
+    renum = np.cumsum(masks[0]) - 1  # pruned position of each kept slot
+    n_in = int(np.count_nonzero(masks[0]))
+    steps = []
+    for step, keep in zip(graph.steps, masks[1:]):
+        m_copy, m_cos, m_sin = keep[step.copy_dst], keep[step.cos_dst], keep[step.sin_dst]
+        copy_dst, cos_dst = step.copy_dst[m_copy], step.cos_dst[m_cos]
+        n_copy, n_carried = copy_dst.size, copy_dst.size + cos_dst.size
+        n_out = int(np.count_nonzero(keep))
+        pos = np.full(step.n_out, -1)
+        pos[copy_dst] = np.arange(n_copy)
+        pos[cos_dst] = np.arange(n_copy, n_carried)
+        pos[keep & (pos < 0)] = np.arange(n_carried, n_out)
+        steps.append(
+            _Step(
+                slot=step.slot,
+                copy_src=renum[step.copy_src[m_copy]],
+                copy_dst=slice(0, n_copy),
+                cos_src=renum[step.cos_src[m_cos]],
+                cos_dst=slice(n_copy, n_carried),
+                sin_src=renum[step.sin_src[m_sin]],
+                sin_dst=pos[step.sin_dst[m_sin]],
+                sin_w=step.sin_w[m_sin],
+                n_in=n_in,
+                n_out=n_out,
+            )
         )
-        vals = np.concatenate([np.ones(copy_src.size + cos_src.size), sin_w])
-        order = np.argsort(rows, kind="stable")  # carried entry before sine
-        rows, cols, kind, vals = rows[order], cols[order], kind[order], vals[order]
-        indptr = np.zeros(n_out + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n_out), out=indptr[1:])
-        local_cos = np.flatnonzero(kind == 1)
-        local_sin = np.flatnonzero(kind == 2)
-        cos_pos.append((local_cos + offset).astype(np.intp))
-        cos_slot.append(np.full(local_cos.size, step.slot, dtype=np.intp))
-        sin_pos.append((local_sin + offset).astype(np.intp))
-        sin_slot.append(np.full(local_sin.size, step.slot, dtype=np.intp))
-        sin_wts.append(vals[local_sin])
-        meta.append((n_out, n_in, indptr.astype(np.int32), cols.astype(np.int32), offset))
-        d_cs.append(cos_src + layer_off[k])
-        d_cd.append(cos_dst + layer_off[k + 1])
-        d_cg.append(np.full(cos_src.size, k, dtype=np.intp))
-        d_ss.append(sin_src + layer_off[k])
-        d_sd.append(sin_dst + layer_off[k + 1])
-        d_sg.append(np.full(sin_src.size, k, dtype=np.intp))
-        d_sw.append(sin_w)
-        chunks.append(vals)
-        offset += vals.size
-    data = np.concatenate(chunks) if chunks else np.empty(0)
-    layer_buf = np.zeros(int(layer_off[-1]))
-    layer_buf[: widths[0]] = graph.source[masks[0]]
-    adj_buf = np.zeros_like(layer_buf)
-    out_views = [
-        layer_buf[layer_off[k + 1] : layer_off[k + 2]]
-        for k in range(len(graph.steps))
-    ]
-    adj_views = [
-        adj_buf[layer_off[k + 1] : layer_off[k + 2]] for k in range(len(graph.steps))
-    ]
-
-    def _cat(parts, dtype=np.intp):
-        return (
-            np.concatenate(parts).astype(np.intp, copy=False)
-            if parts
-            else np.empty(0, dtype=dtype)
-        )
-
-    return _CompiledSweep(
-        gates=[
-            (n_out, n_i, indptr, indices, data[o : o + indices.size])
-            for n_out, n_i, indptr, indices, o in meta
-        ],
-        slots=np.array([s.slot for s in graph.steps], dtype=np.intp),
-        source=graph.source[masks[0]],
-        sink=graph.sink[masks[-1]],
-        data=data,
-        cos_pos=_cat(cos_pos),
-        cos_slot=_cat(cos_slot),
-        sin_pos=_cat(sin_pos),
-        sin_slot=_cat(sin_slot),
-        sin_w=np.concatenate(sin_wts) if sin_wts else np.empty(0),
-        max_width=max(widths),
-        layer_buf=layer_buf,
-        adj_buf=adj_buf,
-        out_views=out_views,
-        adj_views=adj_views,
-        dot_cos_src=_cat(d_cs),
-        dot_cos_dst=_cat(d_cd),
-        dot_cos_gate=_cat(d_cg),
-        dot_sin_src=_cat(d_ss),
-        dot_sin_dst=_cat(d_sd),
-        dot_sin_gate=_cat(d_sg),
-        dot_sin_w=np.concatenate(d_sw) if d_sw else np.empty(0),
-    )
-
-
-def _compiled_plan(
-    graph: SurrogateGraph, params: np.ndarray, may_compile: bool
-) -> _CompiledSweep | None:
-    """The graph's kernel plan refreshed at ``params``, compiled on demand.
-
-    Only gradient calls compile: energy-only probes (``probe_landscape``)
-    evaluate one-shot trial graphs and should never pay for it.
-    """
-    if graph._compiled is None:
-        if not may_compile or not graph.steps or graph.source.size == 0 or not _kernels_usable():
-            return None
-        graph._compiled = _compile_sweep(graph)
-    graph._compiled.refresh(params)
-    return graph._compiled
-
-
-def _kernel_energy(plan: _CompiledSweep) -> float:
-    v = plan.source
-    ping = np.empty(plan.max_width)
-    pong = np.empty(plan.max_width)
-    for n_out, n_in, indptr, indices, data in plan.gates:
-        y = ping[:n_out]
-        y.fill(0.0)
-        _CSR_MATVEC(n_out, n_in, indptr, indices, data, v, y)
-        v = y
-        ping, pong = pong, ping
-    return float(np.dot(v, plan.sink))
-
-
-def _kernel_gradient(
-    plan: _CompiledSweep, params: np.ndarray, grad: np.ndarray
-) -> float:
-    """Forward layers, adjoint layers, then all derivative dots in one go.
-
-    Both sweeps land in the plan's scratch buffers; the per-gate derivative
-    is assembled afterwards from every branching edge at once (gathers plus
-    a segmented sum), so its cost does not grow with the parameter count.
-    """
-    n_gates = len(plan.gates)
-    plan.layer_buf[plan.source.size :].fill(0.0)
-    v = plan.source
-    for (n_out, n_in, indptr, indices, data), y in zip(plan.gates, plan.out_views):
-        _CSR_MATVEC(n_out, n_in, indptr, indices, data, v, y)
-        v = y
-    energy = float(np.dot(v, plan.sink))
-    adj = plan.adj_views[-1]
-    plan.adj_buf[plan.source.size : plan.adj_buf.size - adj.size].fill(0.0)
-    adj[:] = plan.sink
-    for k in range(n_gates - 1, 0, -1):
-        n_out, n_in, indptr, indices, data = plan.gates[k]
-        _CSC_MATVEC(n_in, n_out, indptr, indices, data, plan.adj_views[k], plan.adj_views[k - 1])
-    lay, aj = plan.layer_buf, plan.adj_buf
-    seg_cos = np.bincount(
-        plan.dot_cos_gate,
-        weights=lay[plan.dot_cos_src] * aj[plan.dot_cos_dst],
-        minlength=n_gates,
-    )
-    seg_sin = np.bincount(
-        plan.dot_sin_gate,
-        weights=plan.dot_sin_w * lay[plan.dot_sin_src] * aj[plan.dot_sin_dst],
-        minlength=n_gates,
-    )
-    angles = params[plan.slots]
-    np.add.at(grad, plan.slots, np.cos(angles) * seg_sin - np.sin(angles) * seg_cos)
-    return energy
+        renum, n_in = pos, n_out
+    sink = np.zeros(n_in)
+    sink[renum[masks[-1]]] = graph.sink[masks[-1]]
+    return _Sweep(graph.source[masks[0]], steps, sink)
 
 
 @dataclass
 class SurrogateGraph:
-    """Compiled branch structure of one truncated propagation sweep."""
+    """Recorded branch structure of one truncated propagation sweep.
+
+    ``steps`` and ``sink`` cover every recorded key; ``pruned`` is the same
+    sweep restricted to the keys that reach a nonzero sink weight, and is
+    what energies and gradients run over.
+    """
 
     n_modes: int
     picture: str
@@ -375,9 +180,7 @@ class SurrogateGraph:
     steps: list[_Step] = field(default_factory=list)
     final_keys: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.uint64))
     sink: np.ndarray = field(default_factory=lambda: np.empty(0))
-    _compiled: _CompiledSweep | None = field(
-        default=None, repr=False, compare=False
-    )
+    pruned: _Sweep | None = field(default=None, repr=False)
 
     @property
     def n_slots(self) -> int:
@@ -404,22 +207,25 @@ def _processed_gates(circuit: FermionicCircuit, picture: str) -> list[Gate]:
 def _record_step(
     keys: np.ndarray, gate: Gate, sin_sign: float, policy: TruncationPolicy
 ) -> tuple[np.ndarray, _Step]:
-    """Branch one layer's keys through a gate, recording edge positions."""
+    """Branch one layer's sorted keys through a gate, recording edge positions."""
     gamma = gate.generator
     anti = _kernels.anticommutes_with(gamma, keys)
     cand = keys[anti] ^ np.uint64(gamma)
     keep = policy.survivor_mask(cand, np.zeros(cand.shape))
     kept = cand[keep]
-    next_keys = np.union1d(keys, kept)
+    # merge the sorted layer with the sorted partners it lacks (no hashing)
+    partners = np.sort(kept)
+    # each new key comes from a distinct source, so sine targets never clash
+    if np.any(partners[1:] == partners[:-1]):
+        raise RuntimeError(f"sine branches of gate {gamma:#x} collide in one key")
+    at = np.minimum(np.searchsorted(keys, partners), keys.size - 1)
+    next_keys = np.concatenate([keys, partners[keys[at] != partners]])
+    next_keys.sort(kind="stable")
     pos_old = np.searchsorted(next_keys, keys)
     positions = np.arange(keys.size)
     sin_w = (
         _kernels.product_sign_with(gamma, keys[anti])[keep] * sin_sign * gate.sign
     )
-    sin_dst = np.searchsorted(next_keys, kept)
-    # each new key comes from a distinct source, so sine targets never clash
-    if np.unique(sin_dst).size != sin_dst.size:
-        raise RuntimeError(f"sine branches of gate {gamma:#x} collide in one key")
     step = _Step(
         slot=gate.slot,
         copy_src=positions[~anti],
@@ -427,8 +233,9 @@ def _record_step(
         cos_src=positions[anti],
         cos_dst=pos_old[anti],
         sin_src=positions[anti][keep],
-        sin_dst=sin_dst,
+        sin_dst=np.searchsorted(next_keys, kept),
         sin_w=sin_w,
+        n_in=int(keys.size),
         n_out=int(next_keys.size),
     )
     return next_keys, step
@@ -481,8 +288,14 @@ def build_surrogate(
     for gate in _processed_gates(circuit, picture):
         keys, step = _record_step(keys, gate, sin_sign, policy)
         graph.steps.append(step)
+    return _close(graph, keys)
+
+
+def _close(graph: SurrogateGraph, keys: np.ndarray) -> SurrogateGraph:
+    """Attach the final layer's keys and sink weights, then prune the sweep."""
     graph.final_keys = keys
     graph.sink = _sink_weights(graph, keys)
+    graph.pruned = _prune(graph)
     return graph
 
 
@@ -511,83 +324,84 @@ def _check_params(graph: SurrogateGraph, params: np.ndarray) -> np.ndarray:
 
 
 def _forward(
-    graph: SurrogateGraph, params: np.ndarray, keep_layers: bool, depth: int | None = None
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Layer ``depth`` (default: the final one) and, optionally, all before it."""
-    v = graph.source
-    layers = [v] if keep_layers else []
-    for step in graph.steps[:depth]:
-        theta = params[step.slot]
+    sweep: SurrogateGraph | _Sweep,
+    params: np.ndarray,
+    depth: int | None = None,
+    gathers: list | None = None,
+) -> np.ndarray:
+    """Layer ``depth`` (default: the final one) of a sweep at the given angles.
+
+    With ``gathers`` given, each step's gathered cosine inputs and signed
+    sine inputs are appended to it for the derivative dots.
+    """
+    angles = params.tolist()  # Python floats: cheaper per-gate indexing
+    v = sweep.source
+    for step in sweep.steps[:depth]:
+        theta = angles[step.slot]
         out = np.zeros(step.n_out)
         out[step.copy_dst] = v[step.copy_src]
-        out[step.cos_dst] = math.cos(theta) * v[step.cos_src]
+        g_cos, g_sin = v[step.cos_src], None
+        out[step.cos_dst] = math.cos(theta) * g_cos
         if step.sin_src.size:
-            out[step.sin_dst] += (step.sin_w * math.sin(theta)) * v[step.sin_src]
+            g_sin = step.sin_w * v[step.sin_src]
+            out[step.sin_dst] += math.sin(theta) * g_sin
+        if gathers is not None:
+            gathers.append((g_cos, g_sin))
         v = out
-        if keep_layers:
-            layers.append(v)
-    return v, layers
+    return v
 
 
 def final_layer(graph: SurrogateGraph, params: np.ndarray) -> np.ndarray:
     """Propagated coefficients over ``graph.final_keys`` at the given angles."""
-    return _forward(graph, _check_params(graph, params), keep_layers=False)[0]
+    return _forward(graph, _check_params(graph, params))
 
 
 def eval_energy(graph: SurrogateGraph, params: np.ndarray) -> float:
-    """Energy at the given angles from one forward pass over the graph."""
+    """Energy at the given angles from one forward pass over the pruned graph."""
     params = _check_params(graph, params)
-    plan = _compiled_plan(graph, params, may_compile=False)
-    if plan is not None:
-        return _kernel_energy(plan)
-    return float(np.dot(final_layer(graph, params), graph.sink))
+    return float(np.dot(_forward(graph.pruned, params), graph.pruned.sink))
 
 
 def eval_energy_and_gradient(
     graph: SurrogateGraph, params: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Energy and its gradient w.r.t. every parameter slot.
-
-    The first call compiles the graph; without the compiled kernels every
-    call runs the interpreted :func:`_sweep_gradient`.
-    """
-    params = _check_params(graph, params)
-    plan = _compiled_plan(graph, params, may_compile=True)
-    if plan is None:
-        return _sweep_gradient(graph, params)
-    grad = np.zeros(params.size)
-    return _kernel_gradient(plan, params, grad), grad
+    """Energy and its gradient w.r.t. every parameter slot, from one
+    :func:`_sweep_gradient` over the pruned graph."""
+    return _sweep_gradient(graph.pruned, _check_params(graph, params))
 
 
-def _sweep_gradient(graph: SurrogateGraph, params: np.ndarray) -> tuple[float, np.ndarray]:
-    """The interpreted gradient sweep over the recorded steps.
+def _sweep_gradient(
+    sweep: SurrogateGraph | _Sweep, params: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Energy and gradient from a forward pass and a rolling backward adjoint.
 
-    Forward pass with stored layers, then a rolling backward adjoint; the
-    derivative of gate k is two dot products between the stored layer and
-    the adjoint, accumulated into the gate's slot (shared slots sum by the
-    chain rule).
+    The derivative of gate k is two dot products between the adjoint on its
+    outputs and the inputs the forward pass gathered, accumulated into the
+    gate's slot (shared slots sum by the chain rule).
     """
     grad = np.zeros(params.size)
-    v, layers = _forward(graph, params, keep_layers=True)
-    energy = float(np.dot(v, graph.sink))
-    w = graph.sink.copy()
-    for k in range(len(graph.steps) - 1, -1, -1):
-        step = graph.steps[k]
-        theta = params[step.slot]
-        prev = layers[k]
+    gathers: list = []
+    v = _forward(sweep, params, gathers=gathers)
+    energy = float(np.dot(v, sweep.sink))
+    w = sweep.sink
+    angles = params.tolist()
+    for k in range(len(sweep.steps) - 1, -1, -1):
+        step = sweep.steps[k]
+        theta = angles[step.slot]
         cos_t, sin_t = math.cos(theta), math.sin(theta)
-        d_cos = -sin_t * float(np.dot(w[step.cos_dst], prev[step.cos_src]))
-        d_sin = cos_t * float(
-            np.dot(step.sin_w * w[step.sin_dst], prev[step.sin_src])
-        )
-        grad[step.slot] += d_cos + d_sin
-        w = _adjoint_step(step, w, cos_t, sin_t)
+        g_cos, g_sin = gathers[k]
+        d_theta = -sin_t * float(np.dot(w[step.cos_dst], g_cos))
+        if step.sin_src.size:
+            d_theta += cos_t * float(np.dot(w[step.sin_dst], g_sin))
+        grad[step.slot] += d_theta
+        if k:
+            w = _adjoint_step(step, w, cos_t, sin_t)
     return energy, grad
 
 
 def _adjoint_step(step: _Step, w: np.ndarray, cos_t: float, sin_t: float) -> np.ndarray:
     """Weights on a step's input keys from the weights on its output keys."""
-    w_prev = np.zeros(step.copy_src.size + step.cos_src.size)
+    w_prev = np.zeros(step.n_in)
     w_prev[step.copy_src] = w[step.copy_dst]
     w_prev[step.cos_src] = cos_t * w[step.cos_dst]
     if step.sin_src.size:
@@ -632,10 +446,8 @@ def extend_surrogate(
         hamiltonian=graph.hamiltonian,
         source=graph.source,
         steps=list(graph.steps) + [step],
-        final_keys=keys,
     )
-    out.sink = _sink_weights(out, keys)
-    return out
+    return _close(out, keys)
 
 
 # c^i s^j of the shared angle as [a0, a1, b1, a2, b2], by (i, j): c^2 =
@@ -652,7 +464,7 @@ def _layer_keys(graph: SurrogateGraph, depth: int) -> np.ndarray:
     carries every input key to its own output slot)."""
     keys = graph.final_keys
     for step in reversed(graph.steps[depth:]):
-        prev = np.empty(step.copy_src.size + step.cos_src.size, dtype=np.uint64)
+        prev = np.empty(step.n_in, dtype=np.uint64)
         prev[step.copy_src] = keys[step.copy_dst]
         prev[step.cos_src] = keys[step.cos_dst]
         keys = prev
@@ -700,7 +512,7 @@ def cut_landscapes(
     if not 0 <= cut <= n_steps:
         raise ValueError(f"cut {cut} lies outside the gate list 0..{n_steps}")
     depth = n_steps - cut if graph.picture == "heisenberg" else cut
-    v = _forward(graph, params, keep_layers=False, depth=depth)[0]
+    v = _forward(graph, params, depth=depth)
     live = v != 0.0
     keys, v = _layer_keys(graph, depth)[live], v[live]
     sin_sign = 1.0 if graph.picture == "heisenberg" else -1.0
@@ -747,11 +559,3 @@ def cut_landscapes(
             row += float(np.dot(w, h)) * _HARMONICS[ij]
     return out
 
-
-def natural_end_landscapes(
-    graph: SurrogateGraph, params: np.ndarray, gate_sets: Sequence[Sequence[Gate]]
-) -> np.ndarray:
-    """:func:`cut_landscapes` at the end the graph was recorded towards
-    (circuit front in the Heisenberg picture, back in the Schrodinger one)."""
-    cut = 0 if graph.picture == "heisenberg" else len(graph.steps)
-    return cut_landscapes(graph, params, cut, gate_sets)

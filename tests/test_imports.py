@@ -1,0 +1,50 @@
+"""The package imports no private module of another distribution."""
+
+import ast
+from pathlib import Path
+
+import majprop
+
+PACKAGE = Path(majprop.__file__).parent
+
+
+def _private(name):
+    return any(
+        part.startswith("_") and not (part.startswith("__") and part.endswith("__"))
+        for part in name.split(".")
+    )
+
+
+def _foreign_private_imports(tree):
+    """Dotted names of underscore-prefixed modules (or members) imported
+    from outside ``majprop``; relative imports are the package's own."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] != "majprop" and _private(alias.name):
+                    yield alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "majprop":
+                continue
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                if _private(name):
+                    yield name
+
+
+def test_no_private_imports_from_other_packages():
+    probe = ast.parse(
+        "from __future__ import annotations\n"
+        "from scipy.sparse import _sparsetools as _spt\n"
+        "import scipy.sparse._sparsetools\n"
+        "import numpy as np\n"
+        "from . import _kernels\n"
+        "from majprop._kernels import popcount\n"
+    )
+    assert list(_foreign_private_imports(probe)) == ["scipy.sparse._sparsetools"] * 2
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := list(_foreign_private_imports(ast.parse(path.read_text()))))
+    }
+    assert offenders == {}

@@ -42,7 +42,6 @@ from majprop.surrogate import (
     cut_landscapes,
     eval_energy,
     extend_surrogate,
-    natural_end_landscapes,
 )
 
 N = 8
@@ -492,8 +491,9 @@ def test_ggf_closed_form_matches_probed_graphs(rng, picture):
             pool = Pool(N, _random_candidates(rng))
             slot = circuit.n_slots
             scores = score_pool_ggf(pool, graph, theta, where=where)
-            coeffs = natural_end_landscapes(
-                graph, theta, [c.gates(slot) for c in pool.candidates]
+            natural_end = 0 if picture == "heisenberg" else len(graph.steps)
+            coeffs = cut_landscapes(
+                graph, theta, natural_end, [c.gates(slot) for c in pool.candidates]
             )
             e0 = eval_energy(graph, theta)
             for cand, score, row in zip(pool.candidates, scores, coeffs):
@@ -539,7 +539,7 @@ def test_ggf_front_composite_prefers_the_smaller_degenerate_angle(rng):
     at_shifted = _extended_energy(h, circuit, theta, cand, shifted, "front")
     assert at_shifted == pytest.approx(at_star, abs=1e-12)
     assert at_star == pytest.approx(eval_energy(graph, theta) + score.score, abs=1e-10)
-    (row,) = natural_end_landscapes(graph, theta, [cand.gates(circuit.n_slots)])
+    (row,) = cut_landscapes(graph, theta, 0, [cand.gates(circuit.n_slots)])
     assert max(abs(row[1]), abs(row[2])) < 1e-12
     for da, db in rng.normal(scale=1e-15, size=(20, 2)):
         noisy = row + np.array([0.0, da, db, 0.0, 0.0])

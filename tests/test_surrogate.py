@@ -1,10 +1,12 @@
 """Surrogate graphs against direct propagation, finite differences, rebuilds."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 import majprop.instances as inst
-from majprop import TruncationPolicy, expectation, fock_expectation
+from majprop import TruncationPolicy, _kernels, expectation, fock_expectation
 from majprop.engine import FermionicCircuit, Gate
 from majprop.surrogate import (
     SurrogateGraph,
@@ -13,6 +15,7 @@ from majprop.surrogate import (
     eval_energy,
     eval_energy_and_gradient,
     extend_surrogate,
+    _record_step,
     _sweep_gradient,
 )
 
@@ -166,28 +169,55 @@ def test_stats_summary(rng):
 
 
 @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
-def test_repeated_evaluation_compiles_without_drift(rng, picture):
+def test_pruned_evaluation_matches_the_full_sweep_without_side_effects(rng, picture):
+    """Energies and gradients run over the pruned steps; they equal the
+    sweep over every recorded step, and evaluation writes nothing to the
+    graph."""
     h, circuit = _instance(rng)
     graph = build_surrogate(h, circuit, OCC, POLICY, picture)
-    probed = build_surrogate(h, circuit, OCC, POLICY, picture)
-    assert graph._compiled is None
-    for call in range(8):
+    before = pickle.dumps(graph)
+    for _ in range(8):
         theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
         energy, grad = eval_energy_and_gradient(graph, theta)
-        assert graph._compiled is not None
-        assert eval_energy(graph, theta) == pytest.approx(energy, abs=1e-13)
         ref_energy, ref_grad = _sweep_gradient(graph, theta)
         assert energy == pytest.approx(ref_energy, abs=1e-13)
         np.testing.assert_allclose(grad, ref_grad, atol=1e-13)
-        assert eval_energy(probed, theta) == pytest.approx(ref_energy, abs=1e-13)
-    assert probed._compiled is None  # energy-only probes never compile
+        assert eval_energy(graph, theta) == pytest.approx(ref_energy, abs=1e-13)
+    assert pickle.dumps(graph) == before
+
+
+def test_recorded_layers_merge_like_union1d(rng):
+    """A recorded step's next layer is ``np.union1d`` of the layer and its
+    kept partners, also with no anticommuting key and with partners that
+    are already in the layer, and its edges point at the right keys."""
+    for policy in (TruncationPolicy(), POLICY):
+        for trial in range(30):
+            gamma = int(inst.random_monomial_bits(N, 2 + 2 * (trial % 2), rng))
+            keys = np.array(
+                [inst.random_monomial_bits(N, d, rng) for d in rng.integers(1, 7, 40)],
+                dtype=np.uint64,
+            )
+            anti = _kernels.anticommutes_with(gamma, keys)
+            if trial % 3 == 0:
+                keys = keys[~anti]
+            elif trial % 3 == 1:  # some partners hit keys of the layer
+                keys = np.concatenate([keys, keys[anti][::2] ^ np.uint64(gamma)])
+            keys = np.unique(keys)
+            next_keys, step = _record_step(keys, Gate(gamma, slot=0), 1.0, policy)
+            cand = keys[_kernels.anticommutes_with(gamma, keys)] ^ np.uint64(gamma)
+            kept = cand[policy.survivor_mask(cand, np.zeros(cand.shape))]
+            assert np.array_equal(next_keys, np.union1d(keys, kept))
+            assert next_keys.dtype == np.uint64
+            assert np.array_equal(next_keys[step.copy_dst], keys[step.copy_src])
+            assert np.array_equal(next_keys[step.cos_dst], keys[step.cos_src])
+            assert np.array_equal(
+                next_keys[step.sin_dst], keys[step.sin_src] ^ np.uint64(gamma)
+            )
 
 
 def test_colliding_sine_branches_raise_a_real_error():
     """The distinct-sine-target invariant survives ``python -O``: a layer
     holding one anticommuting key twice must raise, not corrupt the step."""
-    from majprop.surrogate import _record_step
-
     keys = np.array([0b110, 0b110], dtype=np.uint64)
     with pytest.raises(RuntimeError, match="collide"):
         _record_step(keys, Gate(0b11, slot=0), 1.0, TruncationPolicy())
