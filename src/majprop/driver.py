@@ -23,7 +23,6 @@ from typing import IO, Sequence
 import numpy as np
 import scipy.optimize
 
-from . import _kernels
 from .engine import (  # noqa: F401 -- perfbench/tracing.py wraps driver.propagate
     FermionicCircuit,
     Gate,
@@ -463,10 +462,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
     under the floor.
     """
     hamiltonian = build_majorana_hamiltonian(tensors)
-    max_len = (
-        int(_kernels.popcount(hamiltonian.keys).max()) if len(hamiltonian) else 0
-    )
-    config.validate(max_len)
+    config.validate(hamiltonian.max_degree())
     n_spatial = tensors.n_spatial
     n_modes = 2 * n_spatial
     occupation = aufbau_occupation(tensors.n_electrons)
@@ -480,16 +476,13 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
         # new gates act directly on the reference state there, where whole
         # equivalence classes move it identically
         pool = reduce_pool_equivalence(pool)
-    policy = config.policy()
-    picture = config.picture
-    fast_path = picture == "heisenberg" and placement == "front"
 
     rot_gates, n_rot_slots, rotation_spec = init_active_rotations(
         n_spatial, config.rotation_sharing
     )
     circuit = FermionicCircuit(n_modes, list(rot_gates), np.zeros(n_rot_slots))
+    graph = build_surrogate(hamiltonian, circuit, occupation, config.policy(), config.picture)
     n_body = 0
-    graph = build_surrogate(hamiltonian, circuit, occupation, policy, picture)
     _check_budget(graph, config, None)
 
     trajectory = Trajectory()
@@ -550,18 +543,8 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
             if config.resolved_gate_init(use_gradient) == "ggf_theta_star"
             else 0.0
         )
-        slot = theta.size
-        gates = candidate.gates(slot)
-        if fast_path:
-            for gate in gates:
-                graph = extend_surrogate(graph, gate, "front")
-            circuit = graph.circuit
-        else:
-            circuit = circuit.copy()
-            circuit.params = np.append(circuit.params, 0.0)
-            position = 0 if placement == "front" else n_body
-            circuit.gates[position:position] = gates
-            graph = build_surrogate(hamiltonian, circuit, occupation, policy, picture)
+        gates = candidate.gates(theta.size)
+        graph = extend_surrogate(graph, gates, cut)
         n_body += len(gates)
         _check_budget(graph, config, trajectory)
 
@@ -584,7 +567,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
             )
         )
 
-    circuit = circuit.copy()
+    circuit = graph.circuit.copy()
     circuit.params = theta.copy()
     return AdaptResult(
         energy=energy,

@@ -13,7 +13,6 @@ coefficients exactly the (normalized) trace coordinates of the operator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -23,8 +22,6 @@ from . import _kernels
 from .monomials import MajoranaMonomial
 
 __all__ = ["SparseOperator"]
-
-_COEFF_FMT = "%.17g"
 
 
 @dataclass
@@ -116,12 +113,6 @@ class SparseOperator:
             return 0
         return int(_kernels.popcount(self.keys).max())
 
-    def norm1(self) -> float:
-        return float(np.abs(self.coeffs).sum())
-
-    def norm2(self) -> float:
-        return float(math.sqrt(np.dot(self.coeffs, self.coeffs)))
-
     # ---- arithmetic -------------------------------------------------------
 
     def scaled(self, factor: float) -> "SparseOperator":
@@ -139,42 +130,8 @@ class SparseOperator:
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
         return self + other.scaled(-1.0)
 
-    def drop_small(self, eps: float = 1e-15) -> "SparseOperator":
-        """Remove terms with |coefficient| < eps (numerical hygiene)."""
-        keep = np.abs(self.coeffs) >= eps
-        return SparseOperator(self.n_modes, self.keys[keep], self.coeffs[keep])
-
     def copy(self) -> "SparseOperator":
         return SparseOperator(self.n_modes, self.keys.copy(), self.coeffs.copy())
-
-    # ---- serialization ----------------------------------------------------
-
-    def to_text(self) -> str:
-        """Render as a header line ``N=<modes>`` plus one ``hex<TAB>coeff`` line per term."""
-        width = (2 * self.n_modes + 3) // 4
-        lines = [f"N={self.n_modes}"]
-        for k, c in zip(self.keys.tolist(), self.coeffs.tolist()):
-            lines.append(f"0x{int(k):0{width}x}\t{_COEFF_FMT % c}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SparseOperator":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("N="):
-            raise ValueError("operator text must start with an N=<modes> line")
-        n_modes = int(lines[0][2:])
-        keys = []
-        coeffs = []
-        for ln in lines[1:]:
-            hexpart, _, coeffpart = ln.partition("\t")
-            if not coeffpart:
-                # tolerate whitespace-separated variants
-                hexpart, _, coeffpart = ln.partition(" ")
-            keys.append(int(hexpart, 16))
-            coeffs.append(float(coeffpart))
-        return cls.from_arrays(
-            n_modes, np.array(keys, dtype=np.uint64), np.array(coeffs)
-        )
 
     def __repr__(self) -> str:
         return f"SparseOperator(n_modes={self.n_modes}, terms={len(self)})"

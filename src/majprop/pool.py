@@ -7,11 +7,12 @@ single length-4 monomial (all monomials acting once per mode with the same
 odd-site parity move a Fock state along the same orbit, so one
 representative per excitation suffices).
 
-Two scoring schemes are provided.  Gradient scores read the derivative at
-theta = 0 straight off the evolved operator via a commutator formula.  GGF
-(greedy gradient-free) scores minimize the exact single-angle landscape --
-a sinusoid for a single-monomial gate, second harmonics for a composite --
-whose coefficients are closed-form at any insertion point of the surrogate
+Two scoring schemes are provided.  Gradient scores of gates at the
+Heisenberg front read the derivative at theta = 0 straight off the evolved
+operator via a commutator formula.  GGF (greedy gradient-free) scores
+minimize the exact single-angle landscape -- a sinusoid for a
+single-monomial gate, second harmonics for a composite -- whose
+coefficients are closed-form at any insertion point of the surrogate
 graph's circuit, and report the achievable energy improvement together
 with the minimizing angle.
 """
@@ -271,65 +272,27 @@ def _monomial_gradient_heisenberg(
     return float(np.sum(signs * evolved.coeffs[anti][paired] * eigs))
 
 
-def _monomial_gradient_schrodinger(
-    gamma: int, state: SparseOperator, hamiltonian: SparseOperator
-) -> float:
-    keys = hamiltonian.keys
-    anti = _kernels.anticommutes_with(gamma, keys)
-    if not anti.any():
-        return 0.0
-    partners = keys[anti] ^ np.uint64(gamma)
-    pos = np.searchsorted(state.keys, partners)
-    pos_c = np.minimum(pos, max(len(state) - 1, 0))
-    hit = (state.keys[pos_c] == partners) if len(state) else np.zeros(
-        partners.shape, bool
-    )
-    if not hit.any():
-        return 0.0
-    signs = _kernels.product_sign_with(gamma, keys[anti][hit])
-    weights = hamiltonian.coeffs[anti][hit] * state.coeffs[pos_c[hit]]
-    return float(2.0**hamiltonian.n_modes * np.sum(signs * weights))
-
-
 def score_pool_gradient(
     pool: Pool,
     evolved: SparseOperator,
     *,
-    picture: str = "heisenberg",
     occupation: int | None = None,
-    hamiltonian: SparseOperator | None = None,
     indices: Sequence[int] | None = None,
 ) -> list[SelectionScore]:
-    """|dE/dtheta| at theta = 0 for each candidate against the evolved context.
+    """|dE/dtheta| at theta = 0 for each candidate placed at the circuit front.
 
-    Heisenberg mode takes the circuit-evolved operator plus the reference
-    occupation; Schrodinger mode takes the evolved state expansion plus the
-    bare Hamiltonian.  Composite candidates sum their members' signed
-    derivatives before taking the magnitude.
+    ``evolved`` is the Heisenberg-evolved Hamiltonian and ``occupation``
+    the reference determinant.  Composite candidates sum their members'
+    signed derivatives before taking the magnitude.
     """
-    if picture == "heisenberg":
-        if occupation is None:
-            raise ValueError("Heisenberg gradient scoring needs an occupation")
-
-        def member(gamma: int) -> float:
-            return _monomial_gradient_heisenberg(gamma, evolved, occupation)
-
-    elif picture == "schrodinger":
-        if hamiltonian is None:
-            raise ValueError("Schrodinger gradient scoring needs the Hamiltonian")
-
-        def member(gamma: int) -> float:
-            return _monomial_gradient_schrodinger(gamma, evolved, hamiltonian)
-
-    else:
-        raise ValueError(f"unknown picture {picture!r}")
-
+    if occupation is None:
+        raise ValueError("gradient scoring needs the reference occupation")
     chosen = range(len(pool.candidates)) if indices is None else indices
     out = []
     for idx in chosen:
         cand = pool.candidates[idx]
         total = sum(
-            sign * member(bits)
+            sign * _monomial_gradient_heisenberg(bits, evolved, occupation)
             for bits, sign in zip(cand.generators, cand.signs)
         )
         out.append(SelectionScore(index=idx, score=abs(total)))
@@ -399,12 +362,9 @@ def score_pool_ggf(
     any point.  All improvements are <= 0; a flat landscape scores 0 with
     theta* = 0.
     """
-    cut = {"front": 0, "back": len(graph.circuit)}.get(where, where)
-    if not isinstance(cut, (int, np.integer)):
-        raise ValueError(f"unknown placement {where!r}")
     chosen = list(range(len(pool.candidates)) if indices is None else indices)
     gate_sets = [pool.candidates[idx].gates(np.size(params)) for idx in chosen]
-    landscapes = cut_landscapes(graph, params, cut, gate_sets)
+    landscapes = cut_landscapes(graph, params, where, gate_sets)
     return [
         SelectionScore(idx, *landscape_minimum(coeffs))
         for idx, coeffs in zip(chosen, landscapes)

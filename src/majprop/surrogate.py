@@ -30,20 +30,21 @@ Evaluation never writes to the graph.  The final layer and the scoring
 landscapes keep running over the full recorded steps, since a new gate can
 turn keys that reach no sink weight into ones that do.
 
-Graphs extend cheaply at the end they were recorded towards (front of the
-circuit in the Heisenberg picture, back in the Schrodinger picture); the
-other end triggers a rebuild from the stored inputs.  Scoring a new gate
-needs neither: its single-angle landscape at any insertion point is
-closed-form.  The graph's layer at the cut is split through the gate, and
-the rest of the sweep, recorded once from all split keys together, weighs
-each key by its sink weight pulled back to the cut.  At the natural end
-that rest is empty and the final layer alone gives the landscape.
+A graph takes new gates at any cut of its gate list: the steps before the
+cut are kept, and the new gates and the rest of the sweep are recorded
+from the layer at the cut.  At the end the graph was recorded towards
+(front of the circuit in the Heisenberg picture, back in the Schrodinger
+picture) that rest is empty.  Scoring a new gate inserts nothing: its
+single-angle landscape at any cut is closed-form.  The layer at the cut is
+split through the gate, and the rest of the sweep, recorded once from all
+split keys together, weighs each key by its sink weight pulled back to the
+cut; at the natural end the final layer alone gives the landscape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -262,7 +263,6 @@ def build_surrogate(
         raise UnsupportedPolicyError(
             "surrogate graphs require angle-independent truncation rules"
         )
-    sin_sign = 1.0 if picture == "heisenberg" else -1.0
     if picture == "heisenberg":
         keys = hamiltonian.keys.copy()
         source = hamiltonian.coeffs.copy()
@@ -285,10 +285,21 @@ def build_surrogate(
         hamiltonian=hamiltonian,
         source=source,
     )
-    for gate in _processed_gates(circuit, picture):
-        keys, step = _record_step(keys, gate, sin_sign, policy)
-        graph.steps.append(step)
+    keys, graph.steps = _record(graph, keys, _processed_gates(circuit, picture))
     return _close(graph, keys)
+
+
+def _record(
+    graph: SurrogateGraph, keys: np.ndarray, gates: Sequence[Gate]
+) -> tuple[np.ndarray, list[_Step]]:
+    """Record ``gates`` in sweep order from the layer ``keys``; returns the
+    last layer's keys and the steps."""
+    sin_sign = 1.0 if graph.picture == "heisenberg" else -1.0
+    steps = []
+    for gate in gates:
+        keys, step = _record_step(keys, gate, sin_sign, graph.policy)
+        steps.append(step)
+    return keys, steps
 
 
 def _close(graph: SurrogateGraph, keys: np.ndarray) -> SurrogateGraph:
@@ -409,45 +420,39 @@ def _adjoint_step(step: _Step, w: np.ndarray, cos_t: float, sin_t: float) -> np.
     return w_prev
 
 
-def extend_surrogate(
-    graph: SurrogateGraph, gate: Gate, where: Literal["front", "back"]
-) -> SurrogateGraph:
-    """Graph for the circuit extended by one gate at the given placement.
+def _cut(graph: SurrogateGraph, where: Literal["front", "back"] | int) -> tuple[int, int]:
+    """(gate index, sweep depth) of "front", "back" or a gate index: new
+    gates go before that gate, after the first ``depth`` recorded steps."""
+    n_gates = len(graph.steps)
+    cut = {"front": 0, "back": n_gates}.get(where, where)
+    if not isinstance(cut, (int, np.integer)) or not 0 <= cut <= n_gates:
+        raise ValueError(f"cannot insert at {where!r}: not front, back or 0..{n_gates}")
+    return int(cut), int(n_gates - cut if graph.picture == "heisenberg" else cut)
 
-    The placement that matches the recording direction (circuit front in
-    the Heisenberg picture, back in the Schrodinger picture) appends one
-    recorded step; the opposite placement replays the whole build.  Either
-    way the result equals a fresh build of the extended circuit.
+
+def extend_surrogate(
+    graph: SurrogateGraph, gates: Sequence[Gate], where: Literal["front", "back"] | int
+) -> SurrogateGraph:
+    """Graph for the circuit with ``gates`` inserted at ``where``.
+
+    ``where`` is "front", "back" or a gate index, and the gates enter the
+    sweep in list order, as one row of :func:`cut_landscapes` scores them
+    (so a Heisenberg graph, which sweeps the circuit from its back, holds
+    them in reverse).  The steps before the cut are kept, and the new gates
+    and the rest of the circuit are recorded from the layer at the cut, so
+    the result equals a fresh build of the extended circuit.  At the
+    natural end (front in the Heisenberg picture, back in the Schrodinger
+    picture) only the new gates are recorded.
     """
-    if where not in ("front", "back"):
-        raise ValueError(f"unknown placement {where!r}")
+    cut, depth = _cut(graph, where)
+    gates = list(gates)
     circuit = graph.circuit.copy()
-    if gate.slot >= circuit.params.size:
-        grown = np.zeros(gate.slot + 1)
-        grown[: circuit.params.size] = circuit.params
-        circuit.params = grown
-    if where == "front":
-        circuit.insert_front([gate])
-    else:
-        circuit.append_back([gate])
-    natural = (graph.picture == "heisenberg") == (where == "front")
-    if not natural:
-        return build_surrogate(
-            graph.hamiltonian, circuit, graph.occupation, graph.policy, graph.picture
-        )
-    sin_sign = 1.0 if graph.picture == "heisenberg" else -1.0
-    keys, step = _record_step(graph.final_keys, gate, sin_sign, graph.policy)
-    out = SurrogateGraph(
-        n_modes=graph.n_modes,
-        picture=graph.picture,
-        occupation=graph.occupation,
-        policy=graph.policy,
-        circuit=circuit,
-        hamiltonian=graph.hamiltonian,
-        source=graph.source,
-        steps=list(graph.steps) + [step],
-    )
-    return _close(out, keys)
+    n_slots = max((gate.slot + 1 for gate in gates), default=0)
+    circuit.params = np.pad(circuit.params, (0, max(n_slots - circuit.n_slots, 0)))
+    circuit.gates[cut:cut] = gates[::-1] if graph.picture == "heisenberg" else gates
+    far = _processed_gates(graph.circuit, graph.picture)[depth:]
+    keys, steps = _record(graph, _layer_keys(graph, depth), gates + far)
+    return _close(replace(graph, circuit=circuit, steps=graph.steps[:depth] + steps), keys)
 
 
 # c^i s^j of the shared angle as [a0, a1, b1, a2, b2], by (i, j): c^2 =
@@ -480,11 +485,7 @@ def _far_weights(
     (each key branches and truncates on its own), then one adjoint sweep at
     ``params`` carries the sink back to the start.
     """
-    sin_sign = 1.0 if graph.picture == "heisenberg" else -1.0
-    steps = []
-    for gate in gates:
-        keys, step = _record_step(keys, gate, sin_sign, graph.policy)
-        steps.append(step)
+    keys, steps = _record(graph, keys, gates)
     w = _sink_weights(graph, keys)
     for step in reversed(steps):
         theta = params[step.slot]
@@ -493,14 +494,18 @@ def _far_weights(
 
 
 def cut_landscapes(
-    graph: SurrogateGraph, params: np.ndarray, cut: int, gate_sets: Sequence[Sequence[Gate]]
+    graph: SurrogateGraph,
+    params: np.ndarray,
+    where: Literal["front", "back"] | int,
+    gate_sets: Sequence[Sequence[Gate]],
 ) -> np.ndarray:
-    """Landscape coefficients of each gate set inserted at ``cut`` in the gate list.
+    """Landscape coefficients of each gate set inserted at ``where``.
 
     Row k holds [a0, a1, b1, a2, b2] of E(t) = a0 + a1 cos t + b1 sin t +
     a2 cos 2t + b2 sin 2t for the (at most two) gates of ``gate_sets[k]``
-    placed before ``graph.circuit.gates[cut]`` with one new angle t (cut 0
-    is the front, ``len(graph.circuit)`` the back).  The graph's own layer
+    entering the sweep in list order at the cut with one new angle t
+    (``where`` is "front", "back" or the index of the gate the set goes
+    before, as for :func:`extend_surrogate`).  The graph's own layer
     at the cut (the near half) is split per gate set in c = cos t and
     s = sin t; the rest of the sweep (the far half) is recorded once from
     the union of all split keys and its sink pulled back to the cut, which
@@ -508,10 +513,7 @@ def cut_landscapes(
     the natural end the far half is empty and the weights are the sink's.
     """
     params = _check_params(graph, params)
-    n_steps = len(graph.steps)
-    if not 0 <= cut <= n_steps:
-        raise ValueError(f"cut {cut} lies outside the gate list 0..{n_steps}")
-    depth = n_steps - cut if graph.picture == "heisenberg" else cut
+    _, depth = _cut(graph, where)
     v = _forward(graph, params, depth=depth)
     live = v != 0.0
     keys, v = _layer_keys(graph, depth)[live], v[live]
@@ -544,7 +546,7 @@ def cut_landscapes(
                 terms = {ij: tuple(map(np.concatenate, zip(*parts))) for ij, parts in split.items()}
             yield terms
 
-    if depth == n_steps:
+    if depth == len(graph.steps):
         weigh = lambda k: _sink_weights(graph, k)  # noqa: E731
     else:
         # terms without a sine factor hold layer keys only

@@ -193,7 +193,7 @@ def test_c05_three_point_fit_reproduces_the_rotation_landscape():
         graph = build_surrogate(h, circuit, occ)
         e0 = eval_energy(graph, params)
         bits = int(inst.random_monomial_bits(8, 4, rng))
-        ext = extend_surrogate(graph, Gate(bits, slot=circuit.n_slots), "front")
+        ext = extend_surrogate(graph, [Gate(bits, slot=circuit.n_slots)], "front")
 
         def landscape(theta):
             return eval_energy(ext, np.append(params, theta))

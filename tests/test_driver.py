@@ -361,6 +361,29 @@ def test_gradient_scores_are_derivatives_of_the_rebuilt_graph(rng, picture, plac
                     assert score.score == pytest.approx(abs(up - down) / (2 * step), abs=1e-8)
 
 
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+@pytest.mark.parametrize("placement", ["front", "back"])
+def test_final_graph_is_a_fresh_build_of_the_final_circuit(picture, placement):
+    """Every accepted gate goes into the graph by one insertion at the cut
+    it was scored at; the run's final graph is exactly what a fresh build
+    of the returned circuit records, and its energy is the reported one."""
+    tensors, _ = _fixture("h4_chain_r20")
+    config = RunConfig(max_iterations=3, cutoff=4, picture=picture, placement=placement)
+    result = run_adapt_vmpe(tensors, config)
+    assert len(result.trajectory) == 4
+    graph = result.graph
+    fresh = build_surrogate(
+        result.hamiltonian, result.circuit, result.occupation, config.policy(), picture
+    )
+    assert np.array_equal(graph.final_keys, fresh.final_keys)
+    assert np.array_equal(graph.sink, fresh.sink)
+    assert len(graph.steps) == len(fresh.steps) == len(result.circuit)
+    for step, ref in zip(graph.steps, fresh.steps):
+        for name, value in vars(step).items():
+            assert np.array_equal(value, getattr(ref, name)), name
+    assert eval_energy(fresh, result.params) == result.energy
+
+
 def test_circuit_json_roundtrip():
     tensors, _ = _fixture("h2_sto3g")
     result = run_adapt_vmpe(tensors, RunConfig(max_iterations=2, cutoff=None))

@@ -1,9 +1,13 @@
 """The package imports no private module of another distribution."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import majprop
+import majprop.driver
+import majprop.pool
 
 PACKAGE = Path(majprop.__file__).parent
 
@@ -48,3 +52,21 @@ def test_no_private_imports_from_other_packages():
         if (names := list(_foreign_private_imports(ast.parse(path.read_text()))))
     }
     assert offenders == {}
+
+
+def test_traced_entry_points_exist(monkeypatch):
+    """The benchmark's tracer wraps layer entry points by name; each one it
+    lists must exist in the module it names, or ``--trace 1`` breaks."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    modules = {"driver": majprop.driver, "pool": majprop.pool}
+    assert tracing.ENTRY_POINTS
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, *_ in tracing.ENTRY_POINTS
+        if not hasattr(modules[module], attr)
+    ]
+    assert missing == []

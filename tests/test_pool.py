@@ -13,7 +13,6 @@ from majprop.driver import init_active_rotations
 from majprop.engine import (
     FermionicCircuit,
     Gate,
-    expand_fock_projector,
     propagate,
 )
 from majprop.hamiltonian import build_majorana_hamiltonian, ladder_product
@@ -254,31 +253,6 @@ def test_gradient_score_is_the_derivative_heisenberg(rng):
         assert scores[idx].score == pytest.approx(abs(fd), rel=1e-6, abs=1e-9)
 
 
-def test_gradient_score_is_the_derivative_schrodinger(rng):
-    h = inst.random_molecular_hamiltonian(N, rng)
-    circuit = inst.random_circuit(N, 5, rng)
-    theta = rng.uniform(-1.0, 1.0, circuit.n_slots)
-    state = propagate(
-        expand_fock_projector(OCC, N), circuit, "schrodinger", params=theta
-    )
-    pool = build_majoranic_pool(4, 2)
-    scores = score_pool_gradient(
-        pool, state, picture="schrodinger", hamiltonian=h
-    )
-    step = 1e-5
-    for idx in (0, 3, 8, 9, 14, 25):
-        plus = _extended_energy(
-            h, circuit, theta, pool.candidates[idx], step, "back",
-            picture="schrodinger",
-        )
-        minus = _extended_energy(
-            h, circuit, theta, pool.candidates[idx], -step, "back",
-            picture="schrodinger",
-        )
-        fd = (plus - minus) / (2 * step)
-        assert scores[idx].score == pytest.approx(abs(fd), rel=1e-6, abs=1e-9)
-
-
 def test_gradient_score_zero_for_commuting_generator():
     gamma = 0b01010101  # anticommutes with nothing even
     evolved = SparseOperator.from_arrays(
@@ -287,10 +261,6 @@ def test_gradient_score_zero_for_commuting_generator():
     pool = Pool(N, [PoolCandidate((int(gamma),), (1,), "self")])
     scores = score_pool_gradient(pool, evolved, occupation=OCC)
     assert scores[0].score == 0.0
-    scores = score_pool_gradient(
-        pool, evolved, picture="schrodinger", hamiltonian=evolved
-    )
-    assert scores[0].score == 0.0
 
 
 def test_gradient_score_requires_matching_context(rng):
@@ -298,10 +268,6 @@ def test_gradient_score_requires_matching_context(rng):
     pool = build_majoranic_pool(4, 2)
     with pytest.raises(ValueError, match="occupation"):
         score_pool_gradient(pool, h)
-    with pytest.raises(ValueError, match="Hamiltonian"):
-        score_pool_gradient(pool, h, picture="schrodinger")
-    with pytest.raises(ValueError, match="picture"):
-        score_pool_gradient(pool, h, picture="liouville", occupation=OCC)
 
 
 def test_gradient_scoring_respects_index_subset(rng):
@@ -499,7 +465,7 @@ def test_ggf_closed_form_matches_probed_graphs(rng, picture):
             for cand, score, row in zip(pool.candidates, scores, coeffs):
                 extended = graph
                 for gate in cand.gates(slot):
-                    extended = extend_surrogate(extended, gate, where)
+                    extended = extend_surrogate(extended, [gate], where)
                 probed = probe_landscape(
                     lambda t: eval_energy(extended, np.append(theta, t)),
                     e0,

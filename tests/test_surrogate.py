@@ -92,32 +92,61 @@ def test_gradient_accumulates_over_shared_slots(rng):
         assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
+def _assert_same_graph(graph, reference):
+    assert np.array_equal(graph.final_keys, reference.final_keys)
+    assert np.array_equal(graph.source, reference.source)
+    assert np.array_equal(graph.sink, reference.sink)
+    assert len(graph.steps) == len(reference.steps)
+    for step, ref in zip(graph.steps, reference.steps):
+        for name, value in vars(step).items():
+            assert np.array_equal(value, getattr(ref, name)), name
+
+
 @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
-@pytest.mark.parametrize("where", ["front", "back"])
+@pytest.mark.parametrize("where", ["front", 3, "back"])
 def test_extend_matches_rebuild(rng, picture, where):
-    h, circuit = _instance(rng, n_gates=6)
-    graph = build_surrogate(h, circuit, OCC, POLICY, picture)
+    """Inserting one or two gates at the front, mid-circuit or the back
+    gives exactly the graph a fresh build of the extended circuit records,
+    keys, edges and energies bit for bit, with and without a cutoff; the
+    gates enter the sweep in list order, and the result extends again."""
+    for policy in (TruncationPolicy(), POLICY):
+        for n_new in (1, 2):
+            h, circuit = _instance(rng, n_gates=6)
+            graph = build_surrogate(h, circuit, OCC, policy, picture)
+            slot = circuit.n_slots
+            gates = [
+                Gate(int(inst.random_monomial_bits(N, 2 + 2 * (k % 2), rng)), slot=slot)
+                for k in range(n_new)
+            ]
+            extended = extend_surrogate(graph, gates, where)
+
+            cut = {"front": 0, "back": len(circuit)}.get(where, where)
+            reference = circuit.copy()
+            reference.params = np.append(reference.params, 0.0)
+            reference.gates[cut:cut] = gates[::-1] if picture == "heisenberg" else gates
+            assert extended.circuit.gates == reference.gates
+            assert np.array_equal(extended.circuit.params, reference.params)
+            rebuilt = build_surrogate(h, extended.circuit, OCC, policy, picture)
+            _assert_same_graph(extended, rebuilt)
+            for _ in range(3):
+                theta = rng.uniform(-np.pi, np.pi, slot + 1)
+                assert eval_energy(extended, theta) == eval_energy(rebuilt, theta)
+
+            gate2 = Gate(int(inst.random_monomial_bits(N, 4, rng)), slot=slot + 1)
+            again = extend_surrogate(extended, [gate2], where)
+            assert len(again.steps) == len(circuit.gates) + n_new + 1
+            _assert_same_graph(
+                again, build_surrogate(h, again.circuit, OCC, policy, picture)
+            )
+
+
+def test_extend_rejects_a_cut_outside_the_circuit(rng):
+    h, circuit = _instance(rng, n_gates=4)
+    graph = build_surrogate(h, circuit, OCC, POLICY)
     gate = Gate(int(inst.random_monomial_bits(N, 4, rng)), slot=circuit.n_slots)
-    extended = extend_surrogate(graph, gate, where)
-
-    reference = circuit.copy()
-    reference.params = np.append(reference.params, 0.0)
-    if where == "front":
-        reference.insert_front([gate])
-    else:
-        reference.append_back([gate])
-    rebuilt = build_surrogate(h, reference, OCC, POLICY, picture)
-
-    assert np.array_equal(extended.final_keys, rebuilt.final_keys)
-    for _ in range(5):
-        theta = rng.uniform(-np.pi, np.pi, circuit.n_slots + 1)
-        assert eval_energy(extended, theta) == pytest.approx(
-            eval_energy(rebuilt, theta), abs=1e-12
-        )
-    # the extended graph keeps working as a base for further extensions
-    gate2 = Gate(int(inst.random_monomial_bits(N, 4, rng)), slot=circuit.n_slots + 1)
-    again = extend_surrogate(extended, gate2, where)
-    assert len(again.steps) == len(circuit.gates) + 2
+    for where in (-1, len(circuit) + 1, "middle"):
+        with pytest.raises(ValueError):
+            extend_surrogate(graph, [gate], where)
 
 
 def test_build_ignores_stored_angles(rng):
