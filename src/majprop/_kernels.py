@@ -8,8 +8,9 @@ operate on numpy ``uint64`` arrays of such keys, which caps supported
 systems at 32 modes (64 Majorana bits) -- plenty for the intended problem
 sizes and checked at the API boundary.
 
-Everything in here is branch-free numpy on arrays; the scalar reference
-implementations live in :mod:`majprop.monomials` and the two are
+Everything in here is branch-free numpy on arrays; generators ``gamma``
+broadcast against the keys (gamma = 0 is the identity).  The scalar
+reference implementations live in :mod:`majprop.monomials` and the two are
 cross-checked in the test suite.
 """
 
@@ -40,10 +41,16 @@ def generalized_length(keys: np.ndarray) -> np.ndarray:
     return np.bitwise_count(mode_support(keys))
 
 
+def pairing_defect(keys: np.ndarray) -> np.ndarray:
+    """Odd-site mask of the modes a key touches once; linear under XOR, so
+    ``a ^ b`` is paired exactly where ``a`` and ``b`` have equal defects."""
+    k = np.asarray(keys, dtype=np.uint64)
+    return (k ^ (k >> np.uint64(1))) & ODD_SITE_MASK
+
+
 def is_paired(keys: np.ndarray) -> np.ndarray:
     """True where a key only contains complete mode pairs m_{2j-1}m_{2j}."""
-    k = keys.astype(np.uint64, copy=False)
-    return ((k ^ (k >> np.uint64(1))) & ODD_SITE_MASK) == 0
+    return pairing_defect(keys) == 0
 
 
 def phase_exponent(degree: np.ndarray) -> np.ndarray:
@@ -52,7 +59,7 @@ def phase_exponent(degree: np.ndarray) -> np.ndarray:
     return (d * (d - 1) // 2) % 4
 
 
-def swap_parity_with(gamma: int, keys: np.ndarray) -> np.ndarray:
+def swap_parity_with(gamma, keys: np.ndarray) -> np.ndarray:
     """Parity of the factor reordering in the product M_gamma * M_key.
 
     Interleaving the (sorted) factors of ``gamma`` to the left of those of
@@ -60,31 +67,29 @@ def swap_parity_with(gamma: int, keys: np.ndarray) -> np.ndarray:
     (i in gamma, j in key) with i > j; this returns that count mod 2 as a
     0/1 int array.
     """
-    k = keys.astype(np.uint64, copy=False)
-    total = np.zeros(k.shape, dtype=np.uint64)
-    g = int(gamma)
-    while g:
-        low = g & (g - 1)           # clear lowest set bit
-        i = (g ^ low).bit_length() - 1
-        total += np.bitwise_count(k & np.uint64((1 << i) - 1))
-        g = low
-    return (total & np.uint64(1)).astype(np.int64)
+    k = np.asarray(keys, dtype=np.uint64)
+    g = np.asarray(gamma, dtype=np.uint64)
+    total = np.zeros(np.broadcast_shapes(g.shape, k.shape), dtype=np.uint8)
+    while g.any():
+        rest = g & (g - (g != 0))  # clear the lowest set bit
+        low = g ^ rest
+        total += np.bitwise_count(k & (low - (low != 0)))  # factors of key below it
+        g = rest
+    return (total & 1).astype(np.int64)
 
 
-def anticommutes_with(gamma: int, keys: np.ndarray) -> np.ndarray:
+def anticommutes_with(gamma, keys: np.ndarray) -> np.ndarray:
     """Boolean mask of keys whose monomial anticommutes with M_gamma.
 
     Two monomials commute iff |a|*|b| - |a & b| is even.
     """
-    k = keys.astype(np.uint64, copy=False)
-    g = np.uint64(gamma)
-    ga = int(np.bitwise_count(g))
-    nu = np.bitwise_count(k).astype(np.int64)
-    shared = np.bitwise_count(k & g).astype(np.int64)
-    return ((ga * nu - shared) & 1) == 1
+    k = np.asarray(keys, dtype=np.uint64)
+    g = np.asarray(gamma, dtype=np.uint64)
+    odd = (np.bitwise_count(g) & np.bitwise_count(k)) ^ np.bitwise_count(k & g)
+    return (odd & 1) == 1
 
 
-def product_sign_with(gamma: int, keys: np.ndarray) -> np.ndarray:
+def product_sign_with(gamma, keys: np.ndarray) -> np.ndarray:
     """Sign of the anticommuting branch i*M_gamma*M_key = sign * M_{gamma^key}.
 
     For anticommuting pairs the product phase i^{r_a + r_b - r_{a^b}} *
@@ -92,16 +97,13 @@ def product_sign_with(gamma: int, keys: np.ndarray) -> np.ndarray:
     rotation branch leaves a real sign; this returns that +/-1 as float64.
     Only meaningful where :func:`anticommutes_with` is True.
     """
-    k = keys.astype(np.uint64, copy=False)
-    g = np.uint64(gamma)
-    da = int(np.bitwise_count(g))
-    db = np.bitwise_count(k).astype(np.int64)
-    dxor = np.bitwise_count(k ^ g).astype(np.int64)
-    r = (da * (da - 1) // 2 + db * (db - 1) // 2 - dxor * (dxor - 1) // 2) % 4
+    k = np.asarray(keys, dtype=np.uint64)
+    g = np.asarray(gamma, dtype=np.uint64)
+    degree = np.bitwise_count
+    r = (phase_exponent(degree(g)) + phase_exponent(degree(k)) - phase_exponent(degree(k ^ g))) % 4
     # r is 1 or 3 (mod 4) on the anticommuting set: i * i^1 = -1, i * i^3 = +1.
-    sign = np.where(r % 4 == 1, -1.0, 1.0)
-    parity = swap_parity_with(gamma, k)
-    return np.where(parity == 1, -sign, sign)
+    flip = (r == 1) ^ (swap_parity_with(g, k) == 1)
+    return np.where(flip, -1.0, 1.0)
 
 
 def paired_eigenvalues(keys: np.ndarray, occupation: int) -> np.ndarray:

@@ -18,7 +18,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 import scipy.optimize
@@ -34,7 +34,6 @@ from .integrals import IntegralTensors, aufbau_occupation, dress_integrals
 from .operators import SparseOperator
 from .pool import (
     Pool,
-    SelectionScore,
     build_majoranic_pool,
     is_refresh_iteration,
     rank_candidates,
@@ -46,11 +45,9 @@ from .pool import (
 from .surrogate import (
     SurrogateGraph,
     build_surrogate,
-    cut_landscapes,
     eval_energy,
     eval_energy_and_gradient,
     extend_surrogate,
-    final_layer,
 )
 
 __all__ = [
@@ -406,35 +403,6 @@ def load_circuit_json(text: str) -> tuple[FermionicCircuit, int]:
     return FermionicCircuit.from_json(json.dumps(payload)), occupation
 
 
-# ---- scoring dispatch ---------------------------------------------------------------
-
-
-def _gradient_scores(
-    pool: Pool,
-    indices: Sequence[int],
-    cut: int,
-    graph: SurrogateGraph,
-    theta: np.ndarray,
-    occupation: int,
-) -> list[SelectionScore]:
-    """Derivative magnitudes at theta=0 for a gate inserted at ``cut``.
-
-    A Heisenberg front gate touches the reference state directly, so when
-    the policy keeps every paired partner its derivative reads off the
-    fully evolved observable.  Anywhere else it is |b1 + 2 b2| of the
-    candidate's closed-form landscape at the cut.
-    """
-    if cut == 0 and graph.picture == "heisenberg" and graph.policy.paired_accept:
-        evolved = SparseOperator(graph.n_modes, graph.final_keys, final_layer(graph, theta))
-        return score_pool_gradient(pool, evolved, occupation=occupation, indices=indices)
-    gate_sets = [pool.candidates[idx].gates(theta.size) for idx in indices]
-    landscapes = cut_landscapes(graph, theta, cut, gate_sets)
-    return [
-        SelectionScore(idx, abs(b1 + 2.0 * b2))
-        for idx, (_, _, b1, _, b2) in zip(indices, landscapes)
-    ]
-
-
 # ---- the outer loop ---------------------------------------------------------------
 
 
@@ -521,7 +489,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
         # active rotations stay outermost
         cut = 0 if placement == "front" else n_body
         if use_gradient:
-            scores = _gradient_scores(pool, indices, cut, graph, theta, occupation)
+            scores = score_pool_gradient(pool, graph, theta, cut, indices)
         else:
             scores = score_pool_ggf(pool, graph, theta, cut, indices)
         if config.trim_tau is not None:

@@ -7,14 +7,14 @@ single length-4 monomial (all monomials acting once per mode with the same
 odd-site parity move a Fock state along the same orbit, so one
 representative per excitation suffices).
 
-Two scoring schemes are provided.  Gradient scores of gates at the
-Heisenberg front read the derivative at theta = 0 straight off the evolved
-operator via a commutator formula.  GGF (greedy gradient-free) scores
-minimize the exact single-angle landscape -- a sinusoid for a
-single-monomial gate, second harmonics for a composite -- whose
-coefficients are closed-form at any insertion point of the surrogate
-graph's circuit, and report the achievable energy improvement together
-with the minimizing angle.
+Both scoring schemes read the exact single-angle landscape of each
+candidate -- a sinusoid for a single-monomial gate, second harmonics for a
+composite -- whose coefficients ``surrogate.cut_landscapes`` gives in
+closed form for the whole pool at once, at any insertion point of the
+surrogate graph's circuit.  Gradient scores are the slope at theta = 0.
+GGF (greedy gradient-free) scores minimize the landscape, one eigenvalue
+call per companion-matrix size for the whole pool, and report the
+achievable energy improvement together with the minimizing angle.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .engine import Gate
-from .operators import SparseOperator
 from .surrogate import (  # noqa: F401 -- perfbench/tracing.py wraps pool.extend_surrogate
     SurrogateGraph,
     cut_landscapes,
@@ -43,6 +41,7 @@ __all__ = [
     "reduce_pool_equivalence",
     "score_pool_gradient",
     "fit_sinusoid",
+    "landscape_minima",
     "landscape_minimum",
     "probe_landscape",
     "score_pool_ggf",
@@ -251,52 +250,35 @@ def reduce_pool_equivalence(pool: Pool) -> Pool:
     return Pool(n_modes=pool.n_modes, candidates=kept)
 
 
-# ---- gradient scoring -------------------------------------------------------
+# ---- scoring ------------------------------------------------------------------
 
 
-def _monomial_gradient_heisenberg(
-    gamma: int, evolved: SparseOperator, occupation: int
-) -> float:
-    """dE/dtheta at 0 for a front gate: sum over anticommuting evolved terms
-    whose partner monomial is Fock-diagonal."""
-    keys = evolved.keys
-    anti = _kernels.anticommutes_with(gamma, keys)
-    if not anti.any():
-        return 0.0
-    partners = keys[anti] ^ np.uint64(gamma)
-    paired = _kernels.is_paired(partners)
-    if not paired.any():
-        return 0.0
-    signs = _kernels.product_sign_with(gamma, keys[anti][paired])
-    eigs = _kernels.paired_eigenvalues(partners[paired], occupation)
-    return float(np.sum(signs * evolved.coeffs[anti][paired] * eigs))
+def _landscapes(pool, graph, params, where, indices) -> tuple[list[int], np.ndarray]:
+    """Chosen candidate indices and their landscape rows at ``where``."""
+    if pool.n_modes != graph.n_modes:
+        raise ValueError(f"pool acts on {pool.n_modes} modes, the graph on {graph.n_modes}")
+    chosen = list(range(len(pool.candidates)) if indices is None else indices)
+    gate_sets = [pool.candidates[idx].gates(np.size(params)) for idx in chosen]
+    return chosen, cut_landscapes(graph, params, where, gate_sets)
 
 
 def score_pool_gradient(
     pool: Pool,
-    evolved: SparseOperator,
-    *,
-    occupation: int | None = None,
+    graph: SurrogateGraph,
+    params: np.ndarray,
+    where: Literal["front", "back"] | int = "front",
     indices: Sequence[int] | None = None,
 ) -> list[SelectionScore]:
-    """|dE/dtheta| at theta = 0 for each candidate placed at the circuit front.
+    """|dE/dt| at t = 0 per candidate inserted at ``where`` with angle t.
 
-    ``evolved`` is the Heisenberg-evolved Hamiltonian and ``occupation``
-    the reference determinant.  Composite candidates sum their members'
-    signed derivatives before taking the magnitude.
+    It is |b1 + 2 b2| of the candidate's landscape; a composite's gates
+    share t, so their derivatives sum before the magnitude is taken.
     """
-    if occupation is None:
-        raise ValueError("gradient scoring needs the reference occupation")
-    chosen = range(len(pool.candidates)) if indices is None else indices
-    out = []
-    for idx in chosen:
-        cand = pool.candidates[idx]
-        total = sum(
-            sign * _monomial_gradient_heisenberg(bits, evolved, occupation)
-            for bits, sign in zip(cand.generators, cand.signs)
-        )
-        out.append(SelectionScore(index=idx, score=abs(total)))
-    return out
+    chosen, rows = _landscapes(pool, graph, params, where, indices)
+    return [
+        SelectionScore(idx, float(abs(b1 + 2.0 * b2)))
+        for idx, (_, _, b1, _, b2) in zip(chosen, rows)
+    ]
 
 
 # ---- GGF scoring ------------------------------------------------------------
@@ -306,26 +288,45 @@ _PROBES = (_HALF_PI, -_HALF_PI, 0.5 * _HALF_PI, -0.5 * _HALF_PI)
 _TIE_HA = 1e-12  # energies or scores this close count as tied
 
 
-def landscape_minimum(coeffs: Sequence[float]) -> tuple[float, float]:
-    """(improvement, theta*) of a0 + a1 cos t + b1 sin t + a2 cos 2t + b2 sin 2t.
+def landscape_minima(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(improvements, theta*) of rows [a0, a1, b1, a2, b2] of landscapes
+    a0 + a1 cos t + b1 sin t + a2 cos 2t + b2 sin 2t.
 
     Stationary angles are roots of a quartic in z = e^{it} on the unit
-    circle.  Among those within 1e-12 Ha of the lowest (and t = 0), the one
-    nearest zero wins, and the positive one of a +-t pair: a composite
-    acting on a Fock state has a pi-periodic landscape, and roundoff in the
-    roots must not pick between t* and t* +- pi.  The improvement is <= 0,
-    and a landscape flat to 1e-12 gives (0, 0).
+    circle, from the companion matrices ``np.roots`` builds (one eigenvalue
+    call per size).  Among those within 1e-12 Ha of the lowest (and t = 0),
+    the one nearest zero wins, and the positive one of a +-t pair: a
+    composite acting on a Fock state has a pi-periodic landscape, and
+    roundoff in the roots must not pick between t* and t* +- pi.
+    Improvements are <= 0; a landscape flat to 1e-12 gives (0, 0).
     """
-    _, a1, b1, a2, b2 = coeffs
-    c1, c2 = a1 - 1j * b1, a2 - 1j * b2
-    roots = np.roots([2 * c2, c1, 0.0, -np.conj(c1), -2 * np.conj(c2)])
-    angles = np.append(0.0, np.angle(roots[np.abs(np.abs(roots) - 1.0) < 1e-6]))
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
+    c1, c2 = rows[:, 1] - 1j * rows[:, 2], rows[:, 3] - 1j * rows[:, 4]
+    poly = np.stack([2 * c2, c1, np.zeros_like(c1), -np.conj(c1), -2 * np.conj(c2)], 1)
+    roots = np.zeros((len(rows), 4), dtype=complex)  # 0 is off the circle
+    for degree, group in ((4, c2 != 0), (2, (c2 == 0) & (c1 != 0))):
+        if group.any():  # poly with its zero ends stripped, as np.roots strips them
+            q = poly[group, 2 - degree // 2: 3 + degree // 2]
+            companion = np.zeros((len(q), degree, degree), dtype=complex)
+            companion[:, 0] = -q[:, 1:] / q[:, :1]
+            companion[:, range(1, degree), range(degree - 1)] = 1.0
+            roots[group, :degree] = np.linalg.eigvals(companion)
+    angles = np.concatenate([np.zeros((len(rows), 1)), np.angle(roots)], 1)
     z = np.exp(1j * angles)
-    values = (c1 * z + c2 * z * z).real  # E(t) - a0
-    lowest = values <= values.min() + _TIE_HA
-    nearest = lowest & (np.abs(angles) <= np.abs(angles[lowest]).min() + 1e-9)
-    best = np.flatnonzero(nearest)[np.argmax(angles[nearest])]
-    return min(float(values[best] - values[0]), 0.0), float(angles[best])
+    values = (c1[:, None] * z + c2[:, None] * z * z).real  # E(t) - a0
+    values[:, 1:][np.abs(np.abs(roots) - 1.0) >= 1e-6] = np.inf
+    lowest = values <= values.min(1, keepdims=True) + _TIE_HA
+    size = np.abs(angles)
+    nearest = lowest & (size <= np.where(lowest, size, np.inf).min(1, keepdims=True) + 1e-9)
+    best = np.argmax(np.where(nearest, angles, -np.inf), 1)[:, None]
+    drop = np.take_along_axis(values, best, 1)[:, 0] - values[:, 0]
+    return np.where(drop > 0.0, 0.0, drop), np.take_along_axis(angles, best, 1)[:, 0]
+
+
+def landscape_minimum(coeffs: Sequence[float]) -> tuple[float, float]:
+    """(improvement, theta*) of one landscape row; see :func:`landscape_minima`."""
+    drop, theta = landscape_minima(coeffs)
+    return float(drop[0]), float(theta[0])
 
 
 def probe_landscape(energy: Callable[[float], float], e0: float, composite: bool) -> np.ndarray:
@@ -362,12 +363,11 @@ def score_pool_ggf(
     any point.  All improvements are <= 0; a flat landscape scores 0 with
     theta* = 0.
     """
-    chosen = list(range(len(pool.candidates)) if indices is None else indices)
-    gate_sets = [pool.candidates[idx].gates(np.size(params)) for idx in chosen]
-    landscapes = cut_landscapes(graph, params, where, gate_sets)
+    chosen, rows = _landscapes(pool, graph, params, where, indices)
+    drops, stars = landscape_minima(rows)
     return [
-        SelectionScore(idx, *landscape_minimum(coeffs))
-        for idx, coeffs in zip(chosen, landscapes)
+        SelectionScore(idx, float(drop), float(star))
+        for idx, drop, star in zip(chosen, drops, stars)
     ]
 
 

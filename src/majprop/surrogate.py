@@ -26,19 +26,18 @@ surviving intermediate value is reproduced bit for bit (each output slot
 receives at most a carried value plus one sine branch, so no sum is
 reassociated); only the closing dot products see a different summation
 tree, leaving energies and gradients equal to the full sweep's to roundoff.
-Evaluation never writes to the graph.  The final layer and the scoring
-landscapes keep running over the full recorded steps, since a new gate can
-turn keys that reach no sink weight into ones that do.
+Evaluation never writes to the graph.  The scoring landscapes keep running
+over the full recorded steps, since a new gate can turn keys that reach no
+sink weight into ones that do.
 
 A graph takes new gates at any cut of its gate list: the steps before the
 cut are kept, and the new gates and the rest of the sweep are recorded
 from the layer at the cut.  At the end the graph was recorded towards
 (front of the circuit in the Heisenberg picture, back in the Schrodinger
-picture) that rest is empty.  Scoring a new gate inserts nothing: its
-single-angle landscape at any cut is closed-form.  The layer at the cut is
-split through the gate, and the rest of the sweep, recorded once from all
-split keys together, weighs each key by its sink weight pulled back to the
-cut; at the natural end the final layer alone gives the landscape.
+picture) that rest is empty.  Scoring inserts nothing: a gate's landscape
+at any cut sums the paths of the layer's keys through it that end on a
+weighted key, and one kernel finds those paths for a whole pool from the
+weighted side and sums them in one pass.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ __all__ = [
     "eval_energy",
     "eval_energy_and_gradient",
     "extend_surrogate",
-    "final_layer",
 ]
 
 
@@ -362,11 +360,6 @@ def _forward(
     return v
 
 
-def final_layer(graph: SurrogateGraph, params: np.ndarray) -> np.ndarray:
-    """Propagated coefficients over ``graph.final_keys`` at the given angles."""
-    return _forward(graph, _check_params(graph, params))
-
-
 def eval_energy(graph: SurrogateGraph, params: np.ndarray) -> float:
     """Energy at the given angles from one forward pass over the pruned graph."""
     params = _check_params(graph, params)
@@ -455,13 +448,11 @@ def extend_surrogate(
     return _close(replace(graph, circuit=circuit, steps=graph.steps[:depth] + steps), keys)
 
 
-# c^i s^j of the shared angle as [a0, a1, b1, a2, b2], by (i, j): c^2 =
-# (1 + cos 2t)/2, s^2 = (1 - cos 2t)/2, cs = (sin 2t)/2
-_HARMONICS = {
-    (0, 0): np.array([1.0, 0, 0, 0, 0]), (1, 0): np.array([0, 1.0, 0, 0, 0]),
-    (0, 1): np.array([0, 0, 1.0, 0, 0]), (2, 0): np.array([0.5, 0, 0, 0.5, 0]),
-    (0, 2): np.array([0.5, 0, 0, -0.5, 0]), (1, 1): np.array([0, 0, 0, 0, 0.5]),
-}
+# [a0, a1, b1, a2, b2] of c^i s^j of the new angle t, row i + 3j: c^2 =
+# (1 + cos 2t)/2, s^2 = (1 - cos 2t)/2, cs = (sin 2t)/2 (c^2 s never occurs)
+_HARMONICS = np.array([[1.0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0.5, 0, 0, 0.5, 0], [0, 0, 1, 0, 0],
+                       [0, 0, 0, 0, 0.5], [0, 0, 0, 0, 0], [0.5, 0, 0, -0.5, 0]])
+_BLOCK = 1 << 18  # paths followed at once
 
 
 def _layer_keys(graph: SurrogateGraph, depth: int) -> np.ndarray:
@@ -493,6 +484,17 @@ def _far_weights(
     return w
 
 
+def _spans(starts: np.ndarray, counts: np.ndarray):
+    """(owner, position) of starts[i] + [0, counts[i]), in chunks of whole owners."""
+    ends = np.cumsum(counts)
+    first, lo = ends - counts, 0
+    while lo < counts.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, first[lo] + _BLOCK, "right")))
+        owner = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        yield owner, starts[owner] + np.arange(owner.size) + first[lo] - first[owner]
+        lo = hi
+
+
 def cut_landscapes(
     graph: SurrogateGraph,
     params: np.ndarray,
@@ -505,59 +507,86 @@ def cut_landscapes(
     a2 cos 2t + b2 sin 2t for the (at most two) gates of ``gate_sets[k]``
     entering the sweep in list order at the cut with one new angle t
     (``where`` is "front", "back" or the index of the gate the set goes
-    before, as for :func:`extend_surrogate`).  The graph's own layer
-    at the cut (the near half) is split per gate set in c = cos t and
-    s = sin t; the rest of the sweep (the far half) is recorded once from
-    the union of all split keys and its sink pulled back to the cut, which
-    weighs every key as a fresh build of the extended circuit would.  At
-    the natural end the far half is empty and the weights are the sink's.
+    before, as for :func:`extend_surrogate`).  E(t) sums v(x) c^i s^j w(z)
+    over the paths of the live keys x of the layer at the cut that end on
+    a key z = x ^ gamma_F of nonzero weight (F: the gates whose sine branch
+    the path takes).  At the Heisenberg natural end w weighs paired keys,
+    and z is paired iff x has gamma_F's pairing defect.  Elsewhere the far
+    half of the sweep, recorded once from the layer's keys and all their
+    partners, pulls the sink back onto them as a fresh build of the
+    extended circuit would, and each weighted z ^ gamma_F is looked up.
     """
     params = _check_params(graph, params)
     _, depth = _cut(graph, where)
     v = _forward(graph, params, depth=depth)
     live = v != 0.0
     keys, v = _layer_keys(graph, depth)[live], v[live]
+    gens, signs = np.zeros((len(gate_sets), 2), np.uint64), np.ones((len(gate_sets), 2))
+    for row, gates in enumerate(gate_sets):
+        if len(gates) > 2:
+            raise ValueError("landscapes are resolved for at most two gates")
+        for k, gate in enumerate(gates):
+            gens[row, k], signs[row, k] = gate.generator, gate.sign
+    # pattern 4 * row + F; a lone gate pairs with the identity, which has no sine branch
+    sine = (np.arange(4)[:, None] >> np.arange(2)) & 1 == 1
+    valid = ~(sine & (gens[:, None] == 0)).any(2).ravel()
+    gamma = np.bitwise_xor.reduce(np.where(sine, gens[:, None], 0), axis=2).ravel()
     sin_sign = 1.0 if graph.picture == "heisenberg" else -1.0
 
-    def landscapes(weigh):
-        """Per gate set, (cos power, sin power) -> keys, weights, sink weights.
+    def walk(pattern, ix):
+        """Paths of the keys ``keys[ix]`` through the pairs ``gens[pattern >> 2]``,
+        taking gate k's sine branch where bit k of ``pattern`` is set: each
+        path's final key, whether it exists (a sine branch needs an
+        anticommuting gate and a kept partner), its harmonic and its sign."""
+        row, key = pattern >> 2, keys[ix]
+        harmonic, sign = np.zeros(ix.size, int), np.ones(ix.size)
+        exists = np.ones(ix.size, bool)
+        for k in (0, 1):
+            gen, flip = gens[row, k], (pattern >> k) & 1 == 1
+            harmonic += _kernels.anticommutes_with(gen, key) & ~flip
+            at = np.flatnonzero(flip)
+            src, gen = key[at], gen[at]
+            key = key.copy()
+            key[at] = partner = src ^ gen
+            kept = graph.policy.survivor_mask(partner, np.zeros(at.size))
+            exists[at] &= _kernels.anticommutes_with(gen, src) & kept
+            sign[at] *= sin_sign * signs[row[at], k] * _kernels.product_sign_with(gen, src)
+            harmonic[at] += 3
+        return key, exists, harmonic, sign
 
-        A commuting key keeps its factor, an anticommuting key gains c, and
-        its partner k ^ gamma gains the signed s where the policy keeps it.
-        """
-        base = {(0, 0): (keys, v, weigh(keys))}
-        for gates in gate_sets:
-            if len(gates) > 2:
-                raise ValueError("landscapes are resolved for at most two gates")
-            terms = base
-            for gate in gates:
-                split: dict[tuple[int, int], list] = {}
-                for (i, j), (k, w, h) in terms.items():
-                    anti = _kernels.anticommutes_with(gate.generator, k)
-                    partner = k[anti] ^ np.uint64(gate.generator)
-                    keep = graph.policy.survivor_mask(partner, np.zeros(partner.shape))
-                    sign = _kernels.product_sign_with(gate.generator, k[anti][keep])
-                    sin_w = (sin_sign * gate.sign) * sign * w[anti][keep]
-                    split.setdefault((i, j), []).append((k[~anti], w[~anti], h[~anti]))
-                    split.setdefault((i + 1, j), []).append((k[anti], w[anti], h[anti]))
-                    split.setdefault((i, j + 1), []).append(
-                        (partner[keep], sin_w, weigh(partner[keep]))
-                    )
-                terms = {ij: tuple(map(np.concatenate, zip(*parts))) for ij, parts in split.items()}
-            yield terms
+    if depth == len(graph.steps) and graph.picture == "heisenberg":
+        defect = _kernels.pairing_defect(keys)
+        order = np.argsort(defect, kind="stable")
+        target = _kernels.pairing_defect(gamma)
+        starts = np.searchsorted(defect[order], target, "left")
+        counts = np.where(valid, np.searchsorted(defect[order], target, "right") - starts, 0)
 
-    if depth == len(graph.steps):
-        weigh = lambda k: _sink_weights(graph, k)  # noqa: E731
+        def resolve(pattern, pos):
+            ix = order[pos]
+            return pattern, ix, _sink_weights(graph, keys[ix] ^ gamma[pattern])
     else:
-        # terms without a sine factor hold layer keys only
-        seen = [k for terms in landscapes(lambda k: k) for (_, j), (k, _, _) in terms.items() if j]
-        union = np.unique(np.concatenate([keys] + seen))
+        split = np.where(valid & (np.arange(valid.size) % 4 > 0), keys.size, 0)
+        partners = [keys]
+        for pattern, ix in _spans(np.zeros_like(split), split):
+            z, exists, _, _ = walk(pattern, ix)
+            partners.append(z[exists])
+        weighted = np.unique(np.concatenate(partners))
         far = _processed_gates(graph.circuit, graph.picture)[depth:]
-        pulled = _far_weights(graph, params, union, far)
-        weigh = lambda k: pulled[np.searchsorted(union, k)]  # noqa: E731
-    out = np.zeros((len(gate_sets), 5))
-    for row, terms in zip(out, landscapes(weigh)):
-        for ij, (_, w, h) in terms.items():
-            row += float(np.dot(w, h)) * _HARMONICS[ij]
-    return out
+        weights = _far_weights(graph, params, weighted, far)
+        weighted, weights = weighted[weights != 0.0], weights[weights != 0.0]
+        starts, counts = np.zeros(valid.size, int), np.where(valid, weighted.size, 0)
 
+        def resolve(pattern, pos):
+            x = weighted[pos] ^ gamma[pattern]
+            at = np.minimum(np.searchsorted(keys, x), keys.size - 1)
+            hit = keys[at] == x
+            return pattern[hit], at[hit], weights[pos[hit]]
+
+    sums = np.zeros((valid.size, 7))
+    for pattern, pos in _spans(starts, counts):
+        pattern, ix, weight = resolve(pattern, pos)
+        _, exists, harmonic, sign = walk(pattern, ix)
+        values = np.where(exists, v[ix] * sign * weight, 0.0)
+        sums += np.bincount(7 * pattern + harmonic, values, sums.size).reshape(-1, 7)
+    rows = sums.reshape(-1, 4, 7).sum(1)  # each row's patterns in order, whatever the batch
+    return (rows[:, :, None] * _HARMONICS).sum(1)

@@ -347,8 +347,9 @@ def test_c09_h4_chain_reaches_the_dense_ground_state():
 
 
 def test_c09_h8_casci_reference_optional():
-    """Given externally generated H8/cc-pVTZ-FNO integrals, the sector
-    eigensolve must reproduce the published reference energy to 1e-5."""
+    """Given externally generated H8/STO-3G integrals (``h8_sto3g.fcidump``),
+    the sector eigensolve must reproduce the published reference energy to
+    1e-5."""
     path = FIXTURES / "h8_sto3g.fcidump"
     if not path.exists():
         pytest.skip("optional H8 integrals not bundled; place h8_sto3g.fcidump "

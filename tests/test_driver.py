@@ -17,7 +17,6 @@ from majprop.driver import (
     RunConfig,
     Trajectory,
     TrajectoryRow,
-    _gradient_scores,
     decompose_single_excitation,
     init_active_rotations,
     load_circuit_json,
@@ -28,7 +27,7 @@ from majprop.hamiltonian import build_majorana_hamiltonian, ladder_product, spin
 from majprop.integrals import aufbau_occupation, dress_integrals, parse_fcidump
 from majprop.monomials import MajoranaMonomial
 from majprop.oracle import basis_state, circuit_state, dense_monomial
-from majprop.pool import Pool, PoolCandidate, single_excitation_monomials
+from majprop.pool import Pool, PoolCandidate, score_pool_gradient, single_excitation_monomials
 from majprop.surrogate import build_surrogate, eval_energy
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -349,9 +348,7 @@ def test_gradient_scores_are_derivatives_of_the_rebuilt_graph(rng, picture, plac
                     for p, q in ((1, 4), (2, 7))
                 ]
                 cut = 0 if placement == "front" else n_body
-                scores = _gradient_scores(
-                    Pool(n, cands), list(range(len(cands))), cut, graph, theta, occ
-                )
+                scores = score_pool_gradient(Pool(n, cands), graph, theta, cut)
                 for score, cand in zip(scores, cands):
                     trial = circuit.copy()
                     trial.params = np.append(theta, 0.0)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -56,7 +57,9 @@ def test_no_private_imports_from_other_packages():
 
 def test_traced_entry_points_exist(monkeypatch):
     """The benchmark's tracer wraps layer entry points by name; each one it
-    lists must exist in the module it names, or ``--trace 1`` breaks."""
+    lists must exist in the module it names, or ``--trace 1`` breaks.  It
+    counts a scoring call's candidates by binding the scorer's arguments
+    named ``pool`` and ``indices``."""
     path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -70,3 +73,5 @@ def test_traced_entry_points_exist(monkeypatch):
         if not hasattr(modules[module], attr)
     ]
     assert missing == []
+    for scorer in (majprop.driver.score_pool_ggf, majprop.driver.score_pool_gradient):
+        assert {"pool", "indices"} <= set(inspect.signature(scorer).parameters)

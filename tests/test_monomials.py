@@ -170,6 +170,30 @@ def test_kernels_match_scalar_randomized(rng):
             assert 1j * monomial_product(g, m).phase == pytest.approx(s)
 
 
+def test_kernels_broadcast_generators_against_keys(rng):
+    """One generator per key, or a column of generators against a row of
+    keys, matches the scalar reference; gamma = 0 commutes with everything."""
+    n = 8
+    keys = rng.integers(0, 1 << (2 * n), size=200).astype(np.uint64)
+    gammas = rng.integers(0, 1 << (2 * n), size=200).astype(np.uint64)
+    gammas[:10] = 0
+    anti = _kernels.anticommutes_with(gammas, keys)
+    signs = _kernels.product_sign_with(gammas, keys)
+    for gamma, bits, a_flag, s in zip(gammas.tolist(), keys.tolist(), anti, signs):
+        g, m = MajoranaMonomial(int(gamma), n), MajoranaMonomial(int(bits), n)
+        assert a_flag == (not monomials_commute(g, m))
+        if a_flag:
+            assert 1j * monomial_product(g, m).phase == pytest.approx(s)
+    assert not anti[:10].any()
+    grid = _kernels.anticommutes_with(gammas[:20, None], keys[None, :30])
+    assert grid.shape == (20, 30)
+    for gamma, row in zip(gammas[:20].tolist(), grid):
+        assert np.array_equal(row, _kernels.anticommutes_with(int(gamma), keys[:30]))
+    parity = _kernels.swap_parity_with(gammas[:20, None], keys[None, :30])
+    for gamma, row in zip(gammas[:20].tolist(), parity):
+        assert np.array_equal(row, _kernels.swap_parity_with(int(gamma), keys[:30]))
+
+
 def test_paired_eigenvalue_kernel_matches_scalar(rng):
     n = 6
     pair_masks = []

@@ -26,6 +26,7 @@ from majprop.pool import (
     SelectionScore,
     build_majoranic_pool,
     is_refresh_iteration,
+    landscape_minima,
     landscape_minimum,
     probe_landscape,
     rank_candidates,
@@ -244,11 +245,31 @@ def test_gradient_score_is_the_derivative_heisenberg(rng):
     theta = rng.uniform(-1.0, 1.0, circuit.n_slots)
     evolved = propagate(h, circuit, "heisenberg", params=theta)
     pool = build_majoranic_pool(4, 2)
-    scores = score_pool_gradient(pool, evolved, occupation=OCC)
+    graph = build_surrogate(evolved, _empty_circuit(), OCC)
+    scores = score_pool_gradient(pool, graph, np.zeros(0))
     step = 1e-5
     for idx in (0, 3, 8, 9, 14, 25):
         plus = _extended_energy(h, circuit, theta, pool.candidates[idx], step, "front")
         minus = _extended_energy(h, circuit, theta, pool.candidates[idx], -step, "front")
+        fd = (plus - minus) / (2 * step)
+        assert scores[idx].score == pytest.approx(abs(fd), rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+def test_gradient_score_is_the_derivative_at_a_mid_cut(rng, picture):
+    h = inst.random_molecular_hamiltonian(N, rng)
+    circuit = inst.random_circuit(N, 6, rng)
+    theta = rng.uniform(-1.0, 1.0, circuit.n_slots)
+    pool = build_majoranic_pool(4, 2)
+    graph = build_surrogate(h, circuit, OCC, None, picture)
+    scores = score_pool_gradient(pool, graph, theta, where=3)
+    step = 1e-5
+    for idx in (0, 3, 8, 9, 14, 25):
+        trial = _spliced(circuit, theta, pool.candidates[idx], 3)
+        plus, minus = (
+            expectation(h, trial, OCC, None, picture, params=np.append(theta, t))
+            for t in (step, -step)
+        )
         fd = (plus - minus) / (2 * step)
         assert scores[idx].score == pytest.approx(abs(fd), rel=1e-6, abs=1e-9)
 
@@ -259,28 +280,68 @@ def test_gradient_score_zero_for_commuting_generator():
         N, np.array([0, gamma], dtype=np.uint64), np.array([0.3, 0.7])
     )
     pool = Pool(N, [PoolCandidate((int(gamma),), (1,), "self")])
-    scores = score_pool_gradient(pool, evolved, occupation=OCC)
+    graph = build_surrogate(evolved, _empty_circuit(), OCC)
+    scores = score_pool_gradient(pool, graph, np.zeros(0))
     assert scores[0].score == 0.0
 
 
 def test_gradient_score_requires_matching_context(rng):
+    """The pool must act on the graph's modes, and the angles must cover
+    the graph's parameter slots."""
     h = inst.random_molecular_hamiltonian(N, rng)
     pool = build_majoranic_pool(4, 2)
-    with pytest.raises(ValueError, match="occupation"):
-        score_pool_gradient(pool, h)
+    graph = build_surrogate(h, _empty_circuit(), OCC)
+    with pytest.raises(ValueError, match="modes"):
+        score_pool_gradient(build_majoranic_pool(5, 2), graph, np.zeros(0))
+    graph = build_surrogate(h, inst.random_circuit(N, 3, rng), OCC)
+    with pytest.raises(ValueError, match="params"):
+        score_pool_gradient(pool, graph, np.zeros(0))
 
 
 def test_gradient_scoring_respects_index_subset(rng):
     h = inst.random_molecular_hamiltonian(N, rng)
     pool = build_majoranic_pool(4, 2)
-    full = score_pool_gradient(pool, h, occupation=OCC)
-    part = score_pool_gradient(pool, h, occupation=OCC, indices=[2, 7, 11])
+    graph = build_surrogate(h, _empty_circuit(), OCC)
+    full = score_pool_gradient(pool, graph, np.zeros(0))
+    part = score_pool_gradient(pool, graph, np.zeros(0), indices=[2, 7, 11])
     assert [s.index for s in part] == [2, 7, 11]
     for s in part:
         assert s.score == full[s.index].score
 
 
 # ---- GGF scoring --------------------------------------------------------------
+
+
+def _per_row_minimum(coeffs):
+    """One row at a time, through np.roots: the reference for the batch."""
+    _, a1, b1, a2, b2 = coeffs
+    c1, c2 = a1 - 1j * b1, a2 - 1j * b2
+    roots = np.roots([2 * c2, c1, 0.0, -np.conj(c1), -2 * np.conj(c2)])
+    angles = np.append(0.0, np.angle(roots[np.abs(np.abs(roots) - 1.0) < 1e-6]))
+    z = np.exp(1j * angles)
+    values = (c1 * z + c2 * z * z).real
+    lowest = values <= values.min() + 1e-12
+    nearest = lowest & (np.abs(angles) <= np.abs(angles[lowest]).min() + 1e-9)
+    best = np.flatnonzero(nearest)[np.argmax(angles[nearest])]
+    return min(float(values[best] - values[0]), 0.0), float(angles[best])
+
+
+def test_batched_landscape_minima_equal_the_per_row_roots(rng):
+    """Random rows, rows without first or second harmonics, flat rows and
+    rows whose minima tie at +-t or t and t + pi: the batch gives exactly
+    what np.roots gives row by row."""
+    rows = rng.normal(size=(240, 5))
+    rows[:30, 1:3] = 0.0  # c1 = 0
+    rows[30:60, 3:] = 0.0  # c2 = 0 (a single gate)
+    rows[60:70, 1:] = 0.0  # flat
+    rows[70:80, 1:] = rng.normal(scale=1e-13, size=(10, 4))  # flat to the tie rule
+    rows[80:110, 2::2] = 0.0  # even in t: minima at +-t
+    rows[110:140, 1:3] = rng.normal(scale=1e-15, size=(30, 2))  # pi-periodic to roundoff
+    rows[140:170] = np.round(rows[140:170], 1)
+    drops, stars = landscape_minima(rows)
+    for row, drop, star in zip(rows, drops, stars):
+        assert (drop, star) == _per_row_minimum(row)
+        assert landscape_minimum(row) == (drop, star)
 
 
 def test_ggf_single_monomial_landscape_is_a_sinusoid(rng):
