@@ -5,7 +5,7 @@ The package is organised around a few layers:
 * ``monomials`` / ``operators`` -- exact algebra of Majorana monomials and
   sparse real-coefficient operators built from them.
 * ``engine`` -- Heisenberg/Schrodinger propagation of operators through
-  fermionic rotation circuits, with truncation policies.
+  fermionic rotation circuits, truncated by Majorana length.
 * ``surrogate`` -- an angle-independent computational graph recorded from one
   propagation sweep, enabling fast re-evaluation and gradients.
 * ``pool``, ``driver`` -- operator pools, selection scoring and the adaptive

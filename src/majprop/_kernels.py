@@ -30,17 +30,6 @@ def popcount(keys: np.ndarray) -> np.ndarray:
     return np.bitwise_count(keys)
 
 
-def mode_support(keys: np.ndarray) -> np.ndarray:
-    """Mask of modes touched by each key, folded onto the odd bit positions."""
-    k = keys.astype(np.uint64, copy=False)
-    return (k | (k >> np.uint64(1))) & ODD_SITE_MASK
-
-
-def generalized_length(keys: np.ndarray) -> np.ndarray:
-    """Number of distinct modes each monomial acts on."""
-    return np.bitwise_count(mode_support(keys))
-
-
 def pairing_defect(keys: np.ndarray) -> np.ndarray:
     """Odd-site mask of the modes a key touches once; linear under XOR, so
     ``a ^ b`` is paired exactly where ``a`` and ``b`` have equal defects."""

@@ -184,10 +184,9 @@ def evaluate(fcidump_path, circuit_path, cutoffs, picture, out_path) -> None:
 @cli.command("pool-info")
 @click.option("--occupied", type=int, required=True, help="Occupied spatial orbitals per sector.")
 @click.option("--virtual", type=int, required=True, help="Virtual spatial orbitals per sector.")
-@click.option("--constraints", default="spin-preserving", show_default=True)
-def pool_info(occupied, virtual, constraints) -> None:
-    """Print the candidate pool sizes for an active-space shape."""
-    pool = build_majoranic_pool(occupied + virtual, occupied, virtual, constraints)
+def pool_info(occupied, virtual) -> None:
+    """Print the spin-preserving pool sizes for an active-space shape."""
+    pool = build_majoranic_pool(occupied + virtual, occupied, virtual)
     info = pool.describe()
     reduced = reduce_pool_equivalence(pool)
     click.echo(f"singles {info['singles']}")

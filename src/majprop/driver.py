@@ -40,6 +40,7 @@ from .pool import (
     reduce_pool_equivalence,
     score_pool_ggf,
     score_pool_gradient,
+    single_excitation_monomials,
     trim_pool,
 )
 from .surrogate import (
@@ -88,7 +89,6 @@ def decompose_single_excitation(
     n_spatial: int,
     slot: int,
     label: str | None = None,
-    ordering: str = "interleaved",
 ) -> list[Gate]:
     """Two commuting rotations implementing exp(theta (a+_p a_q - a+_q a_p)).
 
@@ -99,10 +99,8 @@ def decompose_single_excitation(
     """
     if p == q:
         raise ValueError("single excitation requires two distinct orbitals")
-    from .pool import single_excitation_monomials
-
-    mode_p = spin_orbital_mode(p, sector, n_spatial, ordering)
-    mode_q = spin_orbital_mode(q, sector, n_spatial, ordering)
+    mode_p = spin_orbital_mode(p, sector, n_spatial)
+    mode_q = spin_orbital_mode(q, sector, n_spatial)
     a, b = single_excitation_monomials(mode_p, mode_q)
     sign = -1 if mode_p > mode_q else 1
     text = label if label is not None else f"x {sector[0]} {q}->{p}"
@@ -113,9 +111,7 @@ def decompose_single_excitation(
 
 
 def init_active_rotations(
-    n_spatial: int,
-    sharing: str = "restricted",
-    ordering: str = "interleaved",
+    n_spatial: int, sharing: str = "restricted"
 ) -> tuple[list[Gate], int, list[tuple[int, int, str, int]]]:
     """The outermost orbital-rotation block, all angles starting at zero.
 
@@ -140,7 +136,6 @@ def init_active_rotations(
                 decompose_single_excitation(
                     q, qp, sector, n_spatial, slot,
                     label=f"r {sector[0]} {q}<->{qp}",
-                    ordering=ordering,
                 )
             )
             spec.append((q, qp, sector, slot))
@@ -298,7 +293,6 @@ class RunConfig:
     picture: str = "heisenberg"
     placement: str | None = None  # defaults to front (Heisenberg) / back (Schrodinger)
     selection: str = "ggf"  # gradient | ggf | mixed
-    pool_constraints: str = "spin-preserving"
     reduce_pool: bool = True
     trim_tau: int | None = None
     trim_kappa: int = 25
@@ -307,7 +301,6 @@ class RunConfig:
     gate_init: str | None = None  # zero | ggf_theta_star; None follows the scorer
     rotation_sharing: str = "restricted"
     improvement_floor: float = 1e-9
-    generalized_length_cutoff: int | None = None
     paired_accept: bool | None = None
     max_live_monomials: int | None = None
 
@@ -323,11 +316,7 @@ class RunConfig:
         return "zero" if used_gradient_scores else "ggf_theta_star"
 
     def policy(self) -> TruncationPolicy:
-        return TruncationPolicy(
-            length_cutoff=self.cutoff,
-            generalized_length_cutoff=self.generalized_length_cutoff,
-            paired_accept=self.paired_accept,
-        )
+        return TruncationPolicy(length_cutoff=self.cutoff, paired_accept=self.paired_accept)
 
     def validate(self, hamiltonian_max_length: int) -> None:
         if self.max_iterations < 0:
@@ -436,9 +425,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
     occupation = aufbau_occupation(tensors.n_electrons)
     occ_alpha = bin(occupation & 0x5555555555555555).count("1")
     occ_beta = bin(occupation & 0xAAAAAAAAAAAAAAAA).count("1")
-    pool = build_majoranic_pool(
-        n_spatial, (occ_alpha, occ_beta), constraints=config.pool_constraints
-    )
+    pool = build_majoranic_pool(n_spatial, (occ_alpha, occ_beta))
     placement = config.resolved_placement
     if config.reduce_pool and placement == "front":
         # new gates act directly on the reference state there, where whole
@@ -498,16 +485,12 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
                 larger_is_better=use_gradient,
             )
         best = rank_candidates(scores, larger_is_better=use_gradient)[0]
-        if use_gradient:
-            ggf_best = score_pool_ggf(pool, graph, theta, cut, [best.index])[0]
-        else:
-            ggf_best = best
-        if abs(ggf_best.score) < config.improvement_floor:
+        if abs(best.improvement) < config.improvement_floor:
             break
 
         candidate = pool.candidates[best.index]
         init_angle = (
-            ggf_best.theta_star
+            best.theta_star
             if config.resolved_gate_init(use_gradient) == "ggf_theta_star"
             else 0.0
         )

@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -117,18 +117,6 @@ class FermionicCircuit:
             for g in self.gates
         ]
 
-    def add_slot(self, value: float = 0.0) -> int:
-        """Append a fresh parameter slot; returns its index."""
-        self.params = np.append(self.params, float(value))
-        return self.params.size - 1
-
-    def insert_front(self, gates: Sequence[Gate]) -> None:
-        """Place gates next to the reference state (they act first)."""
-        self.gates[:0] = list(gates)
-
-    def append_back(self, gates: Sequence[Gate]) -> None:
-        self.gates.extend(gates)
-
     def copy(self) -> "FermionicCircuit":
         return FermionicCircuit(self.n_modes, list(self.gates), self.params.copy())
 
@@ -179,24 +167,20 @@ class FermionicCircuit:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Rules deciding which sine-branch monomials survive a gate step.
+    """Rule deciding which sine-branch monomials survive a gate step.
 
-    Acceptance rules run before rejection rules: a paired monomial (when
-    ``paired_accept`` applies) or a coefficient at least ``coeff_accept_tau``
-    in magnitude is kept no matter its length; anything else is dropped if
-    its Majorana length exceeds ``length_cutoff``, it touches more modes
-    than ``generalized_length_cutoff``, or its coefficient falls below
-    ``coeff_truncate_tau``.
+    A new monomial is dropped when its Majorana length exceeds
+    ``length_cutoff``, unless it is fully paired and ``paired_accept``
+    applies.  The rule never looks at coefficients, so the surviving set
+    depends only on the circuit structure, not on its angles.
 
     ``paired_accept`` left as None defers to the picture default: on when
     evolving observables (their paired part carries the whole Fock
-    expectation), off when evolving a state projector.
+    expectation), off when evolving a state projector.  ``hygiene_eps``
+    drops propagated terms whose coefficient has cancelled below it.
     """
 
     length_cutoff: int | None = None
-    generalized_length_cutoff: int | None = None
-    coeff_truncate_tau: float | None = None
-    coeff_accept_tau: float | None = None
     paired_accept: bool | None = None
     hygiene_eps: float = 1e-15
 
@@ -205,28 +189,13 @@ class TruncationPolicy:
             return self
         return replace(self, paired_accept=(picture == "heisenberg"))
 
-    @property
-    def angle_independent(self) -> bool:
-        """Whether survival decisions ignore coefficient values."""
-        return self.coeff_truncate_tau is None and self.coeff_accept_tau is None
-
-    def survivor_mask(self, keys: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """Boolean keep-mask for candidate sine-branch terms."""
-        keep = np.ones(keys.shape, dtype=bool)
-        rejectable = np.ones(keys.shape, dtype=bool)
+    def survivor_mask(self, keys: np.ndarray) -> np.ndarray:
+        """Boolean keep-mask for candidate sine-branch keys."""
+        if self.length_cutoff is None:
+            return np.ones(keys.shape, dtype=bool)
+        keep = _kernels.popcount(keys) <= self.length_cutoff
         if self.paired_accept:
-            rejectable &= ~_kernels.is_paired(keys)
-        if self.coeff_accept_tau is not None:
-            rejectable &= np.abs(coeffs) < self.coeff_accept_tau
-        if self.length_cutoff is not None:
-            keep &= ~(rejectable & (_kernels.popcount(keys) > self.length_cutoff))
-        if self.generalized_length_cutoff is not None:
-            keep &= ~(
-                rejectable
-                & (_kernels.generalized_length(keys) > self.generalized_length_cutoff)
-            )
-        if self.coeff_truncate_tau is not None:
-            keep &= ~(rejectable & (np.abs(coeffs) < self.coeff_truncate_tau))
+            keep |= _kernels.is_paired(keys)
         return keep
 
 
@@ -284,7 +253,7 @@ def _gate_step(
         * _kernels.product_sign_with(gamma, keys[anti])
         * coeffs[anti]
     )
-    keep = policy.survivor_mask(cand_keys, cand_coeffs)
+    keep = policy.survivor_mask(cand_keys)
     merged_keys, merged_coeffs = _kernels.sort_canonical(
         np.concatenate([keys, cand_keys[keep]]),
         np.concatenate([out_coeffs, cand_coeffs[keep]]),

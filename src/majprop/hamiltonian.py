@@ -3,9 +3,9 @@
 The ladder operators expand as a_p = (m_{2p-1} + i m_{2p})/2 and its
 adjoint with the opposite sign, so every one- and two-body integral term
 becomes a short real combination of even monomials of length at most four.
-Spin orbitals map to modes either interleaved (alpha odd, beta even; the
-default, keeping each spatial orbital's pair of modes adjacent) or blocked
-(all alpha first).
+Spin orbitals map to modes interleaved: spatial orbital p holds modes 2p-1
+(alpha) and 2p (beta), so each orbital's pair of modes stays adjacent.
+:func:`spin_orbital_mode` is the one place that layout is decided.
 
 Every term is expanded in its normal-ordered form (a+_p a_q for one body,
 a+ a+ a a for two) by one batched kernel, :func:`ladder_terms`: a whole
@@ -36,15 +36,11 @@ _PRUNE = 1e-14
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def spin_orbital_mode(p: int, sector: str, n_spatial: int, ordering: str = "interleaved") -> int:
+def spin_orbital_mode(p: int, sector: str, n_spatial: int) -> int:
     """1-based mode index of spatial orbital p with the given spin."""
     if not 1 <= p <= n_spatial:
         raise ValueError(f"spatial orbital {p} outside 1..{n_spatial}")
-    if ordering == "interleaved":
-        return 2 * p - 1 if sector == "alpha" else 2 * p
-    if ordering == "blocked":
-        return p if sector == "alpha" else n_spatial + p
-    raise ValueError(f"unknown spin-orbital ordering {ordering!r}")
+    return 2 * p - 1 if sector == "alpha" else 2 * p
 
 
 def ladder_terms(
@@ -129,9 +125,7 @@ def assemble_operator(
     return SparseOperator(n_modes, keys[keep], real[keep])
 
 
-def build_majorana_hamiltonian(
-    t: IntegralTensors, ordering: str = "interleaved"
-) -> SparseOperator:
+def build_majorana_hamiltonian(t: IntegralTensors) -> SparseOperator:
     """Expand H = E_core + sum h_pq a+_p a_q + 1/2 sum (ij|kl) a+ a+ a a.
 
     The two-electron part uses the chemist-ordered integrals directly:
@@ -142,7 +136,7 @@ def build_majorana_hamiltonian(
     """
     n = t.n_spatial
     spins = ("alpha", "beta")
-    mode = {s: np.array([spin_orbital_mode(p, s, n, ordering) for p in range(1, n + 1)])
+    mode = {s: np.array([spin_orbital_mode(p, s, n) for p in range(1, n + 1)])
             for s in spins}
     parts = [ladder_terms([[]], (), [t.core_energy])]  # the empty string is the identity
     for s in spins:

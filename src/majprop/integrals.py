@@ -360,27 +360,18 @@ def dress_integrals(
 
 
 def aufbau_occupation(n_electrons: int) -> int:
-    """Fill the lowest spin orbitals; with interleaved ordering and an even
+    """Fill the lowest spin orbitals; with the interleaved layout and an even
     electron count this is the closed-shell reference determinant."""
     return (1 << n_electrons) - 1
 
 
-def _mode_spin_spatial(mode: int, n_spatial: int, ordering: str) -> tuple[str, int]:
-    """Spin sector and 1-based spatial index of a 1-based spin-orbital mode."""
-    if ordering == "interleaved":
-        return ("alpha", (mode + 1) // 2) if mode % 2 else ("beta", mode // 2)
-    if ordering == "blocked":
-        if mode <= n_spatial:
-            return "alpha", mode
-        return "beta", mode - n_spatial
-    raise ValueError(f"unknown spin-orbital ordering {ordering!r}")
+def _mode_spin_spatial(mode: int) -> tuple[str, int]:
+    """Spin sector and 1-based spatial index of a 1-based spin-orbital mode
+    (the inverse of ``hamiltonian.spin_orbital_mode``)."""
+    return ("alpha", (mode + 1) // 2) if mode % 2 else ("beta", mode // 2)
 
 
-def hartree_fock_energy(
-    t: IntegralTensors,
-    occupation: int | None = None,
-    ordering: str = "interleaved",
-) -> float:
+def hartree_fock_energy(t: IntegralTensors, occupation: int | None = None) -> float:
     """Determinant energy straight from the integrals (Slater--Condon rules).
 
     E = core + sum_P h_PP + 1/2 sum_PQ (<PQ|PQ> - <PQ|QP>) over occupied
@@ -390,7 +381,7 @@ def hartree_fock_energy(
         occupation = aufbau_occupation(t.n_electrons)
     n = t.n_spatial
     occ = [m for m in range(1, 2 * n + 1) if occupation >> (m - 1) & 1]
-    spins = {m: _mode_spin_spatial(m, n, ordering) for m in occ}
+    spins = {m: _mode_spin_spatial(m) for m in occ}
     energy = t.core_energy
     for m in occ:
         sp, p = spins[m]

@@ -79,12 +79,6 @@ class MajoranaMonomial:
         """Number of Majorana factors."""
         return bin(self.bits).count("1")
 
-    @property
-    def generalized_length(self) -> int:
-        """Number of distinct modes the monomial acts on."""
-        folded = (self.bits | (self.bits >> 1)) & _odd_site_mask(self.n_modes)
-        return bin(folded).count("1")
-
     def factors(self) -> tuple[int, ...]:
         """1-based indices of the Majorana factors, ascending."""
         return tuple(k + 1 for k in range(2 * self.n_modes) if self.bits >> k & 1)

@@ -27,6 +27,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .engine import Gate
+from .hamiltonian import spin_orbital_mode
 from .surrogate import (  # noqa: F401 -- perfbench/tracing.py wraps pool.extend_surrogate
     SurrogateGraph,
     cut_landscapes,
@@ -48,7 +49,6 @@ __all__ = [
     "single_excitation_monomials",
     "trim_pool",
     "is_refresh_iteration",
-    "score_rows",
 ]
 
 
@@ -133,11 +133,16 @@ class Pool:
 
 @dataclass(frozen=True)
 class SelectionScore:
-    """Candidate ranking entry: |gradient| or GGF improvement (<= 0)."""
+    """Candidate ranking entry: |gradient| or GGF improvement (<= 0).
+
+    Both scorers also read the landscape's minimum off the same row: the
+    achievable ``improvement`` (<= 0) and the angle ``theta_star`` reaching it.
+    """
 
     index: int
     score: float
     theta_star: float | None = None
+    improvement: float | None = None
 
 
 def _per_sector(value: int | tuple[int, int]) -> tuple[int, int]:
@@ -150,7 +155,6 @@ def build_majoranic_pool(
     n_spatial: int,
     n_occupied: int | tuple[int, int],
     n_virtual: int | tuple[int, int] | None = None,
-    constraints: str = "spin-preserving",
 ) -> Pool:
     """Spin-preserving occupied-to-virtual singles and doubles.
 
@@ -158,8 +162,6 @@ def build_majoranic_pool(
     Counts: 2ov singles, 2 C(o,2) C(v,2) same-spin doubles, (ov)^2
     opposite-spin doubles.
     """
-    if constraints != "spin-preserving":
-        raise ValueError(f"unknown pool constraints {constraints!r}")
     occ = _per_sector(n_occupied)
     virt = _per_sector(n_virtual) if n_virtual is not None else tuple(
         n_spatial - o for o in occ
@@ -171,9 +173,8 @@ def build_majoranic_pool(
                 f"got {o}+{v} != {n_spatial}"
             )
 
-    # interleaved layout: spatial p -> modes 2p-1 (alpha) and 2p (beta)
     def mode(p: int, sector: int) -> int:
-        return 2 * p - 1 + sector
+        return spin_orbital_mode(p, ("alpha", "beta")[sector], n_spatial)
 
     candidates: list[PoolCandidate] = []
     sector_names = ("a", "b")
@@ -272,12 +273,15 @@ def score_pool_gradient(
     """|dE/dt| at t = 0 per candidate inserted at ``where`` with angle t.
 
     It is |b1 + 2 b2| of the candidate's landscape; a composite's gates
-    share t, so their derivatives sum before the magnitude is taken.
+    share t, so their derivatives sum before the magnitude is taken.  The
+    landscape minimum comes along, as :func:`score_pool_ggf` reports it.
     """
     chosen, rows = _landscapes(pool, graph, params, where, indices)
+    slopes = np.abs(rows[:, 2] + 2.0 * rows[:, 4])
+    drops, stars = landscape_minima(rows)
     return [
-        SelectionScore(idx, float(abs(b1 + 2.0 * b2)))
-        for idx, (_, _, b1, _, b2) in zip(chosen, rows)
+        SelectionScore(idx, float(slope), float(star), float(drop))
+        for idx, slope, drop, star in zip(chosen, slopes, drops, stars)
     ]
 
 
@@ -366,7 +370,7 @@ def score_pool_ggf(
     chosen, rows = _landscapes(pool, graph, params, where, indices)
     drops, stars = landscape_minima(rows)
     return [
-        SelectionScore(idx, float(drop), float(star))
+        SelectionScore(idx, float(drop), float(star), float(drop))
         for idx, drop, star in zip(chosen, drops, stars)
     ]
 
@@ -420,13 +424,3 @@ def trim_pool(
     ranked = rank_candidates(scores, larger_is_better)
     return sorted(s.index for s in ranked[:tau_keep])
 
-
-def score_rows(
-    iteration: int,
-    scores: Sequence[SelectionScore],
-    larger_is_better: bool = True,
-) -> list[tuple[int, int, float, int]]:
-    """(iteration, candidate id, score, rank) rows for CSV dumps."""
-    ranked = rank_candidates(scores, larger_is_better)
-    rank_of = {s.index: r + 1 for r, s in enumerate(ranked)}
-    return [(iteration, s.index, s.score, rank_of[s.index]) for s in scores]

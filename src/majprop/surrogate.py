@@ -1,10 +1,10 @@
 """Angle-independent surrogate graphs for fast re-evaluation and gradients.
 
-Under a pure length policy the set of monomials that survive propagation --
-and the copy/cosine/sine branching between them -- depends only on the
-circuit structure, never on the angles.  Recording one sweep therefore
-yields a layered linear graph: layer k holds the monomials alive after the
-k-th processed gate, and each gate contributes three edge families
+Length truncation reads only keys, so the set of monomials that survive
+propagation -- and the copy/cosine/sine branching between them -- depends
+only on the circuit structure, never on the angles.  Recording one sweep
+therefore yields a layered linear graph: layer k holds the monomials alive
+after the k-th processed gate, and each gate contributes three edge families
 
     copy:  commuting monomials carried through unchanged,
     cos:   anticommuting monomials scaled by cos(theta),
@@ -61,17 +61,12 @@ from .operators import SparseOperator
 
 __all__ = [
     "SurrogateGraph",
-    "UnsupportedPolicyError",
     "build_surrogate",
     "cut_landscapes",
     "eval_energy",
     "eval_energy_and_gradient",
     "extend_surrogate",
 ]
-
-
-class UnsupportedPolicyError(ValueError):
-    """Raised for truncation policies whose decisions depend on coefficients."""
 
 
 @dataclass
@@ -210,7 +205,7 @@ def _record_step(
     gamma = gate.generator
     anti = _kernels.anticommutes_with(gamma, keys)
     cand = keys[anti] ^ np.uint64(gamma)
-    keep = policy.survivor_mask(cand, np.zeros(cand.shape))
+    keep = policy.survivor_mask(cand)
     kept = cand[keep]
     # merge the sorted layer with the sorted partners it lacks (no hashing)
     partners = np.sort(kept)
@@ -252,15 +247,11 @@ def build_surrogate(
     Heisenberg graphs start from the Hamiltonian terms and sink into paired
     eigenvalues on the reference state; Schrodinger graphs start from the
     truncated reference projector and sink into the Hamiltonian
-    coefficients.  Policies that look at coefficients are rejected: their
-    survivor sets change with the angles, so no fixed graph exists.
+    coefficients.  The truncation rule reads only keys, so the recorded
+    branch structure holds at every angle.
     """
     _check_picture(picture)
     policy = (policy or TruncationPolicy()).resolved(picture)
-    if not policy.angle_independent:
-        raise UnsupportedPolicyError(
-            "surrogate graphs require angle-independent truncation rules"
-        )
     if picture == "heisenberg":
         keys = hamiltonian.keys.copy()
         source = hamiltonian.coeffs.copy()
@@ -548,7 +539,7 @@ def cut_landscapes(
             src, gen = key[at], gen[at]
             key = key.copy()
             key[at] = partner = src ^ gen
-            kept = graph.policy.survivor_mask(partner, np.zeros(at.size))
+            kept = graph.policy.survivor_mask(partner)
             exists[at] &= _kernels.anticommutes_with(gen, src) & kept
             sign[at] *= sin_sign * signs[row[at], k] * _kernels.product_sign_with(gen, src)
             harmonic[at] += 3

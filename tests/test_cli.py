@@ -63,6 +63,13 @@ def test_run_warns_when_the_optimizer_budget_runs_out(tmp_path, capsys):
     assert "iteration 1: the optimizer stopped unconverged" in capsys.readouterr().err
 
 
+def test_run_over_the_memory_budget_exits_two(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_live_monomials": 1}))
+    assert main(["run", "--fcidump", H2, "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "over the budget of 1" in capsys.readouterr().err
+
+
 def test_run_iterations_zero_keeps_only_the_baseline(tmp_path):
     assert main([
         "run", "--fcidump", H2, "--out", str(tmp_path),

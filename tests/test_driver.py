@@ -13,6 +13,7 @@ import majprop.instances as inst
 from majprop import FermionicCircuit, Gate, TruncationPolicy, expectation, fock_expectation
 from majprop.driver import (
     AdaptResult,
+    MemoryBudgetError,
     OptimizationError,
     RunConfig,
     Trajectory,
@@ -270,6 +271,19 @@ def test_exhausted_optimizer_budget_is_reported():
         assert full.opt_converged and 3 < full.opt_nfev <= 200
         assert 1 <= full.opt_nit <= full.opt_nfev
         assert starved.energy > full.energy
+
+
+def test_memory_budget_stops_the_run_with_its_trajectory():
+    """The exact H4 graph holds 361 keys at the baseline and 529 after the
+    first body gate: a 400-key budget stops the run there and hands back the
+    baseline row; a budget below the baseline graph stops it before any row."""
+    tensors, _ = _fixture("h4_chain_r20")
+    with pytest.raises(MemoryBudgetError, match="529 monomials") as caught:
+        run_adapt_vmpe(tensors, RunConfig(cutoff=None, max_live_monomials=400))
+    assert [r.gate for r in caught.value.trajectory] == ["baseline"]
+    with pytest.raises(MemoryBudgetError) as caught:
+        run_adapt_vmpe(tensors, RunConfig(cutoff=None, max_live_monomials=1))
+    assert caught.value.trajectory is None
 
 
 def _rows_sans_time(trajectory):

@@ -264,22 +264,6 @@ def test_paired_acceptance_keeps_long_paired_terms(rng):
     assert paired.sum() >= _kernels.is_paired(out_pure.keys).sum()
 
 
-def test_coefficient_rules_accept_before_truncate():
-    keys = np.array([0b1111, 0b111111, 0b0011], dtype=np.uint64)
-    coeffs = np.array([0.5, 0.3, 1e-9])
-    policy = TruncationPolicy(
-        length_cutoff=4,
-        coeff_accept_tau=0.2,
-        coeff_truncate_tau=1e-6,
-        paired_accept=False,
-    )
-    keep = policy.survivor_mask(keys, coeffs)
-    # long monomial saved by its coefficient; tiny paired one truncated
-    assert keep.tolist() == [True, True, False]
-    saving = TruncationPolicy(coeff_truncate_tau=1e-6, paired_accept=True)
-    assert saving.survivor_mask(keys, coeffs).tolist() == [True, True, True]
-
-
 def test_policy_picture_defaults():
     policy = TruncationPolicy(length_cutoff=4)
     assert policy.resolved("heisenberg").paired_accept is True
@@ -318,12 +302,10 @@ def test_circuit_rejects_unknown_format_version(rng):
 
 
 def test_insert_front_and_shared_slots():
-    circ = FermionicCircuit(n_modes=3, gates=[], params=np.array([0.4]))
-    circ.append_back([Gate(generator=0b0011, slot=0)])
-    slot = circ.add_slot(0.9)
-    circ.insert_front(
-        [Gate(generator=0b1100, slot=slot), Gate(generator=0b1111, slot=slot, sign=-1)]
-    )
+    circ = FermionicCircuit(n_modes=3, gates=[Gate(0b0011, slot=0)], params=np.array([0.4]))
+    circ.params = np.append(circ.params, 0.9)
+    circ.gates[:0] = [Gate(0b1100, slot=1), Gate(0b1111, slot=1, sign=-1)]
     assert [g.generator for g in circ.gates] == [0b1100, 0b1111, 0b0011]
     assert circ.angle_of(circ.gates[0]) == pytest.approx(0.9)
     assert circ.angle_of(circ.gates[1]) == pytest.approx(-0.9)
+    assert circ.angle_of(circ.gates[2]) == pytest.approx(0.4)

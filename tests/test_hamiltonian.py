@@ -147,7 +147,7 @@ def _dense_terms(keys, values, n_modes):
     return out
 
 
-def _dense_from_ladders(t, ordering="interleaved"):
+def _dense_from_ladders(t):
     """Independent dense build: multiply explicit ladder matrices."""
     n = t.n_spatial
     n_modes = 2 * n
@@ -159,8 +159,8 @@ def _dense_from_ladders(t, ordering="interleaved"):
         h1 = t.h1_block(sector)
         for p in range(1, n + 1):
             for q in range(1, n + 1):
-                mp = spin_orbital_mode(p, sector, n, ordering)
-                mq = spin_orbital_mode(q, sector, n, ordering)
+                mp = spin_orbital_mode(p, sector, n)
+                mq = spin_orbital_mode(q, sector, n)
                 H += h1[p - 1, q - 1] * create[mp] @ destroy[mq]
     for s1, s2, pair in (
         ("alpha", "alpha", "aa"),
@@ -176,10 +176,10 @@ def _dense_from_ladders(t, ordering="interleaved"):
                         v = h2[i - 1, j - 1, k - 1, l - 1]
                         if abs(v) < 1e-16:
                             continue
-                        mi = spin_orbital_mode(i, s1, n, ordering)
-                        mj = spin_orbital_mode(j, s1, n, ordering)
-                        mk = spin_orbital_mode(k, s2, n, ordering)
-                        ml = spin_orbital_mode(l, s2, n, ordering)
+                        mi = spin_orbital_mode(i, s1, n)
+                        mj = spin_orbital_mode(j, s1, n)
+                        mk = spin_orbital_mode(k, s2, n)
+                        ml = spin_orbital_mode(l, s2, n)
                         H += (
                             0.5
                             * v
@@ -201,14 +201,6 @@ def test_hamiltonian_matches_dense_ladder_construction_unrestricted(rng):
     t = _random_unrestricted(rng)
     h = build_majorana_hamiltonian(t)
     assert np.allclose(dense_operator(h), _dense_from_ladders(t), atol=1e-12)
-
-
-def test_blocked_ordering_matches_its_own_ladder_build(rng):
-    t = random_restricted_integrals(2, rng)
-    h = build_majorana_hamiltonian(t, ordering="blocked")
-    assert np.allclose(
-        dense_operator(h), _dense_from_ladders(t, ordering="blocked"), atol=1e-12
-    )
 
 
 def test_hf_expectation_matches_slater_condon(rng):

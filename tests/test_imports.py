@@ -1,6 +1,7 @@
 """The package imports no private module of another distribution."""
 
 import ast
+import importlib
 import importlib.util
 import inspect
 import sys
@@ -75,3 +76,16 @@ def test_traced_entry_points_exist(monkeypatch):
     assert missing == []
     for scorer in (majprop.driver.score_pool_ggf, majprop.driver.score_pool_gradient):
         assert {"pool", "indices"} <= set(inspect.signature(scorer).parameters)
+
+
+def test_every_exported_name_resolves():
+    """Each name a module lists in ``__all__`` exists in it, so a deleted
+    function cannot linger in an export list."""
+    missing = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "majprop" if path.stem == "__init__" else f"majprop.{path.stem}"
+        module = importlib.import_module(name)
+        stale = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+        if stale:
+            missing[name] = stale
+    assert missing == {}

@@ -101,13 +101,6 @@ def test_pairing_support_reports_mode_mask():
     assert pairing_support(MajoranaMonomial(0b000110, 3)) is None
 
 
-def test_generalized_length_counts_modes():
-    m = MajoranaMonomial(0b011001, 3)  # m1, m4, m5 -> modes 1, 2, 3
-    assert m.generalized_length == 3
-    assert m.degree == 3
-    assert MajoranaMonomial(0b11, 3).generalized_length == 1
-
-
 def test_hex_roundtrip_and_padding():
     m = MajoranaMonomial(0x3, 4)
     assert m.to_hex() == "N=4:0x03"
@@ -157,14 +150,10 @@ def test_kernels_match_scalar_randomized(rng):
     g = MajoranaMonomial(gamma, n)
     anti = _kernels.anticommutes_with(gamma, keys)
     signs = _kernels.product_sign_with(gamma, keys)
-    lengths = _kernels.generalized_length(keys)
     paired = _kernels.is_paired(keys)
-    for bits, a_flag, s, ell, p_flag in zip(
-        keys.tolist(), anti, signs, lengths, paired
-    ):
+    for bits, a_flag, s, p_flag in zip(keys.tolist(), anti, signs, paired):
         m = MajoranaMonomial(int(bits), n)
         assert a_flag == (not monomials_commute(g, m))
-        assert ell == m.generalized_length
         assert p_flag == (pairing_support(m) is not None)
         if a_flag:
             assert 1j * monomial_product(g, m).phase == pytest.approx(s)

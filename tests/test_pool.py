@@ -33,7 +33,6 @@ from majprop.pool import (
     reduce_pool_equivalence,
     score_pool_ggf,
     score_pool_gradient,
-    score_rows,
     single_excitation_monomials,
     trim_pool,
 )
@@ -58,11 +57,8 @@ def _extended_energy(h, circuit, theta, cand, angle, where, policy=None,
     """Brute-force E(angle) with the candidate placed at one circuit end."""
     trial = circuit.copy()
     trial.params = np.append(theta, angle)
-    gates = cand.gates(slot=theta.size)
-    if where == "front":
-        trial.insert_front(gates)
-    else:
-        trial.append_back(gates)
+    at = 0 if where == "front" else len(trial)
+    trial.gates[at:at] = cand.gates(slot=theta.size)
     return expectation(h, trial, occ, policy, picture, params=trial.params)
 
 
@@ -106,8 +102,6 @@ def test_pool_sector_resolved_counts():
 def test_pool_rejects_bad_inputs():
     with pytest.raises(ValueError, match="n_spatial"):
         build_majoranic_pool(4, 3, n_virtual=3)
-    with pytest.raises(ValueError, match="constraints"):
-        build_majoranic_pool(4, 2, constraints="anything-goes")
     with pytest.raises(ValueError, match="align"):
         PoolCandidate((0b0101,), (1, 1), "bad")
     with pytest.raises(ValueError, match="length 2 or 4"):
@@ -307,6 +301,21 @@ def test_gradient_scoring_respects_index_subset(rng):
     assert [s.index for s in part] == [2, 7, 11]
     for s in part:
         assert s.score == full[s.index].score
+
+
+@pytest.mark.parametrize("where", ["front", 3])
+def test_gradient_scores_carry_the_ggf_minimum(rng, where):
+    """A gradient score carries the improvement and theta* that GGF scoring
+    reports for the same candidate scored alone, bit for bit."""
+    h = inst.random_molecular_hamiltonian(N, rng)
+    circuit = inst.random_circuit(N, 6, rng)
+    theta = rng.uniform(-1.0, 1.0, circuit.n_slots)
+    pool = build_majoranic_pool(4, 2)
+    graph = build_surrogate(h, circuit, OCC)
+    for s in score_pool_gradient(pool, graph, theta, where):
+        alone = score_pool_ggf(pool, graph, theta, where, [s.index])[0]
+        assert (s.improvement, s.theta_star) == (alone.score, alone.theta_star)
+        assert alone.improvement == alone.score
 
 
 # ---- GGF scoring --------------------------------------------------------------
@@ -537,11 +546,8 @@ def test_ggf_closed_form_matches_probed_graphs(rng, picture):
                 assert score.theta_star == pytest.approx(ref_star, abs=1e-9)
                 trial = circuit.copy()
                 trial.params = np.append(theta, 0.0)
-                gates = cand.gates(slot)
-                if where == "front":
-                    trial.insert_front(gates)
-                else:
-                    trial.append_back(gates)
+                at = 0 if where == "front" else len(trial)
+                trial.gates[at:at] = cand.gates(slot)
                 fresh = build_surrogate(h, trial, occ, policy, picture)
                 for t in rng.uniform(-np.pi, np.pi, 3):
                     model = row @ [1.0, np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)]
@@ -692,8 +698,3 @@ def test_trim_pool_semantics():
     with pytest.raises(ValueError, match="tau_keep"):
         trim_pool(scores, 0, kappa=5, iteration=1)
 
-
-def test_score_rows_carry_ranks():
-    scores = [SelectionScore(4, 0.1), SelectionScore(7, 0.9)]
-    rows = score_rows(3, scores)
-    assert rows == [(3, 4, 0.1, 2), (3, 7, 0.9, 1)]
