@@ -28,7 +28,6 @@ from .engine import (
     FermionicCircuit,
     TruncationPolicy,
     expand_fock_projector,
-    conjugate_through_gate,
     propagate,
     expectation,
     fock_expectation,
@@ -91,7 +90,6 @@ __all__ = [
     "FermionicCircuit",
     "TruncationPolicy",
     "expand_fock_projector",
-    "conjugate_through_gate",
     "propagate",
     "expectation",
     "fock_expectation",

@@ -57,7 +57,6 @@ def build_penalty_hamiltonian(
     a: float = 1.0,
     b: float = 0.0,
     c: float = 4.0 / 3.0,
-    convention: str = "qubits",
 ) -> tuple[SparseOperator, float, float]:
     """A(N - N_exp)^2 + B Sz^2 + C S^2 with its eigenvalue brackets.
 
@@ -65,16 +64,13 @@ def build_penalty_hamiltonian(
     exactly the singlet states carrying ``n_expected`` particles (B only
     steepens the walls; breaking Sz already breaks S^2).  Returns the
     operator together with lambda2, a floor on its smallest positive
-    eigenvalue, and lambda_p, a cap on its largest one.
+    eigenvalue, and lambda_p, its largest one.
 
     lambda2 treats each symmetry violation independently: one particle off
     costs at least A, a triplet costs at least 2C, a half-unit of Sz at
-    least B/4.  lambda_p depends on ``convention``: "qubits" and "spatial"
-    use the closed form A*max(n_modes - n_expected, n_expected)^2 + (C/2)*n
-    with n counting modes or spatial orbitals (adequate for the default
-    constants; generous slack for the spin term rides on the number term
-    shrinking towards half filling), while "exact" scans the particle/spin
-    sectors for the true maximum, which also accounts for B.
+    least B/4.  lambda_p is the largest eigenvalue itself: each particle
+    number n allows spins up to S = min(n, n_modes - n)/2, and Sz = S
+    maximizes the B and C terms together, so a scan over n finds it.
     """
     if n_modes < 2 or n_modes % 2:
         raise ValueError("penalty operator needs an even number of modes >= 2")
@@ -82,8 +78,6 @@ def build_penalty_hamiltonian(
         raise ValueError(f"expected particle count {n_expected} outside 0..{n_modes}")
     if min(a, b, c) < 0 or max(a, b, c) == 0:
         raise ValueError("penalty constants must be nonnegative and not all zero")
-    if convention not in ("qubits", "spatial", "exact"):
-        raise ValueError(f"unknown lambda_p convention {convention!r}")
 
     n_spatial = n_modes // 2
     modes = np.arange(1, n_modes + 1)
@@ -112,17 +106,11 @@ def build_penalty_hamiltonian(
     )
 
     lambda2 = min(v for v in (a, 2.0 * c, 0.25 * b) if v > 0)
-    deviation = max(n_modes - n_expected, n_expected)
-    if convention == "qubits":
-        lambda_p = a * deviation**2 + 0.5 * c * n_modes
-    elif convention == "spatial":
-        lambda_p = a * deviation**2 + 0.5 * c * n_spatial
-    else:
-        lambda_p = max(
-            a * (n - n_expected) ** 2 + b * s * s + c * s * (s + 1.0)
-            for n in range(n_modes + 1)
-            for s in (min(n, n_modes - n) / 2.0,)
-        )
+    lambda_p = max(
+        a * (n - n_expected) ** 2 + b * s * s + c * s * (s + 1.0)
+        for n in range(n_modes + 1)
+        for s in (min(n, n_modes - n) / 2.0,)
+    )
     return operator, lambda2, lambda_p
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "TruncationPolicy",
     "Picture",
     "expand_fock_projector",
-    "conjugate_through_gate",
     "propagate",
     "expectation",
 ]
@@ -230,6 +229,17 @@ def expand_fock_projector(
     return SparseOperator(n_modes=n_modes, keys=key_arr, coeffs=coeffs)
 
 
+def _reference_projector(
+    occupation: int, n_modes: int, policy: TruncationPolicy | None
+) -> SparseOperator:
+    """The reference projector a Schrodinger sweep starts from, expanded to
+    the pair budget of the policy: half its length cutoff, every mode when
+    uncut."""
+    cutoff = None if policy is None else policy.length_cutoff
+    budget = n_modes if cutoff is None else min(cutoff // 2, n_modes)
+    return expand_fock_projector(occupation, n_modes, budget)
+
+
 # ---- gate kernel ------------------------------------------------------------
 
 
@@ -262,28 +272,6 @@ def _gate_step(
         live = np.abs(merged_coeffs) >= policy.hygiene_eps
         merged_keys, merged_coeffs = merged_keys[live], merged_coeffs[live]
     return merged_keys, merged_coeffs
-
-
-def conjugate_through_gate(
-    op: SparseOperator,
-    generator: MajoranaMonomial | int,
-    angle: float,
-    picture: Picture = "heisenberg",
-    policy: TruncationPolicy | None = None,
-) -> SparseOperator:
-    """Conjugate an operator through a single rotation.
-
-    In the Heisenberg picture this computes U^dag op U (the observable seen
-    before the gate); in the Schrodinger picture U op U^dag (a state
-    operator pushed forward).  The two differ only in the sign of the sine
-    branch.
-    """
-    _check_picture(picture)
-    policy = (policy or TruncationPolicy()).resolved(picture)
-    gamma = generator.bits if isinstance(generator, MajoranaMonomial) else int(generator)
-    sin_sign = 1.0 if picture == "heisenberg" else -1.0
-    keys, coeffs = _gate_step(op.keys, op.coeffs, gamma, angle, sin_sign, policy)
-    return SparseOperator(op.n_modes, keys, coeffs)
 
 
 def propagate(
@@ -372,8 +360,6 @@ def expectation(
     if picture == "heisenberg":
         evolved = propagate(hamiltonian, circuit, "heisenberg", policy, params)
         return fock_expectation(evolved, occupation)
-    cutoff = policy.length_cutoff if policy is not None else None
-    budget = hamiltonian.n_modes if cutoff is None else min(cutoff // 2, hamiltonian.n_modes)
-    state = expand_fock_projector(occupation, hamiltonian.n_modes, budget)
+    state = _reference_projector(occupation, hamiltonian.n_modes, policy)
     state = propagate(state, circuit, "schrodinger", policy, params)
     return trace_overlap(state, hamiltonian)

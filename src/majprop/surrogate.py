@@ -1,34 +1,34 @@
 """Angle-independent surrogate graphs for fast re-evaluation and gradients.
 
 Length truncation reads only keys, so the set of monomials that survive
-propagation -- and the copy/cosine/sine branching between them -- depends
-only on the circuit structure, never on the angles.  Recording one sweep
-therefore yields a layered linear graph: layer k holds the monomials alive
-after the k-th processed gate, and each gate contributes three edge families
+propagation -- and the cosine/sine branching between them -- depends only
+on the circuit structure, never on the angles.  A gate leaves commuting
+monomials alone and maps each anticommuting one to cos(theta) times itself
+plus +/- sin(theta) times its partner k ^ gamma, which anticommutes too.
+Layers only grow, so one vector over the final layer's keys holds every
+layer (a key not created yet holds 0), and recording one sweep yields one
+in-place update per gate of the keys z it touches,
 
-    copy:  commuting monomials carried through unchanged,
-    cos:   anticommuting monomials scaled by cos(theta),
-    sin:   new monomials weighted by +/- sin(theta),
+    v[z] = cos(theta) v[z] + sin(theta) sw v[z ^ gamma],
 
-so re-evaluating the energy at new angles is a handful of fancy-indexing
-passes per gate.  Gradients use a two-copy sweep: the forward pass keeps
-each gate's gathered inputs, a rolling adjoint runs backwards, and the
-derivative of each gate is two dot products -- at most a threefold
-overhead on top of one energy evaluation, independent of the parameter
-count.
+where the sign sw is +/-1 where the sine branch lands (z ^ gamma is in the
+layer before and the truncation rule keeps z) and 0 elsewhere.  For
+gradients the forward pass keeps each gate's gathered inputs, an in-place
+adjoint runs backwards, and the derivative of each gate is two dot
+products -- at most a threefold overhead on top of one energy evaluation,
+independent of the parameter count.
 
-Building or extending a graph also prunes it once: every monomial with no
+Building or extending a graph also prunes it once: every key with no
 branch path to a nonzero sink weight is dropped -- typically the vast
-majority, since layers only ever grow while few keys measure.  Energies
-and gradients run over the pruned steps, whose layers hold the carried keys
-first and the new keys last, so the carried values land in slices.  Every
-surviving intermediate value is reproduced bit for bit (each output slot
-receives at most a carried value plus one sine branch, so no sum is
-reassociated); only the closing dot products see a different summation
-tree, leaving energies and gradients equal to the full sweep's to roundoff.
-Evaluation never writes to the graph.  The scoring landscapes keep running
-over the full recorded steps, since a new gate can turn keys that reach no
-sink weight into ones that do.
+majority, since layers only ever grow while few keys measure -- and so is
+every update of a key that reaches no sink weight from that gate on,
+unless a kept sine branch reads it.
+Energies and gradients run over the pruned steps.  Every value that still
+reaches the sink is reproduced bit for bit; only the closing dot products
+see a different summation tree, leaving energies and gradients equal to
+the full sweep's to roundoff.  Evaluation never writes to the graph.  The
+scoring landscapes keep running over the full recorded steps, since a new
+gate can turn keys that reach no sink weight into ones that do.
 
 A graph takes new gates at any cut of its gate list: the steps before the
 cut are kept, and the new gates and the rest of the sweep are recorded
@@ -54,8 +54,8 @@ from .engine import (
     Gate,
     Picture,
     TruncationPolicy,
-    expand_fock_projector,
     _check_picture,
+    _reference_projector,
 )
 from .operators import SparseOperator
 
@@ -71,25 +71,21 @@ __all__ = [
 
 @dataclass
 class _Step:
-    """Edge arrays for one processed gate (all indices are layer positions).
+    """One gate's in-place update of the key vector.
 
-    A pruned step's copy and cosine targets are slices of its output layer.
+    ``z`` indexes the keys the gate updates (the anticommuting keys of the
+    layer after it; while recording, the keys themselves).  ``p`` points
+    each entry at the entry of its partner z ^ gamma, or at itself where
+    the partner is not there, so it pairs the entries off.  ``sw`` is the
+    sign (branch x gate x picture) of the sine branch from the partner
+    where it lands on z -- the partner is in the layer before and the
+    truncation rule keeps z -- and 0 elsewhere.
     """
 
     slot: int
-    copy_src: np.ndarray
-    copy_dst: np.ndarray | slice
-    cos_src: np.ndarray
-    cos_dst: np.ndarray | slice
-    sin_src: np.ndarray
-    sin_dst: np.ndarray
-    sin_w: np.ndarray  # +/-1 branch sign x gate sign x picture sign
-    n_in: int
-    n_out: int
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.copy_src.size + self.cos_src.size + self.sin_src.size)
+    z: np.ndarray
+    p: np.ndarray
+    sw: np.ndarray
 
 
 @dataclass
@@ -101,65 +97,40 @@ class _Sweep:
     sink: np.ndarray
 
 
-def _keep_masks(graph: SurrogateGraph) -> list[np.ndarray]:
-    """Per-layer masks of slots with some branch path to a nonzero sink."""
-    masks = [graph.sink != 0.0]
-    for step in reversed(graph.steps):
-        out = masks[-1]
-        prev = np.zeros(step.n_in, dtype=bool)
-        prev[step.copy_src[out[step.copy_dst]]] = True
-        prev[step.cos_src[out[step.cos_dst]]] = True
-        prev[step.sin_src[out[step.sin_dst]]] = True
-        masks.append(prev)
-    masks.reverse()
-    return masks
-
-
 def _prune(graph: SurrogateGraph) -> _Sweep:
-    """The recorded sweep restricted to slots that can reach the sink.
+    """The recorded sweep restricted to what can reach the sink.
 
-    Each pruned layer lists the kept copy targets, then the kept cosine
-    targets, then the kept keys only a sine branch reaches.  A kept carried
-    slot always has a kept input, so no edge into a kept slot is lost.
+    One backward pass marks the keys with a branch path to a nonzero sink
+    weight.  A key that reaches it from one layer also reaches it from
+    every earlier layer it is in (its cosine branch carries it), so a mark
+    taken at a step says whether the key still reaches the sink after that
+    gate.  A step keeps the updates of such keys and of the partners their
+    sine branches read; the others only touch values no weight reads.  The
+    marked keys are renumbered once.
     """
-    masks = _keep_masks(graph)
-    renum = np.cumsum(masks[0]) - 1  # pruned position of each kept slot
-    n_in = int(np.count_nonzero(masks[0]))
+    need = graph.sink != 0.0
+    keeps = []
+    for step in reversed(graph.steps):
+        mark = need[step.z]
+        lands = mark & (step.sw != 0.0)
+        need[step.z[step.p[lands]]] = True
+        keeps.append(mark | lands[step.p])
+    renum = np.cumsum(need) - 1
     steps = []
-    for step, keep in zip(graph.steps, masks[1:]):
-        m_copy, m_cos, m_sin = keep[step.copy_dst], keep[step.cos_dst], keep[step.sin_dst]
-        copy_dst, cos_dst = step.copy_dst[m_copy], step.cos_dst[m_cos]
-        n_copy, n_carried = copy_dst.size, copy_dst.size + cos_dst.size
-        n_out = int(np.count_nonzero(keep))
-        pos = np.full(step.n_out, -1)
-        pos[copy_dst] = np.arange(n_copy)
-        pos[cos_dst] = np.arange(n_copy, n_carried)
-        pos[keep & (pos < 0)] = np.arange(n_carried, n_out)
-        steps.append(
-            _Step(
-                slot=step.slot,
-                copy_src=renum[step.copy_src[m_copy]],
-                copy_dst=slice(0, n_copy),
-                cos_src=renum[step.cos_src[m_cos]],
-                cos_dst=slice(n_copy, n_carried),
-                sin_src=renum[step.sin_src[m_sin]],
-                sin_dst=pos[step.sin_dst[m_sin]],
-                sin_w=step.sin_w[m_sin],
-                n_in=n_in,
-                n_out=n_out,
-            )
-        )
-        renum, n_in = pos, n_out
-    sink = np.zeros(n_in)
-    sink[renum[masks[-1]]] = graph.sink[masks[-1]]
-    return _Sweep(graph.source[masks[0]], steps, sink)
+    for step, keep in zip(graph.steps, reversed(keeps)):
+        # a kept entry whose partner is dropped reads no sine branch: it pairs with itself
+        at = np.cumsum(keep) - 1
+        p = np.where(keep[step.p], at[step.p], at)[keep]
+        steps.append(_Step(step.slot, renum[step.z[keep]], p, step.sw[keep]))
+    return _Sweep(graph.source[need], steps, graph.sink[need])
 
 
 @dataclass
 class SurrogateGraph:
     """Recorded branch structure of one truncated propagation sweep.
 
-    ``steps`` and ``sink`` cover every recorded key; ``pruned`` is the same
+    ``source``, ``sink`` and the indices of ``steps`` all address
+    ``final_keys``, which holds every recorded key; ``pruned`` is the same
     sweep restricted to the keys that reach a nonzero sink weight, and is
     what energies and gradients run over.
     """
@@ -181,14 +152,15 @@ class SurrogateGraph:
         return int(self.circuit.params.size)
 
     def stats(self) -> dict:
-        """Size summary (for logging and the CLI graph-info output)."""
-        layer_sizes = [int(self.source.size)] + [s.n_out for s in self.steps]
+        """Size summary (for logging and the CLI graph-info output); layers
+        only grow, so the final one is the widest, and the edges count each
+        update and each landing sine branch."""
         return {
             "picture": self.picture,
             "gates": len(self.steps),
-            "max_layer": max(layer_sizes),
-            "final_layer": layer_sizes[-1],
-            "total_edges": int(sum(s.n_edges for s in self.steps)),
+            "max_layer": int(self.final_keys.size),
+            "final_layer": int(self.final_keys.size),
+            "total_edges": int(sum(s.z.size + np.count_nonzero(s.sw) for s in self.steps)),
             "parameters": self.n_slots,
         }
 
@@ -201,38 +173,33 @@ def _processed_gates(circuit: FermionicCircuit, picture: str) -> list[Gate]:
 def _record_step(
     keys: np.ndarray, gate: Gate, sin_sign: float, policy: TruncationPolicy
 ) -> tuple[np.ndarray, _Step]:
-    """Branch one layer's sorted keys through a gate, recording edge positions."""
-    gamma = gate.generator
-    anti = _kernels.anticommutes_with(gamma, keys)
-    cand = keys[anti] ^ np.uint64(gamma)
-    keep = policy.survivor_mask(cand)
-    kept = cand[keep]
-    # merge the sorted layer with the sorted partners it lacks (no hashing)
-    partners = np.sort(kept)
-    # each new key comes from a distinct source, so sine targets never clash
-    if np.any(partners[1:] == partners[:-1]):
-        raise RuntimeError(f"sine branches of gate {gamma:#x} collide in one key")
-    at = np.minimum(np.searchsorted(keys, partners), keys.size - 1)
-    next_keys = np.concatenate([keys, partners[keys[at] != partners]])
+    """Branch one layer's sorted keys through a gate: the next layer, and
+    the step, whose ``z`` still holds keys (``_record`` turns them into
+    positions)."""
+    gamma = np.uint64(gate.generator)
+    cand = keys[_kernels.anticommutes_with(gamma, keys)] ^ gamma
+    landed = np.sort(cand[policy.survivor_mask(cand)])
+    # each landing branch comes from a distinct source, so none share a key
+    if np.any(landed[1:] == landed[:-1]):
+        raise RuntimeError(f"sine branches of gate {gate.generator:#x} collide in one key")
+    # merge the sorted layer with the sorted new keys (no hashing)
+    next_keys = np.concatenate([keys, landed[~_lookup(keys, landed)[1]]])
     next_keys.sort(kind="stable")
-    pos_old = np.searchsorted(next_keys, keys)
-    positions = np.arange(keys.size)
-    sin_w = (
-        _kernels.product_sign_with(gamma, keys[anti])[keep] * sin_sign * gate.sign
-    )
-    step = _Step(
-        slot=gate.slot,
-        copy_src=positions[~anti],
-        copy_dst=pos_old[~anti],
-        cos_src=positions[anti],
-        cos_dst=pos_old[anti],
-        sin_src=positions[anti][keep],
-        sin_dst=np.searchsorted(next_keys, kept),
-        sin_w=sin_w,
-        n_in=int(keys.size),
-        n_out=int(next_keys.size),
-    )
-    return next_keys, step
+    z = next_keys[_kernels.anticommutes_with(gamma, next_keys)]
+    at, paired = _lookup(z, z ^ gamma)
+    p = np.where(paired, at, np.arange(z.size))
+    lands = _lookup(landed, z)[1]
+    sw = np.zeros(z.size)
+    sw[lands] = _kernels.product_sign_with(gamma, z[lands] ^ gamma) * sin_sign * gate.sign
+    return next_keys, _Step(gate.slot, z, p, sw)
+
+
+def _lookup(keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each ``x`` in the sorted ``keys``, and whether it is there."""
+    if not keys.size:
+        return np.zeros(x.shape, int), np.zeros(x.shape, bool)
+    at = np.minimum(np.searchsorted(keys, x), keys.size - 1)
+    return at, keys[at] == x
 
 
 def build_surrogate(
@@ -248,23 +215,17 @@ def build_surrogate(
     eigenvalues on the reference state; Schrodinger graphs start from the
     truncated reference projector and sink into the Hamiltonian
     coefficients.  The truncation rule reads only keys, so the recorded
-    branch structure holds at every angle.
+    branch structure holds at every angle.  Source terms of weight 0 are
+    left out.
     """
     _check_picture(picture)
     policy = (policy or TruncationPolicy()).resolved(picture)
     if picture == "heisenberg":
-        keys = hamiltonian.keys.copy()
-        source = hamiltonian.coeffs.copy()
+        start = hamiltonian
     else:
-        cutoff = policy.length_cutoff
-        budget = (
-            hamiltonian.n_modes
-            if cutoff is None
-            else min(cutoff // 2, hamiltonian.n_modes)
-        )
-        rho = expand_fock_projector(occupation, hamiltonian.n_modes, budget)
-        keys = rho.keys
-        source = rho.coeffs
+        start = _reference_projector(occupation, hamiltonian.n_modes, policy)
+    nonzero = start.coeffs != 0.0
+    first, weights = start.keys[nonzero], start.coeffs[nonzero]
     graph = SurrogateGraph(
         n_modes=hamiltonian.n_modes,
         picture=picture,
@@ -272,27 +233,33 @@ def build_surrogate(
         policy=policy,
         circuit=circuit.copy(),
         hamiltonian=hamiltonian,
-        source=source,
+        source=weights,
     )
-    keys, graph.steps = _record(graph, keys, _processed_gates(circuit, picture))
-    return _close(graph, keys)
+    keys, graph.steps = _record(graph, first, _processed_gates(circuit, picture))
+    return _close(graph, keys, first)
 
 
 def _record(
     graph: SurrogateGraph, keys: np.ndarray, gates: Sequence[Gate]
 ) -> tuple[np.ndarray, list[_Step]]:
     """Record ``gates`` in sweep order from the layer ``keys``; returns the
-    last layer's keys and the steps."""
+    last layer's keys and the steps, indexed against that layer (which
+    holds every key the sweep met)."""
     sin_sign = 1.0 if graph.picture == "heisenberg" else -1.0
     steps = []
     for gate in gates:
         keys, step = _record_step(keys, gate, sin_sign, graph.policy)
         steps.append(step)
+    for step in steps:
+        step.z = np.searchsorted(keys, step.z)
     return keys, steps
 
 
-def _close(graph: SurrogateGraph, keys: np.ndarray) -> SurrogateGraph:
-    """Attach the final layer's keys and sink weights, then prune the sweep."""
+def _close(graph: SurrogateGraph, keys: np.ndarray, source_keys: np.ndarray) -> SurrogateGraph:
+    """Move the source weights from ``source_keys`` onto the final layer's
+    keys, attach those keys and their sink weights, then prune the sweep."""
+    source, graph.source = graph.source, np.zeros(keys.size)
+    graph.source[np.searchsorted(keys, source_keys)] = source
     graph.final_keys = keys
     graph.sink = _sink_weights(graph, keys)
     graph.pruned = _prune(graph)
@@ -300,17 +267,13 @@ def _close(graph: SurrogateGraph, keys: np.ndarray) -> SurrogateGraph:
 
 
 def _sink_weights(graph: SurrogateGraph, keys: np.ndarray) -> np.ndarray:
+    sink = np.zeros(keys.size)
     if graph.picture == "heisenberg":
-        sink = np.zeros(keys.size)
         paired = _kernels.is_paired(keys)
         sink[paired] = _kernels.paired_eigenvalues(keys[paired], graph.occupation)
-        return sink
-    h = graph.hamiltonian
-    sink = np.zeros(keys.size)
-    pos = np.searchsorted(h.keys, keys)
-    pos_c = np.minimum(pos, max(len(h) - 1, 0))
-    hit = (h.keys[pos_c] == keys) if len(h) else np.zeros(keys.size, bool)
-    sink[hit] = (2.0**graph.n_modes) * h.coeffs[pos_c[hit]]
+    else:
+        at, hit = _lookup(graph.hamiltonian.keys, keys)
+        sink[hit] = (2.0**graph.n_modes) * graph.hamiltonian.coeffs[at[hit]]
     return sink
 
 
@@ -329,25 +292,20 @@ def _forward(
     depth: int | None = None,
     gathers: list | None = None,
 ) -> np.ndarray:
-    """Layer ``depth`` (default: the final one) of a sweep at the given angles.
+    """Key vector after the first ``depth`` steps (default: all of them) at
+    the given angles.
 
-    With ``gathers`` given, each step's gathered cosine inputs and signed
-    sine inputs are appended to it for the derivative dots.
+    With ``gathers`` given, each step's gathered inputs v[z] are appended
+    to it for the derivative dots.
     """
     angles = params.tolist()  # Python floats: cheaper per-gate indexing
-    v = sweep.source
+    v = sweep.source.copy()
     for step in sweep.steps[:depth]:
         theta = angles[step.slot]
-        out = np.zeros(step.n_out)
-        out[step.copy_dst] = v[step.copy_src]
-        g_cos, g_sin = v[step.cos_src], None
-        out[step.cos_dst] = math.cos(theta) * g_cos
-        if step.sin_src.size:
-            g_sin = step.sin_w * v[step.sin_src]
-            out[step.sin_dst] += math.sin(theta) * g_sin
+        g = v[step.z]
+        v[step.z] = math.cos(theta) * g + math.sin(theta) * (step.sw * g[step.p])
         if gathers is not None:
-            gathers.append((g_cos, g_sin))
-        v = out
+            gathers.append(g)
     return v
 
 
@@ -368,40 +326,36 @@ def eval_energy_and_gradient(
 def _sweep_gradient(
     sweep: SurrogateGraph | _Sweep, params: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Energy and gradient from a forward pass and a rolling backward adjoint.
+    """Energy and gradient from a forward pass and an in-place backward adjoint.
 
-    The derivative of gate k is two dot products between the adjoint on its
-    outputs and the inputs the forward pass gathered, accumulated into the
-    gate's slot (shared slots sum by the chain rule).
+    The derivative of gate k is two dot products between the inputs the
+    forward pass gathered and the adjoint's cosine and sine parts,
+    accumulated into the gate's slot (shared slots sum by the chain rule).
     """
     grad = np.zeros(params.size)
     gathers: list = []
-    v = _forward(sweep, params, gathers=gathers)
-    energy = float(np.dot(v, sweep.sink))
-    w = sweep.sink
+    energy = float(np.dot(_forward(sweep, params, gathers=gathers), sweep.sink))
+    w = sweep.sink.copy()
     angles = params.tolist()
-    for k in range(len(sweep.steps) - 1, -1, -1):
-        step = sweep.steps[k]
+    for step, g in zip(reversed(sweep.steps), reversed(gathers)):
         theta = angles[step.slot]
         cos_t, sin_t = math.cos(theta), math.sin(theta)
-        g_cos, g_sin = gathers[k]
-        d_theta = -sin_t * float(np.dot(w[step.cos_dst], g_cos))
-        if step.sin_src.size:
-            d_theta += cos_t * float(np.dot(w[step.sin_dst], g_sin))
-        grad[step.slot] += d_theta
-        if k:
-            w = _adjoint_step(step, w, cos_t, sin_t)
+        w_z, w_p = _adjoint_step(step, w, cos_t, sin_t)
+        grad[step.slot] += cos_t * g.dot(w_p) - sin_t * g.dot(w_z)
     return energy, grad
 
 
-def _adjoint_step(step: _Step, w: np.ndarray, cos_t: float, sin_t: float) -> np.ndarray:
-    """Weights on a step's input keys from the weights on its output keys."""
-    w_prev = np.zeros(step.n_in)
-    w_prev[step.copy_src] = w[step.copy_dst]
-    w_prev[step.cos_src] = cos_t * w[step.cos_dst]
-    if step.sin_src.size:
-        w_prev[step.sin_src] += (step.sin_w * sin_t) * w[step.sin_dst]
-    return w_prev
+def _adjoint_step(
+    step: _Step, w: np.ndarray, cos_t: float, sin_t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pull the weights on a step's output keys back onto its input keys,
+    in place.  ``p`` pairs the entries off, so the sine branches landing on
+    z carry back to their partners through ``p`` itself.  Returns the
+    weights on z and the signed weights each entry's partner passes back."""
+    w_z = w[step.z]
+    w_p = (step.sw * w_z)[step.p]
+    w[step.z] = cos_t * w_z + sin_t * w_p
+    return w_z, w_p
 
 
 def _cut(graph: SurrogateGraph, where: Literal["front", "back"] | int) -> tuple[int, int]:
@@ -414,6 +368,15 @@ def _cut(graph: SurrogateGraph, where: Literal["front", "back"] | int) -> tuple[
     return int(cut), int(n_gates - cut if graph.picture == "heisenberg" else cut)
 
 
+def _layer_keys(graph: SurrogateGraph, depth: int) -> np.ndarray:
+    """Keys of layer ``depth``: the source's keys and those the sine
+    branches of the first ``depth`` steps created."""
+    exists = graph.source != 0.0
+    for step in graph.steps[:depth]:
+        exists[step.z[step.sw != 0.0]] = True
+    return graph.final_keys[exists]
+
+
 def extend_surrogate(
     graph: SurrogateGraph, gates: Sequence[Gate], where: Literal["front", "back"] | int
 ) -> SurrogateGraph:
@@ -422,11 +385,12 @@ def extend_surrogate(
     ``where`` is "front", "back" or a gate index, and the gates enter the
     sweep in list order, as one row of :func:`cut_landscapes` scores them
     (so a Heisenberg graph, which sweeps the circuit from its back, holds
-    them in reverse).  The steps before the cut are kept, and the new gates
-    and the rest of the circuit are recorded from the layer at the cut, so
-    the result equals a fresh build of the extended circuit.  At the
-    natural end (front in the Heisenberg picture, back in the Schrodinger
-    picture) only the new gates are recorded.
+    them in reverse).  The steps before the cut are kept, re-indexed into
+    the grown key vector, and the new gates and the rest of the circuit are
+    recorded from the layer at the cut, so the result equals a fresh build
+    of the extended circuit.  At the natural end (front in the Heisenberg
+    picture, back in the Schrodinger picture) only the new gates are
+    recorded.
     """
     cut, depth = _cut(graph, where)
     gates = list(gates)
@@ -436,7 +400,9 @@ def extend_surrogate(
     circuit.gates[cut:cut] = gates[::-1] if graph.picture == "heisenberg" else gates
     far = _processed_gates(graph.circuit, graph.picture)[depth:]
     keys, steps = _record(graph, _layer_keys(graph, depth), gates + far)
-    return _close(replace(graph, circuit=circuit, steps=graph.steps[:depth] + steps), keys)
+    at = np.searchsorted(keys, graph.final_keys)  # the grown last layer holds every old key
+    kept = [_Step(s.slot, at[s.z], s.p, s.sw) for s in graph.steps[:depth]]
+    return _close(replace(graph, circuit=circuit, steps=kept + steps), keys, graph.final_keys)
 
 
 # [a0, a1, b1, a2, b2] of c^i s^j of the new angle t, row i + 3j: c^2 =
@@ -446,33 +412,21 @@ _HARMONICS = np.array([[1.0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0.5, 0, 0, 0.5, 0], 
 _BLOCK = 1 << 18  # paths followed at once
 
 
-def _layer_keys(graph: SurrogateGraph, depth: int) -> np.ndarray:
-    """Keys of layer ``depth``, walked back from the final layer (a step
-    carries every input key to its own output slot)."""
-    keys = graph.final_keys
-    for step in reversed(graph.steps[depth:]):
-        prev = np.empty(step.n_in, dtype=np.uint64)
-        prev[step.copy_src] = keys[step.copy_dst]
-        prev[step.cos_src] = keys[step.cos_dst]
-        keys = prev
-    return keys
-
-
 def _far_weights(
     graph: SurrogateGraph, params: np.ndarray, keys: np.ndarray, gates: Sequence[Gate]
 ) -> np.ndarray:
-    """Sink weights pulled back through ``gates`` onto ``keys``.
+    """Sink weights pulled back through ``gates`` onto the sorted ``keys``.
 
     The gates are recorded from ``keys`` exactly as a build records them
     (each key branches and truncates on its own), then one adjoint sweep at
     ``params`` carries the sink back to the start.
     """
-    keys, steps = _record(graph, keys, gates)
-    w = _sink_weights(graph, keys)
+    last, steps = _record(graph, keys, gates)
+    w = _sink_weights(graph, last)
     for step in reversed(steps):
         theta = params[step.slot]
-        w = _adjoint_step(step, w, math.cos(theta), math.sin(theta))
-    return w
+        _adjoint_step(step, w, math.cos(theta), math.sin(theta))
+    return w[np.searchsorted(last, keys)]
 
 
 def _spans(starts: np.ndarray, counts: np.ndarray):
@@ -511,7 +465,7 @@ def cut_landscapes(
     _, depth = _cut(graph, where)
     v = _forward(graph, params, depth=depth)
     live = v != 0.0
-    keys, v = _layer_keys(graph, depth)[live], v[live]
+    keys, v = graph.final_keys[live], v[live]
     gens, signs = np.zeros((len(gate_sets), 2), np.uint64), np.ones((len(gate_sets), 2))
     for row, gates in enumerate(gate_sets):
         if len(gates) > 2:
@@ -568,9 +522,7 @@ def cut_landscapes(
         starts, counts = np.zeros(valid.size, int), np.where(valid, weighted.size, 0)
 
         def resolve(pattern, pos):
-            x = weighted[pos] ^ gamma[pattern]
-            at = np.minimum(np.searchsorted(keys, x), keys.size - 1)
-            hit = keys[at] == x
+            at, hit = _lookup(keys, weighted[pos] ^ gamma[pattern])
             return pattern[hit], at[hit], weights[pos[hit]]
 
     sums = np.zeros((valid.size, 7))

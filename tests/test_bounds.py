@@ -96,21 +96,23 @@ def test_total_spin_spectrum_sits_on_the_spin_grid():
 
 @pytest.mark.parametrize("nexp", [0, 2, 3, 6])
 def test_lambda_p_conventions_cover_the_spectrum(nexp):
-    n_modes = 6
-    top = None
-    for convention in ("qubits", "spatial", "exact"):
-        op, lambda2, lambda_p = build_penalty_hamiltonian(
-            n_modes, nexp, convention=convention
-        )
-        if top is None:
-            top = np.linalg.eigvalsh(dense_operator(op))[-1]
-        assert lambda_p >= top - 1e-9
-        assert lambda2 <= lambda_p
-        if convention == "exact":
-            assert lambda_p == pytest.approx(top, abs=1e-9)
-        if convention == "qubits":
-            dev = max(n_modes - nexp, nexp)
-            assert lambda_p == pytest.approx(dev**2 + (2.0 / 3.0) * n_modes)
+    op, lambda2, lambda_p = build_penalty_hamiltonian(6, nexp)
+    top = np.linalg.eigvalsh(dense_operator(op))[-1]
+    assert lambda_p == pytest.approx(top, abs=1e-9)
+    assert lambda2 <= lambda_p
+
+
+@pytest.mark.parametrize(
+    "a, b, c, nexp",
+    [(1.0, 10.0, 4.0 / 3.0, 3), (0.05, 0.0, 4.0 / 3.0, 3), (0.05, 2.0, 1.0, 2),
+     (2.0, 0.5, 0.0, 4), (0.0, 1.0, 1.0, 6), (1.0, 3.0, 0.25, 0)],
+)
+def test_lambda_p_is_the_top_eigenvalue(a, b, c, nexp):
+    """lambda_p caps the spectrum for any valid constants, with Sz^2 walls
+    (b > 0) and a weak number term (small a) too; a closed form below the
+    top eigenvalue would let ``lower_bound_penalty`` overstate its floor."""
+    op, _, lambda_p = build_penalty_hamiltonian(6, nexp, a, b, c)
+    assert lambda_p == pytest.approx(np.linalg.eigvalsh(dense_operator(op))[-1], abs=1e-9)
 
 
 def test_penalty_rejects_bad_inputs():
@@ -122,8 +124,6 @@ def test_penalty_rejects_bad_inputs():
         build_penalty_hamiltonian(5, 2)
     with pytest.raises(ValueError, match="outside"):
         build_penalty_hamiltonian(6, 7)
-    with pytest.raises(ValueError, match="convention"):
-        build_penalty_hamiltonian(6, 2, convention="orbitals")
 
 
 # ---- bound formulas ----------------------------------------------------------

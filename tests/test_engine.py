@@ -10,7 +10,6 @@ from majprop.engine import (
     FermionicCircuit,
     Gate,
     TruncationPolicy,
-    conjugate_through_gate,
     expand_fock_projector,
     expectation,
     fock_expectation,
@@ -42,12 +41,16 @@ def _dense_gate(gamma_bits, theta, n_modes):
 # ---- single-gate conjugation ---------------------------------------------------
 
 
+def _one_gate(n_modes, gamma, theta):
+    return FermionicCircuit(n_modes, [Gate(int(gamma), slot=0)], np.array([theta]))
+
+
 def test_conjugate_matches_dense_heisenberg(rng):
     n = 4
     op = random_molecular_hamiltonian(n, rng)
     gamma = random_monomial_bits(n, 4, rng)
     theta = 0.8137
-    out = conjugate_through_gate(op, gamma, theta, picture="heisenberg")
+    out = propagate(op, _one_gate(n, gamma, theta), picture="heisenberg")
     U = _dense_gate(gamma, theta, n)
     want = U.conj().T @ dense_operator(op) @ U
     assert np.allclose(dense_operator(out), want, atol=1e-12)
@@ -58,7 +61,7 @@ def test_conjugate_matches_dense_schrodinger(rng):
     op = random_molecular_hamiltonian(n, rng)
     gamma = random_monomial_bits(n, 2, rng)
     theta = -1.91
-    out = conjugate_through_gate(op, gamma, theta, picture="schrodinger")
+    out = propagate(op, _one_gate(n, gamma, theta), picture="schrodinger")
     U = _dense_gate(gamma, theta, n)
     want = U @ dense_operator(op) @ U.conj().T
     assert np.allclose(dense_operator(out), want, atol=1e-12)
@@ -67,11 +70,11 @@ def test_conjugate_matches_dense_schrodinger(rng):
 def test_conjugate_identity_cases(rng):
     n = 3
     op = SparseOperator.from_terms(n, [(0b000011, 0.5), (0b111100, -0.25)])
-    out = conjugate_through_gate(op, 0b001111, 0.0)
+    out = propagate(op, _one_gate(n, 0b001111, 0.0))
     assert np.array_equal(out.keys, op.keys)
     assert np.allclose(out.coeffs, op.coeffs)
     # generator commuting with every term: a full mode pair against paired terms
-    out = conjugate_through_gate(op, 0b110000, 2.13)
+    out = propagate(op, _one_gate(n, 0b110000, 2.13))
     assert np.array_equal(out.keys, op.keys)
     assert np.allclose(out.coeffs, op.coeffs)
 

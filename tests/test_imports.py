@@ -4,12 +4,18 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import majprop
 import majprop.driver
+import majprop.instances as inst
 import majprop.pool
+from majprop.surrogate import build_surrogate
 
 PACKAGE = Path(majprop.__file__).parent
 
@@ -76,6 +82,24 @@ def test_traced_entry_points_exist(monkeypatch):
     assert missing == []
     for scorer in (majprop.driver.score_pool_ggf, majprop.driver.score_pool_gradient):
         assert {"pool", "indices"} <= set(inspect.signature(scorer).parameters)
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+def test_tracer_reads_what_a_graph_holds(picture):
+    """The benchmark's tracer reads a run's final graph: the ``stats()``
+    keys it names, and ``graph.sink`` counted against the final layer's
+    size, so the sink must stay aligned with ``graph.final_keys``."""
+    source = (Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text()
+    used = set(re.findall(r'stats\["(\w+)"\]', source))
+    assert used and "graph.sink" in source
+    rng = np.random.default_rng(7)
+    circuit = inst.random_circuit(6, 8, rng)
+    h = inst.random_molecular_hamiltonian(6, rng)
+    graph = build_surrogate(h, circuit, 0b000111, majprop.TruncationPolicy(4), picture)
+    stats = graph.stats()
+    assert used <= set(stats)
+    assert all(isinstance(stats[key], int) for key in used)
+    assert graph.sink.shape == graph.final_keys.shape == (stats["final_layer"],)
 
 
 def test_every_exported_name_resolves():

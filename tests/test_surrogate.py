@@ -11,9 +11,12 @@ from majprop.engine import FermionicCircuit, Gate
 from majprop.surrogate import (
     SurrogateGraph,
     build_surrogate,
+    cut_landscapes,
     eval_energy,
     eval_energy_and_gradient,
     extend_surrogate,
+    _layer_keys,
+    _processed_gates,
     _record_step,
     _sweep_gradient,
 )
@@ -139,6 +142,25 @@ def test_extend_matches_rebuild(rng, picture, where):
             )
 
 
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+def test_layer_keys_are_the_keys_of_a_partial_build(rng, picture):
+    """The layer after the first d processed gates holds exactly the keys a
+    fresh build of those d gates ends on, at every d, also when a source
+    term has weight 0 (the build leaves it out)."""
+    for policy in (TruncationPolicy(), POLICY):
+        h, circuit = _instance(rng, n_gates=8)
+        h.coeffs[3] = 0.0
+        graph = build_surrogate(h, circuit, OCC, policy, picture)
+        processed = _processed_gates(circuit, picture)
+        for depth in range(len(processed) + 1):
+            gates = processed[:depth]
+            partial = FermionicCircuit(
+                N, gates[::-1] if picture == "heisenberg" else gates, circuit.params
+            )
+            fresh = build_surrogate(h, partial, OCC, policy, picture)
+            assert np.array_equal(_layer_keys(graph, depth), fresh.final_keys), depth
+
+
 def test_extend_rejects_a_cut_outside_the_circuit(rng):
     h, circuit = _instance(rng, n_gates=4)
     graph = build_surrogate(h, circuit, OCC, POLICY)
@@ -189,8 +211,8 @@ def test_stats_summary(rng):
 @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
 def test_pruned_evaluation_matches_the_full_sweep_without_side_effects(rng, picture):
     """Energies and gradients run over the pruned steps; they equal the
-    sweep over every recorded step, and evaluation writes nothing to the
-    graph."""
+    sweep over every recorded step, and neither evaluation nor scoring nor
+    an insertion at any cut writes to the graph."""
     h, circuit = _instance(rng)
     graph = build_surrogate(h, circuit, OCC, POLICY, picture)
     before = pickle.dumps(graph)
@@ -202,12 +224,20 @@ def test_pruned_evaluation_matches_the_full_sweep_without_side_effects(rng, pict
         np.testing.assert_allclose(grad, ref_grad, atol=1e-13)
         assert eval_energy(graph, theta) == pytest.approx(ref_energy, abs=1e-13)
     assert pickle.dumps(graph) == before
+    theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
+    gates = [[Gate(int(inst.random_monomial_bits(N, 4, rng)), slot=circuit.n_slots)]]
+    for where in ("front", 5, "back"):
+        cut_landscapes(graph, theta, where, gates)
+        extend_surrogate(graph, gates[0], where)
+        assert pickle.dumps(graph) == before, where
 
 
 def test_recorded_layers_merge_like_union1d(rng):
     """A recorded step's next layer is ``np.union1d`` of the layer and its
     kept partners, also with no anticommuting key and with partners that
-    are already in the layer, and its edges point at the right keys."""
+    are already in the layer; it updates the layer's anticommuting keys,
+    pairs each with its partner, and its sine branches land exactly on the
+    kept partners, signed."""
     for policy in (TruncationPolicy(), POLICY):
         for trial in range(30):
             gamma = int(inst.random_monomial_bits(N, 2 + 2 * (trial % 2), rng))
@@ -226,11 +256,13 @@ def test_recorded_layers_merge_like_union1d(rng):
             kept = cand[policy.survivor_mask(cand)]
             assert np.array_equal(next_keys, np.union1d(keys, kept))
             assert next_keys.dtype == np.uint64
-            assert np.array_equal(next_keys[step.copy_dst], keys[step.copy_src])
-            assert np.array_equal(next_keys[step.cos_dst], keys[step.cos_src])
-            assert np.array_equal(
-                next_keys[step.sin_dst], keys[step.sin_src] ^ np.uint64(gamma)
-            )
+            land, partner = step.sw != 0.0, step.z ^ np.uint64(gamma)
+            paired = np.isin(partner, step.z)
+            assert np.array_equal(step.z, next_keys[_kernels.anticommutes_with(gamma, next_keys)])
+            assert np.array_equal(step.z[land], np.sort(kept))
+            assert np.array_equal(step.sw[land], _kernels.product_sign_with(gamma, partner[land]))
+            assert np.array_equal(step.z[step.p[paired]], partner[paired])
+            assert np.array_equal(step.p[~paired], np.flatnonzero(~paired))
 
 
 def test_colliding_sine_branches_raise_a_real_error():
