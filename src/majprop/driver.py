@@ -6,9 +6,13 @@ stays outermost.  Each iteration scores the candidate pool (gradient
 magnitude, greedy improvement, or a mixture on the trimming schedule), picks
 the best candidate, places its gates at the configured end of the body with
 a fresh shared angle, and reoptimizes every parameter with L-BFGS-B on the
-surrogate graph.  The recorded energy can never increase: new gates start
-at an angle whose energy is at or below the previous optimum, and the
-optimizer never returns anything worse than its starting point.
+surrogate graph.  Each reoptimization is preconditioned with the previous
+one's inverse-Hessian estimate, padded with a unit diagonal for the new
+slot, since the new problem is the old one plus one angle.  The recorded
+energy can never increase: new gates start at an angle whose energy is at
+or below the previous optimum, and the optimizer never returns anything
+worse than its starting point.  Every trajectory row splits its wall time
+into scoring, graph insertion and optimizer stages.
 """
 
 from __future__ import annotations
@@ -147,19 +151,58 @@ def init_active_rotations(
 # ---- parameter optimization ----------------------------------------------------
 
 
+# eigenvalue floor of a recycled inverse-Hessian estimate: keeps its
+# Cholesky factor well defined however the previous run ended
+_HESS_INV_FLOOR = 1e-6
+
+
 class Optimum(tuple):
     """``(theta, energy)`` of one optimizer run, with its status attached.
 
     ``nfev`` counts the energy-and-gradient evaluations and ``nit`` the
     L-BFGS-B iterations; ``converged`` is False when L-BFGS-B stopped on its
     evaluation or iteration budget, or abnormally, instead of meeting its
-    tolerance.
+    tolerance.  ``hess_inv`` is the run's final inverse-Hessian estimate in
+    theta coordinates (n x n, symmetric positive definite), which the next
+    run can take as its preconditioner.
     """
 
-    def __new__(cls, theta: np.ndarray, energy: float, nfev: int, converged: bool, nit: int):
+    def __new__(
+        cls,
+        theta: np.ndarray,
+        energy: float,
+        nfev: int,
+        converged: bool,
+        nit: int,
+        hess_inv: np.ndarray,
+    ):
         self = super().__new__(cls, (theta, energy))
         self.nfev, self.converged, self.nit = nfev, converged, nit
+        self.hess_inv = hess_inv
         return self
+
+
+def _preconditioner(hess_inv: np.ndarray | None, n: int) -> np.ndarray:
+    """Lower Cholesky factor L of an earlier inverse-Hessian estimate.
+
+    The k x k estimate (k <= n) covers the first k slots: it is symmetrized,
+    its eigenvalues are clipped at ``_HESS_INV_FLOOR`` and it is padded to
+    n x n with a unit diagonal for the slots added since.  None gives L = I.
+    """
+    factor = np.eye(n)
+    if hess_inv is None:
+        return factor
+    h = np.asarray(hess_inv, dtype=np.float64)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] > n:
+        raise ValueError(
+            f"inverse-Hessian estimate of shape {h.shape} does not fit {n} parameters"
+        )
+    if not np.all(np.isfinite(h)):
+        raise ValueError("inverse-Hessian estimate has non-finite entries")
+    k = h.shape[0]
+    w, v = np.linalg.eigh(0.5 * (h + h.T))
+    factor[:k, :k] = np.linalg.cholesky((v * np.maximum(w, _HESS_INV_FLOOR)) @ v.T)
+    return factor
 
 
 def optimize_parameters(
@@ -167,37 +210,52 @@ def optimize_parameters(
     theta0: np.ndarray,
     gtol: float = 1e-7,
     maxfun: int = 200,
+    hess_inv: np.ndarray | None = None,
 ) -> Optimum:
     """Minimize the surrogate energy with L-BFGS-B and analytic gradients.
 
+    ``hess_inv`` is an earlier run's inverse-Hessian estimate (see
+    ``_preconditioner``).  With its factor H = L L^T the run minimizes
+    z -> E(theta0 + L z) from z = 0, so L-BFGS-B starts from the recycled
+    curvature instead of the identity, and it keeps up to n correction
+    pairs (at least 10).  ``maxfun`` bounds the evaluations and ``gtol``
+    applies to the gradient in z.
+
     Returns the best point seen during the run, which is never worse than
-    the starting point (the first evaluation happens at ``theta0``).
+    the starting point (the first evaluation happens at ``theta0``), and
+    the final estimate L H_z L^T in theta coordinates.
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
     if theta0.size == 0:
-        return Optimum(theta0, eval_energy(graph, theta0), 1, True, 0)
+        return Optimum(theta0, eval_energy(graph, theta0), 1, True, 0, np.zeros((0, 0)))
+    factor = _preconditioner(hess_inv, theta0.size)
     best_f = math.inf
     best_x = theta0.copy()
 
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal best_f, best_x
+        x = theta0 + factor @ z
         energy, grad = eval_energy_and_gradient(graph, x)
         if not math.isfinite(energy) or not np.all(np.isfinite(grad)):
             raise OptimizationError(
                 f"non-finite surrogate energy {energy!r} during optimization"
             )
         if energy < best_f:
-            best_f, best_x = energy, x.copy()
-        return energy, grad
+            best_f, best_x = energy, x
+        return energy, factor.T @ grad
 
     result = scipy.optimize.minimize(
         objective,
-        theta0,
+        np.zeros(theta0.size),
         jac=True,
         method="L-BFGS-B",
-        options={"gtol": gtol, "maxfun": maxfun},
+        options={"gtol": gtol, "maxfun": maxfun, "maxcor": max(theta0.size, 10)},
     )
-    return Optimum(best_x, float(best_f), int(result.nfev), bool(result.success), int(result.nit))
+    curvature = factor @ result.hess_inv.todense() @ factor.T
+    return Optimum(
+        best_x, float(best_f), int(result.nfev), bool(result.success), int(result.nit),
+        curvature,
+    )
 
 
 # ---- run records ----------------------------------------------------------------
@@ -217,6 +275,12 @@ class TrajectoryRow:
     opt_nfev: int = 0
     opt_converged: bool = True
     opt_nit: int = 0
+    # seconds spent scoring and picking a candidate, inserting its gates
+    # (the baseline row: building the graph) and reoptimizing, all inside
+    # wall_time_s
+    score_s: float = 0.0
+    insert_s: float = 0.0
+    optimize_s: float = 0.0
 
 
 _CSV_COLUMNS = (
@@ -435,29 +499,32 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
     rot_gates, n_rot_slots, rotation_spec = init_active_rotations(
         n_spatial, config.rotation_sharing
     )
+    trajectory = Trajectory()
+    tic = time.perf_counter()
     circuit = FermionicCircuit(n_modes, list(rot_gates), np.zeros(n_rot_slots))
     graph = build_surrogate(hamiltonian, circuit, occupation, config.policy(), config.picture)
     n_body = 0
     _check_budget(graph, config, None)
-
-    trajectory = Trajectory()
-    tic = time.perf_counter()
+    built = time.perf_counter()
     optimum = optimize_parameters(
         graph, np.zeros(n_rot_slots), config.opt_gtol, config.opt_maxfun
     )
     theta, energy = optimum
+    toc = time.perf_counter()
     trajectory.append(
         TrajectoryRow(
             iteration=0,
             energy=energy,
             gate="baseline",
             theta_hash=_theta_hash(theta),
-            wall_time_s=time.perf_counter() - tic,
+            wall_time_s=toc - tic,
             pool_evaluated=0,
             live_monomials=int(graph.final_keys.size),
             opt_nfev=optimum.nfev,
             opt_converged=optimum.converged,
             opt_nit=optimum.nit,
+            insert_s=built - tic,
+            optimize_s=toc - built,
         )
     )
 
@@ -494,27 +561,36 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
             if config.resolved_gate_init(use_gradient) == "ggf_theta_star"
             else 0.0
         )
+        # the new slot is the last one, so the previous curvature estimate
+        # covers every older slot
         gates = candidate.gates(theta.size)
+        scored = time.perf_counter()
         graph = extend_surrogate(graph, gates, cut)
         n_body += len(gates)
         _check_budget(graph, config, trajectory)
+        inserted = time.perf_counter()
 
         optimum = optimize_parameters(
-            graph, np.append(theta, init_angle), config.opt_gtol, config.opt_maxfun
+            graph, np.append(theta, init_angle), config.opt_gtol, config.opt_maxfun,
+            optimum.hess_inv,
         )
         theta, energy = optimum
+        toc = time.perf_counter()
         trajectory.append(
             TrajectoryRow(
                 iteration=iteration,
                 energy=energy,
                 gate=candidate.label,
                 theta_hash=_theta_hash(theta),
-                wall_time_s=time.perf_counter() - tic,
+                wall_time_s=toc - tic,
                 pool_evaluated=len(indices),
                 live_monomials=int(graph.final_keys.size),
                 opt_nfev=optimum.nfev,
                 opt_converged=optimum.converged,
                 opt_nit=optimum.nit,
+                score_s=scored - tic,
+                insert_s=inserted - scored,
+                optimize_s=toc - inserted,
             )
         )
 

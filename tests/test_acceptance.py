@@ -331,6 +331,9 @@ def test_c09_h4_chain_reaches_the_dense_ground_state():
     assert len(result.trajectory) <= 31
     gap = result.energy - float(w[0])
     assert -1e-9 < gap < 1e-3, f"final gap to ground energy {gap:.2e}"
+    # each reoptimization starts from the previous iteration's curvature
+    nfev = sum(r.opt_nfev for r in result.trajectory)
+    assert nfev <= 900, f"{nfev} optimizer evaluations"
 
     rerun = run_adapt_vmpe(
         tensors,
@@ -342,7 +345,8 @@ def test_c09_h4_chain_reaches_the_dense_ground_state():
     assert _rows_sans_time(rerun.trajectory) == _rows_sans_time(result.trajectory)
     dt = time.perf_counter() - tic
     print(f"\n[c09] E = {result.energy:.9f}, ground = {float(w[0]):.9f}, "
-          f"gap = {gap:.2e} after {len(result.trajectory) - 1} iterations  ({dt:.1f}s)")
+          f"gap = {gap:.2e} after {len(result.trajectory) - 1} iterations, "
+          f"{nfev} optimizer evaluations  ({dt:.1f}s)")
     assert dt < 600.0
 
 

@@ -184,6 +184,55 @@ def test_optimizer_handles_empty_parameter_vector(rng):
     assert energy == pytest.approx(fock_expectation(h, 0b00001111), abs=1e-12)
 
 
+def _kicked_optimum():
+    """A six-angle random problem, its optimum, and a start kicked off it."""
+    rng = np.random.default_rng(5)
+    h = inst.random_molecular_hamiltonian(8, rng)
+    circuit = inst.random_circuit(8, 6, rng)
+    graph = build_surrogate(h, circuit, 0b00001111)
+    optimum = optimize_parameters(graph, circuit.params)
+    return graph, optimum, optimum[0] + 0.05 * rng.standard_normal(optimum[0].size)
+
+
+def test_optimizer_returns_a_positive_definite_curvature():
+    _, optimum, _ = _kicked_optimum()
+    hess_inv = optimum.hess_inv
+    assert hess_inv.shape == (6, 6)
+    assert np.allclose(hess_inv, hess_inv.T, rtol=0.0, atol=1e-12)
+    assert np.linalg.eigvalsh(hess_inv).min() > 0.0
+
+
+def test_optimizer_pads_a_smaller_curvature_for_new_slots():
+    graph, optimum, kick = _kicked_optimum()
+    padded = np.eye(6)
+    padded[:5, :5] = optimum.hess_inv[:5, :5]
+    short = optimize_parameters(graph, kick, hess_inv=optimum.hess_inv[:5, :5])
+    full = optimize_parameters(graph, kick, hess_inv=padded)
+    assert short.hess_inv.shape == (6, 6)
+    assert short[1] == pytest.approx(full[1], abs=1e-10)
+    assert short[1] <= eval_energy(graph, kick)
+
+
+def test_recycled_curvature_saves_evaluations_near_an_optimum():
+    graph, optimum, kick = _kicked_optimum()
+    cold = optimize_parameters(graph, kick)
+    warm = optimize_parameters(graph, kick, hess_inv=optimum.hess_inv)
+    assert cold.converged and warm.converged
+    assert warm.nfev < cold.nfev
+    assert warm[1] == pytest.approx(cold[1], abs=1e-8)
+    assert warm[1] == pytest.approx(optimum[1], abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "hess_inv",
+    [np.eye(7), np.ones((6, 5)), np.ones(6), np.diag([1.0, np.nan, 1.0]), np.full((2, 2), np.inf)],
+)
+def test_optimizer_rejects_a_malformed_curvature(hess_inv):
+    graph, _, kick = _kicked_optimum()
+    with pytest.raises(ValueError):
+        optimize_parameters(graph, kick, hess_inv=hess_inv)
+
+
 # ---- configuration ---------------------------------------------------------------
 
 
@@ -271,6 +320,29 @@ def test_exhausted_optimizer_budget_is_reported():
         assert full.opt_converged and 3 < full.opt_nfev <= 200
         assert 1 <= full.opt_nit <= full.opt_nfev
         assert starved.energy > full.energy
+
+
+def test_twenty_mode_gradient_iteration_converges():
+    """The 20-mode gradient iteration of c12 reoptimizes within the default
+    evaluation budget once it starts from the baseline's curvature."""
+    tensors = inst.random_restricted_integrals(10, np.random.default_rng(120), n_electrons=10)
+    result = run_adapt_vmpe(
+        tensors, RunConfig(max_iterations=1, cutoff=4, selection="gradient")
+    )
+    assert len(result.trajectory) == 2
+    assert all(row.opt_converged for row in result.trajectory)
+
+
+def test_stage_times_fit_inside_each_row():
+    tensors, _ = _fixture("h4_chain_r20")
+    result = run_adapt_vmpe(tensors, RunConfig(max_iterations=3, cutoff=4))
+    baseline, *rows = result.trajectory.rows
+    assert baseline.score_s == 0.0 and baseline.insert_s > 0.0 and baseline.optimize_s > 0.0
+    assert rows
+    for row in result.trajectory:
+        stages = (row.score_s, row.insert_s, row.optimize_s)
+        assert min(stages) >= 0.0
+        assert sum(stages) <= row.wall_time_s
 
 
 def test_memory_budget_stops_the_run_with_its_trajectory():
