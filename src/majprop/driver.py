@@ -2,17 +2,28 @@
 
 The ansatz keeps a fixed layout: reference determinant, then the adaptively
 grown gate body, then a block of single-excitation "active rotations" that
-stays outermost.  Each iteration scores the candidate pool (gradient
-magnitude, greedy improvement, or a mixture on the trimming schedule), picks
-the best candidate, places its gates at the configured end of the body with
-a fresh shared angle, and reoptimizes every parameter with L-BFGS-B on the
+stays outermost.  Each rotation is generated by length-2 Majorana
+monomials, so the block maps every monomial to monomials of its own length
+and length truncation never drops a branch inside it: the energy of the
+whole circuit is that of the body against the orbital-dressed Hamiltonian
+H(theta_rot) (the split orbital-optimized UCC uses).  The surrogate graph
+therefore records the body alone, and a :class:`DressedHamiltonian` gives
+its Hamiltonian weights, and their gradient, at the rotation angles of each
+evaluation.  The rotations own the first parameter slots, and each accepted
+candidate adds one slot after them.
+
+Each iteration scores the candidate pool (gradient magnitude, greedy
+improvement, or a mixture on the trimming schedule), picks the best
+candidate, places its gates at the configured end of the body with a fresh
+shared angle, and reoptimizes every parameter with L-BFGS-B on the
 surrogate graph.  Each reoptimization is preconditioned with the previous
 one's inverse-Hessian estimate, padded with a unit diagonal for the new
 slot, since the new problem is the old one plus one angle.  The recorded
 energy can never increase: new gates start at an angle whose energy is at
 or below the previous optimum, and the optimizer never returns anything
 worse than its starting point.  Every trajectory row splits its wall time
-into scoring, graph insertion and optimizer stages.
+into scoring, graph insertion and optimizer stages, and gives the size of
+the graph the optimizer swept.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from .engine import (  # noqa: F401 -- perfbench/tracing.py wraps driver.propaga
     TruncationPolicy,
     propagate,
 )
-from .hamiltonian import build_majorana_hamiltonian, spin_orbital_mode
+from .hamiltonian import DressedHamiltonian, build_majorana_hamiltonian, spin_orbital_mode
 from .integrals import IntegralTensors, aufbau_occupation, dress_integrals
 from .operators import SparseOperator
 from .pool import (
@@ -281,6 +292,9 @@ class TrajectoryRow:
     score_s: float = 0.0
     insert_s: float = 0.0
     optimize_s: float = 0.0
+    # size of the (pruned) graph the optimizer swept: keys and gate steps
+    pruned_keys: int = 0
+    steps: int = 0
 
 
 _CSV_COLUMNS = (
@@ -424,6 +438,15 @@ class RunConfig:
 
 @dataclass
 class AdaptResult:
+    """What a run returns.
+
+    ``circuit`` is the whole ansatz, body then active rotations, at the
+    final angles ``params``, and ``hamiltonian`` the undressed Hamiltonian,
+    so the two evaluate on their own.  ``graph`` is the surrogate graph of
+    the body against the dressed Hamiltonian; ``rotation_spec`` rows
+    (p, q, sector, slot) give the rotations' orbitals and slots.
+    """
+
     energy: float
     params: np.ndarray
     circuit: FermionicCircuit
@@ -473,6 +496,11 @@ def _check_budget(
         )
 
 
+def _swept(graph: SurrogateGraph) -> dict:
+    """Trajectory-row fields for the size of the sweep the optimizer runs."""
+    return {"pruned_keys": int(graph.pruned.source.size), "steps": len(graph.pruned.steps)}
+
+
 def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
     """Grow and optimize an adaptive circuit for the given integrals.
 
@@ -482,10 +510,14 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
     or as soon as the selected candidate's achievable improvement falls
     under the floor.
     """
-    hamiltonian = build_majorana_hamiltonian(tensors)
-    config.validate(hamiltonian.max_degree())
     n_spatial = tensors.n_spatial
     n_modes = 2 * n_spatial
+    rot_gates, n_rot_slots, rotation_spec = init_active_rotations(
+        n_spatial, config.rotation_sharing
+    )
+    dressed = DressedHamiltonian(tensors, rotation_spec)
+    hamiltonian = build_majorana_hamiltonian(tensors, dressed.map)
+    config.validate(hamiltonian.max_degree())
     occupation = aufbau_occupation(tensors.n_electrons)
     occ_alpha = bin(occupation & 0x5555555555555555).count("1")
     occ_beta = bin(occupation & 0xAAAAAAAAAAAAAAAA).count("1")
@@ -496,14 +528,10 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
         # equivalence classes move it identically
         pool = reduce_pool_equivalence(pool)
 
-    rot_gates, n_rot_slots, rotation_spec = init_active_rotations(
-        n_spatial, config.rotation_sharing
-    )
     trajectory = Trajectory()
     tic = time.perf_counter()
-    circuit = FermionicCircuit(n_modes, list(rot_gates), np.zeros(n_rot_slots))
-    graph = build_surrogate(hamiltonian, circuit, occupation, config.policy(), config.picture)
-    n_body = 0
+    body = FermionicCircuit(n_modes, [], np.zeros(n_rot_slots))
+    graph = build_surrogate(dressed, body, occupation, config.policy(), config.picture)
     _check_budget(graph, config, None)
     built = time.perf_counter()
     optimum = optimize_parameters(
@@ -525,6 +553,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
             opt_nit=optimum.nit,
             insert_s=built - tic,
             optimize_s=toc - built,
+            **_swept(graph),
         )
     )
 
@@ -541,11 +570,10 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
         )
         # new gates go in at the circuit front or at the body's end: the
         # active rotations stay outermost
-        cut = 0 if placement == "front" else n_body
         if use_gradient:
-            scores = score_pool_gradient(pool, graph, theta, cut, indices)
+            scores = score_pool_gradient(pool, graph, theta, placement, indices)
         else:
-            scores = score_pool_ggf(pool, graph, theta, cut, indices)
+            scores = score_pool_ggf(pool, graph, theta, placement, indices)
         if config.trim_tau is not None:
             active = trim_pool(
                 scores, config.trim_tau, config.trim_kappa, iteration,
@@ -565,8 +593,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
         # covers every older slot
         gates = candidate.gates(theta.size)
         scored = time.perf_counter()
-        graph = extend_surrogate(graph, gates, cut)
-        n_body += len(gates)
+        graph = extend_surrogate(graph, gates, placement)
         _check_budget(graph, config, trajectory)
         inserted = time.perf_counter()
 
@@ -591,11 +618,11 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
                 score_s=scored - tic,
                 insert_s=inserted - scored,
                 optimize_s=toc - inserted,
+                **_swept(graph),
             )
         )
 
-    circuit = graph.circuit.copy()
-    circuit.params = theta.copy()
+    circuit = FermionicCircuit(n_modes, graph.circuit.gates + rot_gates, theta.copy())
     return AdaptResult(
         energy=energy,
         params=theta,

@@ -12,20 +12,33 @@ a+ a+ a a for two) by one batched kernel, :func:`ladder_terms`: a whole
 block of weighted ladder strings is multiplied out one Majorana factor at a
 time on uint64 keys, with the phase tracked exactly as a power of i.  The
 blocks are then merged by key in a single pass.
+
+The coefficients are linear in the integrals, so one sparse
+:class:`IntegralMap` from the unique integral entries to the coefficients
+of every spin- and number-conserving one- and two-body key holds for all
+integrals of a size.  :class:`DressedHamiltonian` uses it to give the
+Hamiltonian with a block of orbital rotations folded into the integrals,
+H(theta) = R(theta)^dag H R(theta), and the pullback of a gradient on its
+coefficients onto the rotation angles, at every evaluation.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from . import _kernels
-from .integrals import IntegralTensors
+from .integrals import IntegralTensors, rotation_matrix
 from .operators import SparseOperator
 
 __all__ = [
+    "DressedHamiltonian",
+    "IntegralMap",
     "build_majorana_hamiltonian",
+    "integral_map",
     "spin_orbital_mode",
     "ladder_terms",
     "ladder_product",
@@ -125,29 +138,283 @@ def assemble_operator(
     return SparseOperator(n_modes, keys[keep], real[keep])
 
 
-def build_majorana_hamiltonian(t: IntegralTensors) -> SparseOperator:
+def build_majorana_hamiltonian(
+    t: IntegralTensors, mapping: IntegralMap | None = None
+) -> SparseOperator:
     """Expand H = E_core + sum h_pq a+_p a_q + 1/2 sum (ij|kl) a+ a+ a a.
 
     The two-electron part uses the chemist-ordered integrals directly:
     (ij|kl) weighs a+_{i s1} a+_{k s2} a_{l s2} a_{j s1} over all
-    spin-sector pairs.  Integrals below 1e-16 in magnitude are skipped.  The
-    result contains the identity plus even monomials of length 2 and 4
-    only, with real coefficients.
+    spin-sector pairs.  The coefficients are the :class:`IntegralMap` of
+    ``t``'s size applied to its unique entries; ``mapping`` passes one
+    already built (a shared map needs restricted integrals).  Terms at or
+    below 1e-14 are dropped.  The result contains the identity plus even
+    monomials of length 2 and 4 only, with real coefficients.
     """
-    n = t.n_spatial
-    spins = ("alpha", "beta")
-    mode = {s: np.array([spin_orbital_mode(p, s, n) for p in range(1, n + 1)])
-            for s in spins}
-    parts = [ladder_terms([[]], (), [t.core_energy])]  # the empty string is the identity
-    for s in spins:
-        h1 = t.h1_block(s)
-        p, q = np.nonzero(np.abs(h1) >= 1e-16)
-        modes = np.stack([mode[s][p], mode[s][q]], axis=1)
-        parts.append(ladder_terms(modes, (True, False), h1[p, q]))
-    for s1 in spins:
-        for s2 in spins:
-            h2 = t.h2_block(s1[0] + s2[0])
-            i, j, k, l = np.nonzero(np.abs(h2) >= 1e-16)
-            modes = np.stack([mode[s1][i], mode[s2][k], mode[s2][l], mode[s1][j]], axis=1)
-            parts.append(ladder_terms(modes, (True, True, False, False), 0.5 * h2[i, j, k, l]))
-    return assemble_operator(parts, 2 * n)
+    if mapping is None:
+        mapping = integral_map(t.n_spatial, t.is_restricted)
+    coeffs = mapping.matrix @ mapping.entries(t)
+    keep = np.abs(coeffs) > _PRUNE
+    return SparseOperator(2 * t.n_spatial, mapping.keys[keep], coeffs[keep])
+
+
+# ---- the integral map and the dressed Hamiltonian ------------------------------
+
+
+def _symmetries(spins: str) -> list[tuple[int, ...]]:
+    """Index permutations that leave a block's integrals unchanged: h1
+    pairs, the 8-fold (ij|kl) orbits of a same-spin block, and the 4-fold
+    orbits of the mixed block, symmetric within each pair only."""
+    if len(spins) == 1:
+        return [(0, 1), (1, 0)]
+    within = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)]
+    return within if spins == "ab" else within + [perm[2:] + perm[:2] for perm in within]
+
+
+@dataclass(frozen=True)
+class _Block:
+    """One integral block's columns of the map: ``spins`` names the block
+    ("a", "b": one-body; "aa", "bb", "ab": two-body), ``reps`` holds the
+    flat tensor index of each column's representative entry, ``orbit`` the
+    column (from ``start``) of every tensor entry."""
+
+    spins: str
+    reps: np.ndarray
+    orbit: np.ndarray
+    start: int
+
+
+@dataclass(frozen=True)
+class IntegralMap:
+    """Majorana coefficients as a linear map of the unique integral entries.
+
+    Row r of ``matrix`` is key ``keys[r]``; its columns are the core energy
+    and then, block by block, one entry per symmetry orbit of the integral
+    tensors.  ``shared`` maps have one one-body and one two-body block that
+    serve both spins (restricted integrals under one rotation for both
+    spins); the others keep the alpha, beta and mixed blocks apart.  The
+    rows cover every key the blocks can reach at any integral values, since
+    rotating the orbitals fills terms that are zero by symmetry.
+    """
+
+    n_spatial: int
+    shared: bool
+    keys: np.ndarray
+    matrix: scipy.sparse.csr_array
+    blocks: tuple[_Block, ...]
+
+    def entries(self, t: IntegralTensors) -> np.ndarray:
+        """The map's input for the integrals ``t``: core energy, then each
+        block's representative entries."""
+        if t.n_spatial != self.n_spatial or (self.shared and not t.is_restricted):
+            raise ValueError(
+                f"a {'shared' if self.shared else 'spin-resolved'} map of {self.n_spatial} "
+                f"orbitals cannot read {t.spin_mode} integrals of {t.n_spatial}"
+            )
+        parts = [np.array([t.core_energy])]
+        for block in self.blocks:
+            tensor = _tensor(t, block.spins)
+            for perm in _symmetries(block.spins):
+                if not np.allclose(tensor.transpose(perm), tensor, rtol=0.0, atol=1e-10):
+                    raise ValueError(f"the {block.spins} integrals lack their index symmetry")
+            parts.append(tensor.ravel()[block.reps])
+        return np.concatenate(parts)
+
+
+_SECTORS = {"a": "alpha", "b": "beta"}
+
+
+def _tensor(t: IntegralTensors, spins: str) -> np.ndarray:
+    return t.h2_block(spins) if len(spins) == 2 else t.h1_block(_SECTORS[spins])
+
+
+def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
+    """The integral map of ``n_spatial`` orbitals (see :class:`IntegralMap`).
+
+    Every index tuple of every spin combination is expanded with
+    :func:`ladder_terms` and credited to the column of its symmetry orbit;
+    each orbit's terms sum to a real combination because it holds its
+    Hermitian conjugate.
+    """
+    n = n_spatial
+    mode = {s: np.array([spin_orbital_mode(p, sector, n) for p in range(1, n + 1)])
+            for s, sector in _SECTORS.items()}
+    # (block, its uses): a use is the spins of its operator pairs and its
+    # weight; a beta-alpha term equals the alpha-beta term of the transposed
+    # block entry (both operator pairs swap), so the mixed block counts once
+    if shared:
+        layout = [("a", [("a", 1.0), ("b", 1.0)]),
+                  ("aa", [("aa", 0.5), ("bb", 0.5), ("ab", 1.0)])]
+    else:
+        layout = [("a", [("a", 1.0)]), ("b", [("b", 1.0)]), ("aa", [("aa", 0.5)]),
+                  ("bb", [("bb", 0.5)]), ("ab", [("ab", 1.0)])]
+    keys, values, columns = [np.zeros(1, np.uint64)], [np.ones(1, complex)], [np.zeros(1, int)]
+    blocks, start = [], 1
+    for name, uses in layout:
+        dims = (n,) * 2 * len(name)
+        idx = np.indices(dims).reshape(len(dims), -1).T
+        orbit = np.minimum.reduce([
+            np.ravel_multi_index(idx[:, list(perm)].T, dims) for perm in _symmetries(name)
+        ])
+        reps, col = np.unique(orbit, return_inverse=True)
+        for spins, weight in uses:
+            m1, m2 = mode[spins[0]], mode[spins[-1]]
+            at, where, weights = idx, col, np.full(len(idx), weight)
+            if len(dims) == 4 and spins[0] == spins[1]:
+                # (ij|kl) and (kl|ij) give one same-spin operator: expand it once
+                first, second = idx[:, :2] @ [n, 1], idx[:, 2:] @ [n, 1]
+                once = first <= second
+                at, where = idx[once], col[once]
+                weights = np.where(first < second, 2.0, 1.0)[once] * weight
+            if len(dims) == 2:
+                modes, daggers = m1[at], (True, False)
+            else:
+                i, j, k, l = at.T
+                modes = np.stack([m1[i], m2[k], m2[l], m1[j]], axis=1)
+                daggers = (True, True, False, False)
+            term_keys, term_values = ladder_terms(modes, daggers, weights)
+            keys.append(term_keys)
+            values.append(term_values)
+            columns.append(np.repeat(where + start, 1 << len(daggers)))
+        blocks.append(_Block(name, reps, col, start))
+        start += reps.size
+    keys, values, columns = (np.concatenate(x) for x in (keys, values, columns))
+    uniq, rows = np.unique(keys, return_inverse=True)
+
+    matrix = scipy.sparse.csr_array((values, (rows, columns)), shape=(uniq.size, start))
+    matrix.sum_duplicates()
+    if np.abs(matrix.data.imag).max(initial=0.0) > 1e-12:
+        raise ValueError("an integral orbit expands to a non-Hermitian term")
+    matrix = matrix.real
+    matrix.eliminate_zeros()
+    live = np.diff(matrix.indptr) > 0
+    return IntegralMap(n, shared, uniq[live], matrix[live], tuple(blocks))
+
+
+def _transform(h: np.ndarray, vs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``h`` with ``vs[k]`` applied to its index k, h'[p..] = sum V[p, i] ... h[i..].
+
+    One index at a time, from the last: each step contracts the last axis
+    and moves the new index to the front.  Returns h' with its first index
+    last (axes q.., p, contiguous) and the tensor before that last step,
+    every index but the first transformed (axes q.., i), which dE/dV of
+    the first index contracts with dE/dh'.
+    """
+    n = h.shape[0]
+    x = h
+    for v in vs[:0:-1]:
+        x = np.moveaxis((x.reshape(-1, n) @ v.T).reshape(x.shape), -1, 0)
+    return x.reshape(-1, n) @ vs[0].T, x
+
+
+class DressedHamiltonian:
+    """H(theta): the integrals' Hamiltonian with orbital rotations folded in.
+
+    ``rotation_spec`` rows (p, q, sector, slot) are the single-excitation
+    rotations exp(theta_slot (a+_p a_q - a+_q a_p)) on 1-based orbitals, in
+    the order they act on the reference state, as
+    :func:`integrals.dress_integrals` takes them.  Per spin the product of
+    plane rotations V (:func:`integrals.rotation_matrix`) acts on every
+    index of the integrals, h1' = V h1 V^T and h2' = (V (x) V) H2
+    (V (x) V)^T, and the :class:`IntegralMap` turns them into coefficients
+    on ``keys``; ``coeffs`` holds them at zero angles.  Restricted integrals
+    under restricted sharing (the same slots for both spins) dress one V.
+    """
+
+    def __init__(
+        self, tensors: IntegralTensors, rotation_spec: Sequence[tuple[int, int, str, int]]
+    ):
+        n = tensors.n_spatial
+        rotations: dict[str, list[tuple[int, int, int]]] = {"alpha": [], "beta": []}
+        for p, q, sector, slot in rotation_spec:
+            rotations[sector].append((p - 1, q - 1, int(slot)))
+        shared = tensors.is_restricted and rotations["alpha"] == rotations["beta"]
+        self.n_modes = 2 * n
+        self.tensors = tensors
+        self.map = integral_map(n, shared)
+        self.keys = self.map.keys
+        self.coeffs = self.map.matrix @ self.map.entries(tensors)
+        self.n_slots = 1 + max((slot for *_, slot in rotation_spec), default=-1)
+        self._rotations = {s[0]: rotations[s] for s in ("alpha", "beta")[: 1 if shared else 2]}
+        # each rotation's slot, and +1 where it turns from its lower orbital
+        self._slots = {
+            spin: (np.array([slot for *_, slot in rots], int),
+                   np.array([1.0 if p < q else -1.0 for p, q, _ in rots]))
+            for spin, rots in self._rotations.items()
+        }
+        self._transpose = self.map.matrix.T.tocsr()
+        # per block: its integrals (the mixed one also with its pairs
+        # swapped), each entry's column and share of its orbit, and where
+        # the last transform step leaves each representative
+        self._blocks = []
+        for block in self.map.blocks:
+            h = _tensor(tensors, block.spins)
+            swapped = np.ascontiguousarray(h.transpose(2, 3, 0, 1)) if block.spins == "ab" else None
+            share = 1.0 / np.bincount(block.orbit)[block.orbit]
+            at = np.unravel_index(block.reps, h.shape)
+            last = np.ravel_multi_index(at[1:] + at[:1], h.shape)
+            self._blocks.append((block, h, swapped, block.start + block.orbit, share, last))
+
+    def linearize(
+        self, params: np.ndarray
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """Coefficients on ``keys`` at the angles ``params``, and the pullback
+        of a gradient on them onto ``params``.
+
+        The pullback maps dE/dc through the map's transpose onto the
+        representative entries and spreads each evenly over its orbit,
+        giving a dE/dh' with the integrals' symmetry.  That makes the
+        derivative through every index of a block with one V the same,
+        so dE/dV is that of the first index times the number of indices;
+        the mixed block takes the beta one from its transpose.  For the
+        rotation R_k of the pair (p, q) on V = P_k S_(k+1) (prefix ending
+        with R_k, suffix after it), dE/dtheta_k is -(c_p^T A c_q) with
+        A = G V^T - V G^T, G = dE/dV and c_p, c_q the columns p and q of
+        P_k, which building V leaves behind (:func:`rotation_matrix`).
+        """
+        angles = np.asarray(params, dtype=np.float64).tolist()
+        n = self.tensors.n_spatial
+        v, trails = {}, {}
+        for spin, rotations in self._rotations.items():
+            trails[spin] = []
+            v[spin] = rotation_matrix(
+                n, [(p, q, angles[slot]) for p, q, slot in rotations], trails[spin]
+            )
+        v.setdefault("b", v["a"])
+        parts = [np.array([self.tensors.core_energy])]
+        partials = []
+        for block, h, _, _, _, last in self._blocks:
+            dressed, partial = _transform(h, [v[spin] for spin in _index_spins(block.spins)])
+            parts.append(dressed.ravel()[last])
+            partials.append(partial)
+        coeffs = self.map.matrix @ np.concatenate(parts)
+
+        def pullback(dcoeffs: np.ndarray) -> np.ndarray:
+            du = self._transpose @ dcoeffs
+            dv = {"a": np.zeros((n, n)), "b": np.zeros((n, n))}
+            for (block, h, swapped, orbit, share, _), partial in zip(self._blocks, partials):
+                g = (du[orbit] * share).reshape(h.shape)
+                if swapped is None:
+                    dv[block.spins[0]] += h.ndim * (g.reshape(n, -1) @ partial.reshape(-1, n))
+                    continue
+                _, partial_b = _transform(swapped, [v["b"], v["b"], v["a"], v["a"]])
+                g_b = g.transpose(2, 3, 0, 1)
+                dv["a"] += 2.0 * (g.reshape(n, -1) @ partial.reshape(-1, n))
+                dv["b"] += 2.0 * (g_b.reshape(n, -1) @ partial_b.reshape(-1, n))
+            grad = np.zeros(len(angles))
+            for spin, trail in trails.items():
+                if not trail:
+                    continue
+                a = dv[spin] @ v[spin].T
+                a -= a.T
+                cols = np.array(trail)  # (rotation, lower/higher orbital, n)
+                slots, orient = self._slots[spin]
+                np.add.at(grad, slots, -orient * ((cols[:, 0] @ a) * cols[:, 1]).sum(1))
+            return grad
+
+        return coeffs, pullback
+
+
+def _index_spins(spins: str) -> str:
+    """Spin of each index of a block's tensor: (ij|kl) pairs i, j and k, l."""
+    return spins * 2 if len(spins) == 1 else spins[0] * 2 + spins[1] * 2

@@ -10,12 +10,12 @@ aa-ERI, bb-ERI, ab-ERI, alpha-h1, beta-h1 and core sections separated by
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "IntegralTensors",
@@ -23,6 +23,7 @@ __all__ = [
     "parse_fcidump",
     "emit_fcidump",
     "dress_integrals",
+    "rotation_matrix",
     "hartree_fock_energy",
     "aufbau_occupation",
 ]
@@ -291,11 +292,29 @@ def emit_fcidump(t: IntegralTensors) -> str:
 # ---- orbital dressing ---------------------------------------------------------
 
 
-def _plane_rotation(n: int, p: int, q: int, theta: float) -> np.ndarray:
-    kappa = np.zeros((n, n))
-    kappa[p - 1, q - 1] = theta
-    kappa[q - 1, p - 1] = -theta
-    return scipy.linalg.expm(-kappa)
+def rotation_matrix(
+    n: int, rotations: Iterable[tuple[int, int, float]], trail: list | None = None
+) -> np.ndarray:
+    """One-particle matrix V = R_1 R_2 ... of plane rotations, in list order.
+
+    Entry (p, q, theta) is R = exp(theta (E_qp - E_pq)) on 0-based orbitals
+    p != q: the identity except R[p, p] = R[q, q] = cos theta and
+    R[q, p] = -R[p, q] = sin theta.  The product is built in closed form,
+    one pair of rows of V^T per rotation.  With ``trail`` given, each
+    rotation appends the columns (lower orbital, higher orbital) of the
+    prefix product ending with it, as the rows of a 2 x n array.
+    """
+    vt = np.eye(n)
+    for p, q, theta in rotations:
+        if p > q:  # the same rotation, seen from the other orbital
+            p, q, theta = q, p, -theta
+        c, s = math.cos(theta), math.sin(theta)
+        rows = vt[p : q + 1 : q - p]
+        new = np.array([[c, s], [-s, c]]) @ rows
+        rows[...] = new
+        if trail is not None:
+            trail.append(new)
+    return vt.T
 
 
 def dress_integrals(
@@ -323,10 +342,7 @@ def dress_integrals(
         per_sector[sector].append((p, q, theta))
 
     def _total(seq: list[tuple[int, int, float]]) -> np.ndarray:
-        v = np.eye(n)
-        for p, q, theta in seq:
-            v = v @ _plane_rotation(n, p, q, theta)
-        return v
+        return rotation_matrix(n, [(p - 1, q - 1, theta) for p, q, theta in seq])
 
     v_alpha = _total(per_sector["alpha"])
     same = per_sector["alpha"] == per_sector["beta"]

@@ -38,13 +38,20 @@ picture) that rest is empty.  Scoring inserts nothing: a gate's landscape
 at any cut sums the paths of the layer's keys through it that end on a
 weighted key, and one kernel finds those paths for a whole pool from the
 weighted side and sums them in one pass.
+
+The Hamiltonian's coefficients are the source of a Heisenberg graph and,
+scaled by 2^n, the sink of a Schrodinger graph.  They are fixed for a
+:class:`SparseOperator`.  A :class:`hamiltonian.DressedHamiltonian` makes
+them functions of the angles of an orbital-rotation block folded into the
+integrals: the graph is recorded over every key they can weigh, and every
+evaluation takes them, and a gradient their pullback, at its angles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -57,6 +64,7 @@ from .engine import (
     _check_picture,
     _reference_projector,
 )
+from .hamiltonian import DressedHamiltonian
 from .operators import SparseOperator
 
 __all__ = [
@@ -90,25 +98,34 @@ class _Step:
 
 @dataclass
 class _Sweep:
-    """Source weights, steps and sink weights of one evaluable sweep."""
+    """Source weights, steps and sink weights of one evaluable sweep.
+
+    ``ham_at`` holds the positions of the Hamiltonian's weighed keys in the
+    key vector, and ``ham_of`` their indices in ``hamiltonian.keys``.
+    """
 
     source: np.ndarray
     steps: list[_Step]
     sink: np.ndarray
+    ham_at: np.ndarray
+    ham_of: np.ndarray
 
 
 def _prune(graph: SurrogateGraph) -> _Sweep:
     """The recorded sweep restricted to what can reach the sink.
 
-    One backward pass marks the keys with a branch path to a nonzero sink
-    weight.  A key that reaches it from one layer also reaches it from
-    every earlier layer it is in (its cosine branch carries it), so a mark
-    taken at a step says whether the key still reaches the sink after that
-    gate.  A step keeps the updates of such keys and of the partners their
-    sine branches read; the others only touch values no weight reads.  The
-    marked keys are renumbered once.
+    One backward pass marks the keys with a branch path to a sink weight
+    that can be nonzero (in the Schrodinger picture, every key the
+    Hamiltonian weighs, whatever its value now).  A key that reaches it
+    from one layer also reaches it from every earlier layer it is in (its
+    cosine branch carries it), so a mark taken at a step says whether the
+    key still reaches the sink after that gate.  A step keeps the updates
+    of such keys and of the partners their sine branches read; the others
+    only touch values no weight reads.  The marked keys are renumbered once.
     """
     need = graph.sink != 0.0
+    if graph.picture == "schrodinger":
+        need[graph.ham_at] = True
     keeps = []
     for step in reversed(graph.steps):
         mark = need[step.z]
@@ -122,17 +139,24 @@ def _prune(graph: SurrogateGraph) -> _Sweep:
         at = np.cumsum(keep) - 1
         p = np.where(keep[step.p], at[step.p], at)[keep]
         steps.append(_Step(step.slot, renum[step.z[keep]], p, step.sw[keep]))
-    return _Sweep(graph.source[need], steps, graph.sink[need])
+    held = need[graph.ham_at]
+    return _Sweep(
+        graph.source[need], steps, graph.sink[need],
+        renum[graph.ham_at[held]], graph.ham_of[held],
+    )
 
 
 @dataclass
 class SurrogateGraph:
     """Recorded branch structure of one truncated propagation sweep.
 
-    ``source``, ``sink`` and the indices of ``steps`` all address
-    ``final_keys``, which holds every recorded key; ``pruned`` is the same
-    sweep restricted to the keys that reach a nonzero sink weight, and is
-    what energies and gradients run over.
+    ``source``, ``sink``, ``ham_at`` and the indices of ``steps`` all
+    address ``final_keys``, which holds every recorded key; ``pruned`` is
+    the same sweep restricted to the keys that reach a sink weight, and is
+    what energies and gradients run over.  The Hamiltonian's side (source
+    in the Heisenberg picture, sink in the Schrodinger picture) holds its
+    coefficients; those of a dressed Hamiltonian at zero rotation angles,
+    since every evaluation takes them at its own angles (:func:`_weights`).
     """
 
     n_modes: int
@@ -140,11 +164,13 @@ class SurrogateGraph:
     occupation: int
     policy: TruncationPolicy
     circuit: FermionicCircuit
-    hamiltonian: SparseOperator
+    hamiltonian: SparseOperator | DressedHamiltonian
     source: np.ndarray
     steps: list[_Step] = field(default_factory=list)
     final_keys: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.uint64))
     sink: np.ndarray = field(default_factory=lambda: np.empty(0))
+    ham_at: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    ham_of: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     pruned: _Sweep | None = field(default=None, repr=False)
 
     @property
@@ -203,7 +229,7 @@ def _lookup(keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_surrogate(
-    hamiltonian: SparseOperator,
+    hamiltonian: SparseOperator | DressedHamiltonian,
     circuit: FermionicCircuit,
     occupation: int,
     policy: TruncationPolicy | None = None,
@@ -215,17 +241,19 @@ def build_surrogate(
     eigenvalues on the reference state; Schrodinger graphs start from the
     truncated reference projector and sink into the Hamiltonian
     coefficients.  The truncation rule reads only keys, so the recorded
-    branch structure holds at every angle.  Source terms of weight 0 are
-    left out.
+    branch structure holds at every angle.  Fixed Hamiltonian terms of
+    weight 0 are left out; a dressed Hamiltonian weighs all its keys, since
+    its coefficients change with the rotation angles.
     """
     _check_picture(picture)
     policy = (policy or TruncationPolicy()).resolved(picture)
     if picture == "heisenberg":
-        start = hamiltonian
+        weighed = _weighed(hamiltonian)
+        first, weights = hamiltonian.keys[weighed], hamiltonian.coeffs[weighed]
     else:
         start = _reference_projector(occupation, hamiltonian.n_modes, policy)
-    nonzero = start.coeffs != 0.0
-    first, weights = start.keys[nonzero], start.coeffs[nonzero]
+        nonzero = start.coeffs != 0.0
+        first, weights = start.keys[nonzero], start.coeffs[nonzero]
     graph = SurrogateGraph(
         n_modes=hamiltonian.n_modes,
         picture=picture,
@@ -237,6 +265,39 @@ def build_surrogate(
     )
     keys, graph.steps = _record(graph, first, _processed_gates(circuit, picture))
     return _close(graph, keys, first)
+
+
+def _weighed(hamiltonian: SparseOperator | DressedHamiltonian) -> np.ndarray:
+    """Which of the Hamiltonian's keys can carry a nonzero weight."""
+    if isinstance(hamiltonian, DressedHamiltonian):
+        return np.ones(hamiltonian.keys.size, bool)
+    return hamiltonian.coeffs != 0.0
+
+
+def _weights(
+    graph: SurrogateGraph, params: np.ndarray
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray] | None]:
+    """The Hamiltonian's coefficients on its keys at ``params``, and the
+    pullback of a gradient on them onto ``params`` (None when they are
+    fixed)."""
+    if isinstance(graph.hamiltonian, DressedHamiltonian):
+        return graph.hamiltonian.linearize(params)
+    return graph.hamiltonian.coeffs, None
+
+
+def _ends(
+    graph: SurrogateGraph, sweep: SurrogateGraph | _Sweep, coeffs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A sweep's source and sink weights with the Hamiltonian's
+    coefficients ``coeffs`` on its side."""
+    if not isinstance(graph.hamiltonian, DressedHamiltonian):
+        return sweep.source, sweep.sink
+    weights = np.zeros(sweep.source.size)
+    if graph.picture == "heisenberg":
+        weights[sweep.ham_at] = coeffs[sweep.ham_of]
+        return weights, sweep.sink
+    weights[sweep.ham_at] = (2.0**graph.n_modes) * coeffs[sweep.ham_of]
+    return sweep.source, weights
 
 
 def _record(
@@ -257,50 +318,56 @@ def _record(
 
 def _close(graph: SurrogateGraph, keys: np.ndarray, source_keys: np.ndarray) -> SurrogateGraph:
     """Move the source weights from ``source_keys`` onto the final layer's
-    keys, attach those keys and their sink weights, then prune the sweep."""
+    keys, attach those keys, where the Hamiltonian weighs them and their
+    sink weights, then prune the sweep."""
     source, graph.source = graph.source, np.zeros(keys.size)
     graph.source[np.searchsorted(keys, source_keys)] = source
     graph.final_keys = keys
-    graph.sink = _sink_weights(graph, keys)
+    at, hit = _lookup(keys, graph.hamiltonian.keys)
+    hit &= _weighed(graph.hamiltonian)
+    graph.ham_at, graph.ham_of = at[hit], np.flatnonzero(hit)
+    graph.sink = _sink_weights(graph, keys, graph.hamiltonian.coeffs)
     graph.pruned = _prune(graph)
     return graph
 
 
-def _sink_weights(graph: SurrogateGraph, keys: np.ndarray) -> np.ndarray:
+def _sink_weights(graph: SurrogateGraph, keys: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Sink weights of ``keys``, the Hamiltonian's coefficients ``coeffs``
+    where the Schrodinger picture reads them."""
     sink = np.zeros(keys.size)
     if graph.picture == "heisenberg":
         paired = _kernels.is_paired(keys)
         sink[paired] = _kernels.paired_eigenvalues(keys[paired], graph.occupation)
     else:
         at, hit = _lookup(graph.hamiltonian.keys, keys)
-        sink[hit] = (2.0**graph.n_modes) * graph.hamiltonian.coeffs[at[hit]]
+        sink[hit] = (2.0**graph.n_modes) * coeffs[at[hit]]
     return sink
 
 
 def _check_params(graph: SurrogateGraph, params: np.ndarray) -> np.ndarray:
     params = np.asarray(params, dtype=np.float64)
-    if graph.steps:
-        top = max(s.slot for s in graph.steps)
-        if top >= params.size:
-            raise ValueError(f"parameter slot {top} missing from params")
+    top = max((s.slot for s in graph.steps), default=-1)
+    if isinstance(graph.hamiltonian, DressedHamiltonian):
+        top = max(top, graph.hamiltonian.n_slots - 1)
+    if top >= params.size:
+        raise ValueError(f"parameter slot {top} missing from params")
     return params
 
 
 def _forward(
-    sweep: SurrogateGraph | _Sweep,
+    source: np.ndarray,
+    steps: Sequence[_Step],
     params: np.ndarray,
-    depth: int | None = None,
     gathers: list | None = None,
 ) -> np.ndarray:
-    """Key vector after the first ``depth`` steps (default: all of them) at
-    the given angles.
+    """Key vector after ``steps`` from ``source`` at the given angles.
 
     With ``gathers`` given, each step's gathered inputs v[z] are appended
     to it for the derivative dots.
     """
     angles = params.tolist()  # Python floats: cheaper per-gate indexing
-    v = sweep.source.copy()
-    for step in sweep.steps[:depth]:
+    v = source.copy()
+    for step in steps:
         theta = angles[step.slot]
         g = v[step.z]
         v[step.z] = math.cos(theta) * g + math.sin(theta) * (step.sw * g[step.p])
@@ -312,7 +379,8 @@ def _forward(
 def eval_energy(graph: SurrogateGraph, params: np.ndarray) -> float:
     """Energy at the given angles from one forward pass over the pruned graph."""
     params = _check_params(graph, params)
-    return float(np.dot(_forward(graph.pruned, params), graph.pruned.sink))
+    source, sink = _ends(graph, graph.pruned, _weights(graph, params)[0])
+    return float(np.dot(_forward(source, graph.pruned.steps, params), sink))
 
 
 def eval_energy_and_gradient(
@@ -320,28 +388,41 @@ def eval_energy_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Energy and its gradient w.r.t. every parameter slot, from one
     :func:`_sweep_gradient` over the pruned graph."""
-    return _sweep_gradient(graph.pruned, _check_params(graph, params))
+    return _sweep_gradient(graph, graph.pruned, _check_params(graph, params))
 
 
 def _sweep_gradient(
-    sweep: SurrogateGraph | _Sweep, params: np.ndarray
+    graph: SurrogateGraph, sweep: SurrogateGraph | _Sweep, params: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Energy and gradient from a forward pass and an in-place backward adjoint.
 
     The derivative of gate k is two dot products between the inputs the
     forward pass gathered and the adjoint's cosine and sine parts,
     accumulated into the gate's slot (shared slots sum by the chain rule).
+    A dressed Hamiltonian's angles get the pullback of dE/d(coefficients):
+    the adjoint on the source layer (Heisenberg), or 2^n times the forward
+    vector at the sink (Schrodinger).
     """
+    coeffs, pullback = _weights(graph, params)
+    source, sink = _ends(graph, sweep, coeffs)
     grad = np.zeros(params.size)
     gathers: list = []
-    energy = float(np.dot(_forward(sweep, params, gathers=gathers), sweep.sink))
-    w = sweep.sink.copy()
+    v = _forward(source, sweep.steps, params, gathers)
+    energy = float(np.dot(v, sink))
+    w = sink.copy()
     angles = params.tolist()
     for step, g in zip(reversed(sweep.steps), reversed(gathers)):
         theta = angles[step.slot]
         cos_t, sin_t = math.cos(theta), math.sin(theta)
         w_z, w_p = _adjoint_step(step, w, cos_t, sin_t)
         grad[step.slot] += cos_t * g.dot(w_p) - sin_t * g.dot(w_z)
+    if pullback is not None:
+        dcoeffs = np.zeros(coeffs.size)
+        if graph.picture == "heisenberg":
+            dcoeffs[sweep.ham_of] = w[sweep.ham_at]
+        else:
+            dcoeffs[sweep.ham_of] = (2.0**graph.n_modes) * v[sweep.ham_at]
+        grad += pullback(dcoeffs)
     return energy, grad
 
 
@@ -372,6 +453,8 @@ def _layer_keys(graph: SurrogateGraph, depth: int) -> np.ndarray:
     """Keys of layer ``depth``: the source's keys and those the sine
     branches of the first ``depth`` steps created."""
     exists = graph.source != 0.0
+    if graph.picture == "heisenberg":
+        exists[graph.ham_at] = True
     for step in graph.steps[:depth]:
         exists[step.z[step.sw != 0.0]] = True
     return graph.final_keys[exists]
@@ -413,16 +496,21 @@ _BLOCK = 1 << 18  # paths followed at once
 
 
 def _far_weights(
-    graph: SurrogateGraph, params: np.ndarray, keys: np.ndarray, gates: Sequence[Gate]
+    graph: SurrogateGraph,
+    params: np.ndarray,
+    coeffs: np.ndarray,
+    keys: np.ndarray,
+    gates: Sequence[Gate],
 ) -> np.ndarray:
     """Sink weights pulled back through ``gates`` onto the sorted ``keys``.
 
     The gates are recorded from ``keys`` exactly as a build records them
     (each key branches and truncates on its own), then one adjoint sweep at
-    ``params`` carries the sink back to the start.
+    ``params`` carries the sink, with the Hamiltonian's coefficients
+    ``coeffs``, back to the start.
     """
     last, steps = _record(graph, keys, gates)
-    w = _sink_weights(graph, last)
+    w = _sink_weights(graph, last, coeffs)
     for step in reversed(steps):
         theta = params[step.slot]
         _adjoint_step(step, w, math.cos(theta), math.sin(theta))
@@ -463,7 +551,8 @@ def cut_landscapes(
     """
     params = _check_params(graph, params)
     _, depth = _cut(graph, where)
-    v = _forward(graph, params, depth=depth)
+    coeffs = _weights(graph, params)[0]
+    v = _forward(_ends(graph, graph, coeffs)[0], graph.steps[:depth], params)
     live = v != 0.0
     keys, v = graph.final_keys[live], v[live]
     gens, signs = np.zeros((len(gate_sets), 2), np.uint64), np.ones((len(gate_sets), 2))
@@ -508,7 +597,7 @@ def cut_landscapes(
 
         def resolve(pattern, pos):
             ix = order[pos]
-            return pattern, ix, _sink_weights(graph, keys[ix] ^ gamma[pattern])
+            return pattern, ix, _sink_weights(graph, keys[ix] ^ gamma[pattern], coeffs)
     else:
         split = np.where(valid & (np.arange(valid.size) % 4 > 0), keys.size, 0)
         partners = [keys]
@@ -517,7 +606,7 @@ def cut_landscapes(
             partners.append(z[exists])
         weighted = np.unique(np.concatenate(partners))
         far = _processed_gates(graph.circuit, graph.picture)[depth:]
-        weights = _far_weights(graph, params, weighted, far)
+        weights = _far_weights(graph, params, coeffs, weighted, far)
         weighted, weights = weighted[weights != 0.0], weights[weights != 0.0]
         starts, counts = np.zeros(valid.size, int), np.where(valid, weighted.size, 0)
 

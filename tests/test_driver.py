@@ -24,7 +24,12 @@ from majprop.driver import (
     optimize_parameters,
     run_adapt_vmpe,
 )
-from majprop.hamiltonian import build_majorana_hamiltonian, ladder_product, spin_orbital_mode
+from majprop.hamiltonian import (
+    DressedHamiltonian,
+    build_majorana_hamiltonian,
+    ladder_product,
+    spin_orbital_mode,
+)
 from majprop.integrals import aufbau_occupation, dress_integrals, parse_fcidump
 from majprop.monomials import MajoranaMonomial
 from majprop.oracle import basis_state, circuit_state, dense_monomial
@@ -448,23 +453,45 @@ def test_gradient_scores_are_derivatives_of_the_rebuilt_graph(rng, picture, plac
 @pytest.mark.parametrize("placement", ["front", "back"])
 def test_final_graph_is_a_fresh_build_of_the_final_circuit(picture, placement):
     """Every accepted gate goes into the graph by one insertion at the cut
-    it was scored at; the run's final graph is exactly what a fresh build
-    of the returned circuit records, and its energy is the reported one."""
+    it was scored at; the run's final graph is exactly what a fresh folded
+    build of the returned circuit's body records, its energy is the
+    reported one, and a gate build of the whole returned circuit against
+    the undressed Hamiltonian agrees with it."""
     tensors, _ = _fixture("h4_chain_r20")
     config = RunConfig(max_iterations=3, cutoff=4, picture=picture, placement=placement)
     result = run_adapt_vmpe(tensors, config)
     assert len(result.trajectory) == 4
+    n_rotation_gates = 2 * len(result.rotation_spec)
+    body, rotations = (
+        result.circuit.gates[:-n_rotation_gates], result.circuit.gates[-n_rotation_gates:]
+    )
+    assert all(g.label.startswith("r ") for g in rotations)
     graph = result.graph
     fresh = build_surrogate(
-        result.hamiltonian, result.circuit, result.occupation, config.policy(), picture
+        DressedHamiltonian(result.tensors, result.rotation_spec),
+        FermionicCircuit(result.circuit.n_modes, body, result.params),
+        result.occupation, config.policy(), picture,
     )
     assert np.array_equal(graph.final_keys, fresh.final_keys)
     assert np.array_equal(graph.sink, fresh.sink)
-    assert len(graph.steps) == len(fresh.steps) == len(result.circuit)
+    assert len(graph.steps) == len(fresh.steps) == len(body)
     for step, ref in zip(graph.steps, fresh.steps):
         for name, value in vars(step).items():
             assert np.array_equal(value, getattr(ref, name)), name
     assert eval_energy(fresh, result.params) == result.energy
+    gated = build_surrogate(
+        result.hamiltonian, result.circuit, result.occupation, config.policy(), picture
+    )
+    assert eval_energy(gated, result.params) == pytest.approx(result.energy, abs=1e-10)
+
+
+def test_rows_give_the_size_of_the_swept_graph():
+    tensors, _ = _fixture("h4_chain_r20")
+    result = run_adapt_vmpe(tensors, RunConfig(max_iterations=3, cutoff=4))
+    baseline, *_, last = result.trajectory.rows
+    assert (baseline.steps, last.steps) == (0, len(result.graph.pruned.steps))
+    assert last.pruned_keys == result.graph.pruned.source.size > 0
+    assert last.steps == len(result.graph.steps) > 0
 
 
 def test_circuit_json_roundtrip():

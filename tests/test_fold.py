@@ -1,0 +1,195 @@
+"""The active-rotation block folded into the Hamiltonian, against its gates.
+
+A graph of the body alone against the dressed Hamiltonian H(theta_rot) must
+give the energy, gradient and scores of a graph that records the rotation
+gates after the body, as the driver's circuit holds them.
+"""
+
+import pickle
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from majprop import FermionicCircuit, TruncationPolicy
+from majprop.driver import init_active_rotations
+from majprop.hamiltonian import DressedHamiltonian, build_majorana_hamiltonian, integral_map
+from majprop.integrals import aufbau_occupation, dress_integrals, parse_fcidump
+from majprop.pool import build_majoranic_pool
+from majprop.surrogate import (
+    build_surrogate,
+    cut_landscapes,
+    eval_energy,
+    eval_energy_and_gradient,
+    extend_surrogate,
+    _sweep_gradient,
+)
+from test_hamiltonian import _random_unrestricted
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _h4():
+    return parse_fcidump((FIXTURES / "h4_chain_r20.fcidump").read_text())
+
+
+def _systems(rng):
+    """Restricted H4 integrals and random UHF integrals on three orbitals."""
+    uhf = _random_unrestricted(rng, 3)
+    uhf.n_electrons = 4
+    return {"restricted": _h4(), "uhf": uhf}
+
+
+def _body(tensors, n_rot_slots, n_gates, rng):
+    """Random pool candidates on the slots after the rotation block."""
+    n = tensors.n_spatial
+    half = tensors.n_electrons // 2
+    pool = build_majoranic_pool(n, (half, half))
+    picks = rng.choice(len(pool), n_gates, replace=False)
+    gates = []
+    for k, index in enumerate(picks):
+        gates += pool.candidates[index].gates(n_rot_slots + k)
+    return gates
+
+
+def _pair(tensors, sharing, body, picture, cutoff, paired_accept=None):
+    """The folded graph of the body and the gate graph of body + rotations."""
+    rot_gates, n_rot, spec = init_active_rotations(tensors.n_spatial, sharing)
+    n_slots = n_rot + len({g.slot for g in body})
+    occ = aufbau_occupation(tensors.n_electrons)
+    policy = TruncationPolicy(length_cutoff=cutoff, paired_accept=paired_accept)
+    n_modes = 2 * tensors.n_spatial
+    folded = build_surrogate(
+        DressedHamiltonian(tensors, spec),
+        FermionicCircuit(n_modes, list(body), np.zeros(n_slots)), occ, policy, picture,
+    )
+    gated = build_surrogate(
+        build_majorana_hamiltonian(tensors),
+        FermionicCircuit(n_modes, list(body) + rot_gates, np.zeros(n_slots)), occ, policy,
+        picture,
+    )
+    return folded, gated, n_slots
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+@pytest.mark.parametrize("sharing", ["restricted", "unrestricted"])
+@pytest.mark.parametrize("system", ["restricted", "uhf"])
+def test_folded_energy_and_gradient_match_the_rotation_gates(rng, picture, sharing, system):
+    """At random angles, every cutoff and paired-acceptance rule, over the
+    pruned and the full sweep, without writing to the graph."""
+    tensors = _systems(rng)[system]
+    for cutoff, paired_accept in ((None, None), (4, None), (4, True), (4, False), (6, None)):
+        _, n_rot, _ = init_active_rotations(tensors.n_spatial, sharing)
+        body = _body(tensors, n_rot, 3, rng)
+        folded, gated, n_slots = _pair(tensors, sharing, body, picture, cutoff, paired_accept)
+        assert len(folded.steps) == len(body)
+        before = pickle.dumps(folded)
+        for _ in range(3):
+            theta = rng.uniform(-np.pi, np.pi, n_slots)
+            energy, grad = eval_energy_and_gradient(folded, theta)
+            ref_energy, ref_grad = eval_energy_and_gradient(gated, theta)
+            assert energy == pytest.approx(ref_energy, abs=1e-10)
+            assert eval_energy(folded, theta) == pytest.approx(ref_energy, abs=1e-10)
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-10)
+            full_energy, full_grad = _sweep_gradient(folded, folded, theta)  # unpruned
+            assert full_energy == pytest.approx(ref_energy, abs=1e-10)
+            np.testing.assert_allclose(full_grad, ref_grad, rtol=0, atol=1e-10)
+        assert pickle.dumps(folded) == before
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+@pytest.mark.parametrize("placement", ["front", "back"])
+def test_folded_scores_and_insertions_match_the_rotation_gates(rng, picture, placement):
+    """Landscapes of pool candidates at the front or at the body's end, and
+    the graphs after inserting one there, equal those of the gate graph at
+    the same cut; the folded insertion equals a fresh folded build."""
+    for system, tensors in _systems(rng).items():
+        for sharing in ("restricted", "unrestricted"):
+            _, n_rot, spec = init_active_rotations(tensors.n_spatial, sharing)
+            body = _body(tensors, n_rot, 2, rng)
+            folded, gated, n_slots = _pair(tensors, sharing, body, picture, 4)
+            theta = rng.uniform(-np.pi, np.pi, n_slots)
+            half = tensors.n_electrons // 2
+            pool = build_majoranic_pool(tensors.n_spatial, (half, half))
+            gate_sets = [cand.gates(n_slots) for cand in pool.candidates]
+            cut = 0 if placement == "front" else len(body)
+            rows = cut_landscapes(folded, theta, placement, gate_sets)
+            ref = cut_landscapes(gated, theta, cut, gate_sets)
+            np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-10)
+
+            gates = gate_sets[int(rng.integers(len(gate_sets)))]
+            grown, grown_ref = (
+                extend_surrogate(folded, gates, placement), extend_surrogate(gated, gates, cut)
+            )
+            fresh = build_surrogate(
+                folded.hamiltonian, grown.circuit, folded.occupation, folded.policy, picture
+            )
+            assert np.array_equal(grown.final_keys, fresh.final_keys)
+            assert np.array_equal(grown.sink, fresh.sink)
+            theta = np.append(theta, rng.uniform(-np.pi, np.pi))
+            energy, grad = eval_energy_and_gradient(grown, theta)
+            assert energy == eval_energy_and_gradient(fresh, theta)[0]
+            ref_energy, ref_grad = eval_energy_and_gradient(grown_ref, theta)
+            assert energy == pytest.approx(ref_energy, abs=1e-10), (system, sharing)
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("sharing", ["restricted", "unrestricted"])
+@pytest.mark.parametrize("system", ["restricted", "uhf"])
+def test_dressed_coefficients_match_the_dressed_integrals(rng, sharing, system):
+    """The map applied to rotated integrals equals the Hamiltonian of
+    ``dress_integrals`` on every key, zero where that one has no term."""
+    tensors = _systems(rng)[system]
+    _, n_rot, spec = init_active_rotations(tensors.n_spatial, sharing)
+    dressed = DressedHamiltonian(tensors, spec)
+    for _ in range(3):
+        theta = rng.uniform(-np.pi, np.pi, n_rot)
+        ref = build_majorana_hamiltonian(
+            dress_integrals(tensors, [(p, q, theta[slot], s) for p, q, s, slot in spec])
+        )
+        at = np.searchsorted(dressed.keys, ref.keys)
+        assert np.array_equal(dressed.keys[at], ref.keys)
+        expected = np.zeros(dressed.keys.size)
+        expected[at] = ref.coeffs
+        np.testing.assert_allclose(dressed.linearize(theta)[0], expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sharing", ["restricted", "unrestricted"])
+@pytest.mark.parametrize("system", ["restricted", "uhf"])
+def test_rotation_pullback_matches_central_differences(rng, sharing, system):
+    tensors = _systems(rng)[system]
+    _, n_rot, spec = init_active_rotations(tensors.n_spatial, sharing)
+    dressed = DressedHamiltonian(tensors, spec)
+    theta = rng.uniform(-np.pi, np.pi, n_rot + 2)  # body slots get nothing
+    dcoeffs = rng.normal(size=dressed.keys.size)
+    grad = dressed.linearize(theta)[1](dcoeffs)
+    step = 1e-6
+    for k in range(theta.size):
+        shift = np.zeros(theta.size)
+        shift[k] = step
+        up, down = (dcoeffs @ dressed.linearize(theta + s)[0] for s in (shift, -shift))
+        assert grad[k] == pytest.approx((up - down) / (2 * step), abs=1e-7)
+    assert not grad[n_rot:].any()
+
+
+def test_integral_map_covers_every_conserving_key():
+    """The map's rows are the identity and every spin- and number-conserving
+    one- and two-body key (H4: 361), whatever the integral values."""
+    shared = integral_map(4, True)
+    assert shared.keys.size == 361
+    assert np.array_equal(integral_map(4, False).keys, shared.keys)
+    assert build_majorana_hamiltonian(_h4()).keys.size < 361
+
+
+def test_integral_map_refuses_integrals_it_cannot_read(rng):
+    """A shared map reads restricted integrals only, and every map needs the
+    integrals' index symmetry, since it reads one entry per orbit."""
+    uhf = _systems(rng)["uhf"]
+    with pytest.raises(ValueError, match="cannot read"):
+        build_majorana_hamiltonian(uhf, integral_map(3, True))
+    with pytest.raises(ValueError, match="cannot read"):
+        build_majorana_hamiltonian(uhf, integral_map(4, False))
+    lopsided = _h4()
+    lopsided.h1 = lopsided.h1 + np.triu(np.ones((4, 4)), 1)
+    with pytest.raises(ValueError, match="symmetry"):
+        build_majorana_hamiltonian(lopsided)

@@ -219,7 +219,7 @@ def test_pruned_evaluation_matches_the_full_sweep_without_side_effects(rng, pict
     for _ in range(8):
         theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
         energy, grad = eval_energy_and_gradient(graph, theta)
-        ref_energy, ref_grad = _sweep_gradient(graph, theta)
+        ref_energy, ref_grad = _sweep_gradient(graph, graph, theta)
         assert energy == pytest.approx(ref_energy, abs=1e-13)
         np.testing.assert_allclose(grad, ref_grad, atol=1e-13)
         assert eval_energy(graph, theta) == pytest.approx(ref_energy, abs=1e-13)
