@@ -175,7 +175,8 @@ class Optimum(tuple):
     evaluation or iteration budget, or abnormally, instead of meeting its
     tolerance.  ``hess_inv`` is the run's final inverse-Hessian estimate in
     theta coordinates (n x n, symmetric positive definite), which the next
-    run can take as its preconditioner.
+    run can take as its preconditioner.  ``grad_max`` is max|dE/dtheta| at
+    the returned point (0 without parameters).
     """
 
     def __new__(
@@ -186,10 +187,11 @@ class Optimum(tuple):
         converged: bool,
         nit: int,
         hess_inv: np.ndarray,
+        grad_max: float,
     ):
         self = super().__new__(cls, (theta, energy))
         self.nfev, self.converged, self.nit = nfev, converged, nit
-        self.hess_inv = hess_inv
+        self.hess_inv, self.grad_max = hess_inv, grad_max
         return self
 
 
@@ -233,18 +235,20 @@ def optimize_parameters(
     applies to the gradient in z.
 
     Returns the best point seen during the run, which is never worse than
-    the starting point (the first evaluation happens at ``theta0``), and
-    the final estimate L H_z L^T in theta coordinates.
+    the starting point (the first evaluation happens at ``theta0``), the
+    largest gradient component there, and the final estimate L H_z L^T in
+    theta coordinates.
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
     if theta0.size == 0:
-        return Optimum(theta0, eval_energy(graph, theta0), 1, True, 0, np.zeros((0, 0)))
+        return Optimum(theta0, eval_energy(graph, theta0), 1, True, 0, np.zeros((0, 0)), 0.0)
     factor = _preconditioner(hess_inv, theta0.size)
     best_f = math.inf
     best_x = theta0.copy()
+    best_g = np.zeros(theta0.size)
 
     def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal best_f, best_x
+        nonlocal best_f, best_x, best_g
         x = theta0 + factor @ z
         energy, grad = eval_energy_and_gradient(graph, x)
         if not math.isfinite(energy) or not np.all(np.isfinite(grad)):
@@ -252,7 +256,7 @@ def optimize_parameters(
                 f"non-finite surrogate energy {energy!r} during optimization"
             )
         if energy < best_f:
-            best_f, best_x = energy, x
+            best_f, best_x, best_g = energy, x, grad
         return energy, factor.T @ grad
 
     result = scipy.optimize.minimize(
@@ -265,7 +269,7 @@ def optimize_parameters(
     curvature = factor @ result.hess_inv.todense() @ factor.T
     return Optimum(
         best_x, float(best_f), int(result.nfev), bool(result.success), int(result.nit),
-        curvature,
+        curvature, float(np.abs(best_g).max()),
     )
 
 
@@ -286,6 +290,8 @@ class TrajectoryRow:
     opt_nfev: int = 0
     opt_converged: bool = True
     opt_nit: int = 0
+    # max|dE/dtheta| at the angles the optimizer returned
+    opt_grad_max: float = 0.0
     # seconds spent scoring and picking a candidate, inserting its gates
     # (the baseline row: building the graph) and reoptimizing, all inside
     # wall_time_s
@@ -551,6 +557,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
             opt_nfev=optimum.nfev,
             opt_converged=optimum.converged,
             opt_nit=optimum.nit,
+            opt_grad_max=optimum.grad_max,
             insert_s=built - tic,
             optimize_s=toc - built,
             **_swept(graph),
@@ -615,6 +622,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
                 opt_nfev=optimum.nfev,
                 opt_converged=optimum.converged,
                 opt_nit=optimum.nit,
+                opt_grad_max=optimum.grad_max,
                 score_s=scored - tic,
                 insert_s=inserted - scored,
                 optimize_s=toc - inserted,

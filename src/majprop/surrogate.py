@@ -36,8 +36,13 @@ from the layer at the cut.  At the end the graph was recorded towards
 (front of the circuit in the Heisenberg picture, back in the Schrodinger
 picture) that rest is empty.  Scoring inserts nothing: a gate's landscape
 at any cut sums the paths of the layer's keys through it that end on a
-weighted key, and one kernel finds those paths for a whole pool from the
-weighted side and sums them in one pass.
+key of nonzero weight after the rest of the sweep, and one kernel finds
+those paths for a whole pool from the sink side and sums them in one
+pass.  In the Heisenberg picture a path can end on a paired key only if
+its pairing defect lies in the span of the remaining gates' defects, so
+the layer is bucketed by defect modulo that span; in the Schrodinger
+picture the Hamiltonian's weighed keys are closed backward through the
+remaining gates.  Only the keys found so record the rest of the sweep.
 
 The Hamiltonian's coefficients are the source of a Heisenberg graph and,
 scaled by 2^n, the sink of a Schrodinger graph.  They are fixed for a
@@ -208,9 +213,7 @@ def _record_step(
     # each landing branch comes from a distinct source, so none share a key
     if np.any(landed[1:] == landed[:-1]):
         raise RuntimeError(f"sine branches of gate {gate.generator:#x} collide in one key")
-    # merge the sorted layer with the sorted new keys (no hashing)
-    next_keys = np.concatenate([keys, landed[~_lookup(keys, landed)[1]]])
-    next_keys.sort(kind="stable")
+    next_keys = _merge(keys, landed)
     z = next_keys[_kernels.anticommutes_with(gamma, next_keys)]
     at, paired = _lookup(z, z ^ gamma)
     p = np.where(paired, at, np.arange(z.size))
@@ -218,6 +221,13 @@ def _record_step(
     sw = np.zeros(z.size)
     sw[lands] = _kernels.product_sign_with(gamma, z[lands] ^ gamma) * sin_sign * gate.sign
     return next_keys, _Step(gate.slot, z, p, sw)
+
+
+def _merge(keys: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Union of two sorted, duplicate-free key arrays (no hashing)."""
+    merged = np.concatenate([keys, new[~_lookup(keys, new)[1]]])
+    merged.sort(kind="stable")
+    return merged
 
 
 def _lookup(keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -504,10 +514,13 @@ def _far_weights(
 ) -> np.ndarray:
     """Sink weights pulled back through ``gates`` onto the sorted ``keys``.
 
-    The gates are recorded from ``keys`` exactly as a build records them
-    (each key branches and truncates on its own), then one adjoint sweep at
-    ``params`` carries the sink, with the Hamiltonian's coefficients
-    ``coeffs``, back to the start.
+    The gates are recorded from ``keys`` exactly as a build records them,
+    then one adjoint sweep at ``params`` carries the sink, with the
+    Hamiltonian's coefficients ``coeffs``, back to the start.  Each key
+    branches and truncates on its own, so the weight a key gets depends
+    only on the key, not on which other keys are recorded with it: any set
+    of keys holding the ones a caller reads gives those bit-identical
+    weights.
     """
     last, steps = _record(graph, keys, gates)
     w = _sink_weights(graph, last, coeffs)
@@ -528,6 +541,44 @@ def _spans(starts: np.ndarray, counts: np.ndarray):
         lo = hi
 
 
+def _echelon(vectors: Sequence[int]) -> list[tuple[int, int]]:
+    """Reduced row-echelon basis of the GF(2) span of ``vectors``: pairs
+    (pivot bit, vector), where each vector's highest bit is its pivot and
+    no other vector has that bit set."""
+    basis: list[tuple[int, int]] = []
+    for x in vectors:
+        for bit, b in basis:
+            if x >> bit & 1:
+                x ^= b
+        if x:
+            top = x.bit_length() - 1
+            basis = [(bit, b ^ x if b >> top & 1 else b) for bit, b in basis]
+            basis.append((top, x))
+    return basis
+
+
+def _coset(x: np.ndarray, basis: list[tuple[int, int]]) -> np.ndarray:
+    """Canonical representative of each ``x`` modulo the span of ``basis``
+    (from :func:`_echelon`): x with every pivot bit cleared by its vector,
+    so two keys share it exactly when their XOR lies in the span."""
+    x = np.array(x, dtype=np.uint64)
+    for bit, b in basis:
+        x ^= np.where(x >> np.uint64(bit) & np.uint64(1) == 1, np.uint64(b), np.uint64(0))
+    return x
+
+
+def _sources(graph: SurrogateGraph, keys: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
+    """Sorted keys from which a sweep through ``gates`` can reach one of the
+    sorted ``keys``, closed backward from the last gate: a key y after gate
+    gamma came from y, or from y ^ gamma where y anticommutes with gamma
+    and the truncation rule keeps y."""
+    for gate in reversed(gates):
+        gamma = np.uint64(gate.generator)
+        came = keys[_kernels.anticommutes_with(gamma, keys) & graph.policy.survivor_mask(keys)]
+        keys = _merge(keys, np.sort(came ^ gamma))
+    return keys
+
+
 def cut_landscapes(
     graph: SurrogateGraph,
     params: np.ndarray,
@@ -543,11 +594,17 @@ def cut_landscapes(
     before, as for :func:`extend_surrogate`).  E(t) sums v(x) c^i s^j w(z)
     over the paths of the live keys x of the layer at the cut that end on
     a key z = x ^ gamma_F of nonzero weight (F: the gates whose sine branch
-    the path takes).  At the Heisenberg natural end w weighs paired keys,
-    and z is paired iff x has gamma_F's pairing defect.  Elsewhere the far
-    half of the sweep, recorded once from the layer's keys and all their
-    partners, pulls the sink back onto them as a fresh build of the
-    extended circuit would, and each weighted z ^ gamma_F is looked up.
+    the path takes); w is the sink pulled back through the far half of the
+    sweep, as a fresh build of the extended circuit would record it.  The
+    paths are found from the sink side.  In the Heisenberg picture z can
+    end paired only if its pairing defect lies in the span of the far
+    gates' defects, so the layer is bucketed by defect modulo that span
+    and each (row, F) walks the bucket of gamma_F's defect; at the natural
+    end the span is {0} and w is the sink itself, elsewhere the far half
+    is recorded once from the endpoints of those paths.  In the
+    Schrodinger picture the far half is recorded from the keys that reach
+    a weighted Hamiltonian key through it (the Hamiltonian's own keys at
+    the natural end), and each weighted z ^ gamma_F is looked up.
     """
     params = _check_params(graph, params)
     _, depth = _cut(graph, where)
@@ -566,6 +623,7 @@ def cut_landscapes(
     valid = ~(sine & (gens[:, None] == 0)).any(2).ravel()
     gamma = np.bitwise_xor.reduce(np.where(sine, gens[:, None], 0), axis=2).ravel()
     sin_sign = 1.0 if graph.picture == "heisenberg" else -1.0
+    far = _processed_gates(graph.circuit, graph.picture)[depth:]
 
     def walk(pattern, ix):
         """Paths of the keys ``keys[ix]`` through the pairs ``gens[pattern >> 2]``,
@@ -588,24 +646,31 @@ def cut_landscapes(
             harmonic[at] += 3
         return key, exists, harmonic, sign
 
-    if depth == len(graph.steps) and graph.picture == "heisenberg":
-        defect = _kernels.pairing_defect(keys)
+    if graph.picture == "heisenberg":
+        far_defects = _kernels.pairing_defect(np.array([g.generator for g in far], np.uint64))
+        span = _echelon(far_defects.tolist())
+        defect = _coset(_kernels.pairing_defect(keys), span)
         order = np.argsort(defect, kind="stable")
-        target = _kernels.pairing_defect(gamma)
+        target = _coset(_kernels.pairing_defect(gamma), span)
         starts = np.searchsorted(defect[order], target, "left")
         counts = np.where(valid, np.searchsorted(defect[order], target, "right") - starts, 0)
+        if far:
+            ends = [np.empty(0, np.uint64)]
+            for pattern, pos in _spans(starts, counts):
+                z, exists, _, _ = walk(pattern, order[pos])
+                ends.append(z[exists])
+            weighted = np.unique(np.concatenate(ends))
+            weights = _far_weights(graph, params, coeffs, weighted, far)
 
         def resolve(pattern, pos):
             ix = order[pos]
-            return pattern, ix, _sink_weights(graph, keys[ix] ^ gamma[pattern], coeffs)
+            z = keys[ix] ^ gamma[pattern]
+            if not far:
+                return pattern, ix, _sink_weights(graph, z, coeffs)
+            at, hit = _lookup(weighted, z)
+            return pattern[hit], ix[hit], weights[at[hit]]
     else:
-        split = np.where(valid & (np.arange(valid.size) % 4 > 0), keys.size, 0)
-        partners = [keys]
-        for pattern, ix in _spans(np.zeros_like(split), split):
-            z, exists, _, _ = walk(pattern, ix)
-            partners.append(z[exists])
-        weighted = np.unique(np.concatenate(partners))
-        far = _processed_gates(graph.circuit, graph.picture)[depth:]
+        weighted = _sources(graph, graph.hamiltonian.keys[coeffs != 0.0], far)
         weights = _far_weights(graph, params, coeffs, weighted, far)
         weighted, weights = weighted[weights != 0.0], weights[weights != 0.0]
         starts, counts = np.zeros(valid.size, int), np.where(valid, weighted.size, 0)

@@ -34,7 +34,7 @@ from majprop.integrals import aufbau_occupation, dress_integrals, parse_fcidump
 from majprop.monomials import MajoranaMonomial
 from majprop.oracle import basis_state, circuit_state, dense_monomial
 from majprop.pool import Pool, PoolCandidate, score_pool_gradient, single_excitation_monomials
-from majprop.surrogate import build_surrogate, eval_energy
+from majprop.surrogate import build_surrogate, eval_energy, eval_energy_and_gradient
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -184,8 +184,9 @@ def test_optimizer_aborts_on_nonfinite_energy(monkeypatch, rng):
 def test_optimizer_handles_empty_parameter_vector(rng):
     h = inst.random_molecular_hamiltonian(8, rng)
     graph = build_surrogate(h, FermionicCircuit(8, [], np.zeros(0)), 0b00001111)
-    theta, energy = optimize_parameters(graph, np.zeros(0))
-    assert theta.size == 0
+    optimum = optimize_parameters(graph, np.zeros(0))
+    theta, energy = optimum
+    assert theta.size == 0 and optimum.grad_max == 0.0
     assert energy == pytest.approx(fock_expectation(h, 0b00001111), abs=1e-12)
 
 
@@ -492,6 +493,20 @@ def test_rows_give_the_size_of_the_swept_graph():
     assert (baseline.steps, last.steps) == (0, len(result.graph.pruned.steps))
     assert last.pruned_keys == result.graph.pruned.source.size > 0
     assert last.steps == len(result.graph.steps) > 0
+
+
+def test_rows_give_the_gradient_at_the_returned_angles():
+    """Each row carries max|dE/dtheta| at the optimizer's returned point, the
+    gradient of its best evaluation; the CSV leaves it out."""
+    tensors, _ = _fixture("h4_chain_r20")
+    result = run_adapt_vmpe(tensors, RunConfig(max_iterations=3, cutoff=4))
+    last = result.trajectory.rows[-1]
+    _, grad = eval_energy_and_gradient(result.graph, result.params)
+    assert last.opt_grad_max == np.abs(grad).max()
+    assert all(row.opt_grad_max > 0.0 for row in result.trajectory)
+    buffer = io.StringIO()
+    result.trajectory.to_csv(buffer)
+    assert "opt_grad_max" not in buffer.getvalue()
 
 
 def test_circuit_json_roundtrip():

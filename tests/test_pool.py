@@ -1,5 +1,6 @@
 """Pool construction, orbit reduction, and both selection scorers."""
 
+import functools
 import math
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import majprop.instances as inst
+import majprop.surrogate as surrogate
 from majprop import TruncationPolicy, expectation
 from majprop.driver import init_active_rotations
 from majprop.engine import (
@@ -15,7 +17,7 @@ from majprop.engine import (
     Gate,
     propagate,
 )
-from majprop.hamiltonian import build_majorana_hamiltonian, ladder_product
+from majprop.hamiltonian import DressedHamiltonian, build_majorana_hamiltonian, ladder_product
 from majprop.integrals import aufbau_occupation, parse_fcidump
 from majprop.monomials import MajoranaMonomial
 from majprop.operators import SparseOperator
@@ -644,6 +646,92 @@ def test_mid_body_landscape_matches_the_dense_oracle(rng, picture):
                 )
                 model = row @ [1.0, np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)]
                 assert model == pytest.approx(dense_expectation(h, psi), abs=1e-10)
+
+
+@functools.lru_cache(maxsize=None)
+def _dressed_system(name):
+    """(dressed Hamiltonian, rotation slots, occupation, pool) of the H4
+    fixture or the 20-mode instance of c12, as the driver sets them up."""
+    if name == "h4":
+        tensors = parse_fcidump((FIXTURES / "h4_chain_r20.fcidump").read_text())
+    else:
+        tensors = inst.random_restricted_integrals(10, np.random.default_rng(120), n_electrons=10)
+    _, n_rot, spec = init_active_rotations(tensors.n_spatial)
+    pool = build_majoranic_pool(tensors.n_spatial, tensors.n_electrons // 2)
+    return DressedHamiltonian(tensors, spec), n_rot, aufbau_occupation(tensors.n_electrons), pool
+
+
+def _dressed_graph(name, body, picture, cutoff, rng):
+    """Graph of a body of pool candidates against the dressed Hamiltonian,
+    and random angles for its rotation and body slots."""
+    dressed, n_rot, occ, pool = _dressed_system(name)
+    gates = [g for k, c in enumerate(body) for g in pool.candidates[c].gates(n_rot + k)]
+    circuit = FermionicCircuit(dressed.n_modes, gates, np.zeros(n_rot + len(body)))
+    theta = rng.uniform(-0.3, 0.3, circuit.n_slots)
+    policy = TruncationPolicy(length_cutoff=cutoff)
+    return build_surrogate(dressed, circuit, occ, policy, picture), theta, policy
+
+
+def _far_weights_sizes(monkeypatch):
+    """Sizes of the key sets ``cut_landscapes`` records the far half from."""
+    sizes = []
+    record = surrogate._far_weights
+
+    def spy(graph, params, coeffs, keys, gates):
+        sizes.append(keys.size)
+        return record(graph, params, coeffs, keys, gates)
+
+    monkeypatch.setattr(surrogate, "_far_weights", spy)
+    return sizes
+
+
+def test_twenty_mode_back_cut_matches_probed_fresh_builds(rng):
+    """c12's 20-mode instance at cutoff 4 with a one-gate body: candidates
+    inserted at the Heisenberg back cut, where the far half is the body,
+    score as probe-and-fit on fresh builds with the candidate spliced in
+    (scores to 1e-12, theta* to 1e-9), singles and doubles alike."""
+    graph, theta, policy = _dressed_graph("m20", [300], "heisenberg", 4, rng)
+    dressed, _, occ, pool = _dressed_system("m20")
+    cands = pool.candidates[:50:10] + pool.candidates[50::120]
+    assert sum(c.is_composite for c in cands) == 5 and len(cands) == 12
+    scores = score_pool_ggf(Pool(pool.n_modes, cands), graph, theta, where="back")
+    e0 = eval_energy(graph, theta)
+    for score, cand in zip(scores, cands):
+        fresh = build_surrogate(
+            dressed, _spliced(graph.circuit, theta, cand, len(graph.circuit)), occ, policy,
+            "heisenberg",
+        )
+        probed = probe_landscape(
+            lambda t: eval_energy(fresh, np.append(theta, t)), e0, cand.is_composite
+        )
+        ref_score, ref_star = landscape_minimum(probed)
+        assert score.score == pytest.approx(ref_score, abs=1e-12)
+        assert score.theta_star == pytest.approx(ref_star, abs=1e-9)
+
+
+def test_twenty_mode_back_cut_records_the_far_half_from_fewer_keys_than_the_layer(
+    rng, monkeypatch
+):
+    """Away from the natural end the far half is recorded once, from the
+    endpoints of the paths whose pairing defect the far gates can still
+    cancel: fewer keys than the live layer at c12's back cut."""
+    graph, theta, _ = _dressed_graph("m20", [300], "heisenberg", 4, rng)
+    _, _, _, pool = _dressed_system("m20")
+    sizes = _far_weights_sizes(monkeypatch)
+    cut_landscapes(graph, theta, "back", [c.gates(theta.size) for c in pool.candidates])
+    live = np.count_nonzero(graph.hamiltonian.linearize(theta)[0])
+    assert len(sizes) == 1 and 0 < sizes[0] < live
+
+
+def test_schrodinger_natural_end_records_only_the_weighed_keys(rng, monkeypatch):
+    """At the Schrodinger natural end the far half is empty and only the
+    Hamiltonian's weighed keys are looked up: no more keys than it weighs."""
+    graph, theta, _ = _dressed_graph("h4", [3, 17, 9], "schrodinger", None, rng)
+    _, _, _, pool = _dressed_system("h4")
+    sizes = _far_weights_sizes(monkeypatch)
+    cut_landscapes(graph, theta, "back", [c.gates(theta.size) for c in pool.candidates])
+    weighed = np.count_nonzero(graph.hamiltonian.linearize(theta)[0])
+    assert len(sizes) == 1 and 0 < sizes[0] <= weighed
 
 
 def test_ggf_rejects_a_cut_outside_the_circuit(rng):

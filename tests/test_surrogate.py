@@ -15,6 +15,8 @@ from majprop.surrogate import (
     eval_energy,
     eval_energy_and_gradient,
     extend_surrogate,
+    _coset,
+    _echelon,
     _layer_keys,
     _processed_gates,
     _record_step,
@@ -271,3 +273,32 @@ def test_colliding_sine_branches_raise_a_real_error():
     keys = np.array([0b110, 0b110], dtype=np.uint64)
     with pytest.raises(RuntimeError, match="collide"):
         _record_step(keys, Gate(0b11, slot=0), 1.0, TruncationPolicy())
+
+
+def test_coset_representatives_agree_exactly_within_the_span(rng):
+    """Reduction modulo the span of a few <= 10-bit defects, against the
+    span enumerated by brute force: two vectors share a representative
+    exactly when their XOR lies in the span, the representative lies in
+    the vector's own coset, and the basis is reduced (no vector holds
+    another's pivot bit)."""
+    for trial in range(40):
+        defects = rng.integers(0, 1 << 10, int(rng.integers(0, 7))).tolist()
+        if trial % 4 == 0 and defects:  # dependent vectors
+            defects.append(defects[0] ^ defects[-1])
+        span = {0}
+        for d in defects:
+            span |= {x ^ d for x in span}
+        basis = _echelon(defects)
+        assert len(span) == 1 << len(basis)
+        for bit, b in basis:
+            assert b.bit_length() - 1 == bit
+            assert all(c == b or not c >> bit & 1 for _, c in basis)
+        a = rng.integers(0, 1 << 10, 200).astype(np.uint64)
+        b = np.where(
+            rng.random(200) < 0.5,
+            a ^ np.array(sorted(span), np.uint64)[rng.integers(0, len(span), 200)],
+            rng.integers(0, 1 << 10, 200).astype(np.uint64),
+        )
+        ra, rb = _coset(a, basis), _coset(b, basis)
+        assert np.array_equal(ra == rb, [int(x) in span for x in a ^ b])
+        assert all(int(x) in span for x in a ^ ra)
