@@ -451,6 +451,10 @@ class AdaptResult:
     so the two evaluate on their own.  ``graph`` is the surrogate graph of
     the body against the dressed Hamiltonian; ``rotation_spec`` rows
     (p, q, sector, slot) give the rotations' orbitals and slots.
+    ``setup`` gives the seconds the call spent before its first trajectory
+    row: ``dressing_s`` on the integral map and the dressed Hamiltonian,
+    ``hamiltonian_s`` on the undressed Hamiltonian and ``pool_s`` on the
+    pool.  The first graph build is the baseline row's ``insert_s``.
     """
 
     energy: float
@@ -464,6 +468,7 @@ class AdaptResult:
     rotation_spec: list[tuple[int, int, str, int]]
     tensors: IntegralTensors
     config: RunConfig
+    setup: dict[str, float] = field(default_factory=dict)
 
     def circuit_json(self) -> str:
         payload = json.loads(self.circuit.to_json())
@@ -516,17 +521,20 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
     or as soon as the selected candidate's achievable improvement falls
     under the floor.
     """
+    start = time.perf_counter()
     n_spatial = tensors.n_spatial
     n_modes = 2 * n_spatial
     rot_gates, n_rot_slots, rotation_spec = init_active_rotations(
         n_spatial, config.rotation_sharing
     )
     dressed = DressedHamiltonian(tensors, rotation_spec)
+    dressed_at = time.perf_counter()
     hamiltonian = build_majorana_hamiltonian(tensors, dressed.map)
     config.validate(hamiltonian.max_degree())
     occupation = aufbau_occupation(tensors.n_electrons)
     occ_alpha = bin(occupation & 0x5555555555555555).count("1")
     occ_beta = bin(occupation & 0xAAAAAAAAAAAAAAAA).count("1")
+    built_at = time.perf_counter()
     pool = build_majoranic_pool(n_spatial, (occ_alpha, occ_beta))
     placement = config.resolved_placement
     if config.reduce_pool and placement == "front":
@@ -536,6 +544,11 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
 
     trajectory = Trajectory()
     tic = time.perf_counter()
+    setup = {
+        "dressing_s": dressed_at - start,
+        "hamiltonian_s": built_at - dressed_at,
+        "pool_s": tic - built_at,
+    }
     body = FermionicCircuit(n_modes, [], np.zeros(n_rot_slots))
     graph = build_surrogate(dressed, body, occupation, config.policy(), config.picture)
     _check_budget(graph, config, None)
@@ -643,4 +656,5 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
         rotation_spec=rotation_spec,
         tensors=tensors,
         config=config,
+        setup=setup,
     )

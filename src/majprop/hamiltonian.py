@@ -24,6 +24,7 @@ coefficients onto the rotation angles, at every evaluation.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,7 +32,7 @@ import numpy as np
 import scipy.sparse
 
 from . import _kernels
-from .integrals import IntegralTensors, rotation_matrix
+from .integrals import IntegralTensors, check_rotation, rotation_matrix
 from .operators import SparseOperator
 
 __all__ = [
@@ -228,13 +229,29 @@ def _tensor(t: IntegralTensors, spins: str) -> np.ndarray:
     return t.h2_block(spins) if len(spins) == 2 else t.h1_block(_SECTORS[spins])
 
 
+def _conjugates(spins: str) -> list[tuple[int, ...]]:
+    """Index maps of the operators a use expands that give the same
+    operator or its Hermitian conjugate: the identity and the conjugate
+    (p, q) -> (q, p) of a+_p a_q, or (i, j, k, l) -> (j, i, l, k) of
+    a+_i a+_k a_l a_j; a same-spin term also equals its pair swap
+    (i, j, k, l) -> (k, l, i, j) and the swap's conjugate."""
+    if len(spins) == 1:
+        return [(0, 1), (1, 0)]
+    group = [(0, 1, 2, 3), (1, 0, 3, 2)]
+    return group if spins[0] != spins[1] else group + [(2, 3, 0, 1), (3, 2, 1, 0)]
+
+
 def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
     """The integral map of ``n_spatial`` orbitals (see :class:`IntegralMap`).
 
-    Every index tuple of every spin combination is expanded with
-    :func:`ladder_terms` and credited to the column of its symmetry orbit;
-    each orbit's terms sum to a real combination because it holds its
-    Hermitian conjugate.
+    The index tuples of each spin combination fall into orbits under
+    :func:`_conjugates`: an orbit's operators are one term and its
+    Hermitian conjugate, whose expansion is the complex conjugate of the
+    term's.  So one tuple per orbit is expanded with :func:`ladder_terms`,
+    weighted by the orbit's size, and only the real part of its expansion
+    is credited to the column of its integrals' symmetry orbit.  A tuple
+    whose conjugate is the same operator keeps its imaginary part, which
+    must cancel; the non-Hermitian check reads it.
     """
     n = n_spatial
     mode = {s: np.array([spin_orbital_mode(p, sector, n) for p in range(1, n + 1)])
@@ -259,22 +276,26 @@ def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
         reps, col = np.unique(orbit, return_inverse=True)
         for spins, weight in uses:
             m1, m2 = mode[spins[0]], mode[spins[-1]]
-            at, where, weights = idx, col, np.full(len(idx), weight)
-            if len(dims) == 4 and spins[0] == spins[1]:
-                # (ij|kl) and (kl|ij) give one same-spin operator: expand it once
-                first, second = idx[:, :2] @ [n, 1], idx[:, 2:] @ [n, 1]
-                once = first <= second
-                at, where = idx[once], col[once]
-                weights = np.where(first < second, 2.0, 1.0)[once] * weight
+            # image of every tuple under each map; the smallest one expands the orbit
+            images = np.stack([
+                np.ravel_multi_index(idx[:, list(perm)].T, dims) for perm in _conjugates(spins)
+            ])
+            once = images[0] == images.min(0)
+            images = images[:, once]
+            size = 1 + np.count_nonzero(np.diff(np.sort(images, 0), axis=0), 0)
+            # its own conjugate: the conjugate is the tuple or its pair swap
+            hermitian = (images[1] == images[0]) | (images[1] == images[-2])
+            at, where = idx[once], col[once]
             if len(dims) == 2:
                 modes, daggers = m1[at], (True, False)
             else:
                 i, j, k, l = at.T
                 modes = np.stack([m1[i], m2[k], m2[l], m1[j]], axis=1)
                 daggers = (True, True, False, False)
-            term_keys, term_values = ladder_terms(modes, daggers, weights)
+            term_keys, term_values = ladder_terms(modes, daggers, weight * size)
             keys.append(term_keys)
-            values.append(term_values)
+            values.append(np.where(np.repeat(hermitian, 1 << len(daggers)),
+                                   term_values, term_values.real))
             columns.append(np.repeat(where + start, 1 << len(daggers)))
         blocks.append(_Block(name, reps, col, start))
         start += reps.size
@@ -296,14 +317,14 @@ def _transform(h: np.ndarray, vs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.
 
     One index at a time, from the last: each step contracts the last axis
     and moves the new index to the front.  Returns h' with its first index
-    last (axes q.., p, contiguous) and the tensor before that last step,
-    every index but the first transformed (axes q.., i), which dE/dV of
-    the first index contracts with dE/dh'.
+    last (axes q.., p, as a (rest, n) matrix) and the tensor before that
+    last step, every index but the first transformed (axes q.., i, as an
+    (n, rest) matrix), which dE/dV of the first index contracts with dE/dh'.
     """
     n = h.shape[0]
     x = h
     for v in vs[:0:-1]:
-        x = np.moveaxis((x.reshape(-1, n) @ v.T).reshape(x.shape), -1, 0)
+        x = (x.reshape(-1, n) @ v.T).T
     return x.reshape(-1, n) @ vs[0].T, x
 
 
@@ -313,12 +334,14 @@ class DressedHamiltonian:
     ``rotation_spec`` rows (p, q, sector, slot) are the single-excitation
     rotations exp(theta_slot (a+_p a_q - a+_q a_p)) on 1-based orbitals, in
     the order they act on the reference state, as
-    :func:`integrals.dress_integrals` takes them.  Per spin the product of
-    plane rotations V (:func:`integrals.rotation_matrix`) acts on every
+    :func:`integrals.dress_integrals` takes them; a row of two distinct
+    orbitals in 1..n, a known sector and a slot >= 0.  Per spin the product
+    of plane rotations V (:func:`integrals.rotation_matrix`) acts on every
     index of the integrals, h1' = V h1 V^T and h2' = (V (x) V) H2
     (V (x) V)^T, and the :class:`IntegralMap` turns them into coefficients
     on ``keys``; ``coeffs`` holds them at zero angles.  Restricted integrals
     under restricted sharing (the same slots for both spins) dress one V.
+    :meth:`restrict` gives the same H(theta) on some of the keys.
     """
 
     def __init__(
@@ -327,6 +350,9 @@ class DressedHamiltonian:
         n = tensors.n_spatial
         rotations: dict[str, list[tuple[int, int, int]]] = {"alpha": [], "beta": []}
         for p, q, sector, slot in rotation_spec:
+            check_rotation(n, p, q, sector)
+            if slot < 0:
+                raise ValueError(f"rotation ({p}, {q}) has the negative slot {slot}")
             rotations[sector].append((p - 1, q - 1, int(slot)))
         shared = tensors.is_restricted and rotations["alpha"] == rotations["beta"]
         self.n_modes = 2 * n
@@ -335,14 +361,17 @@ class DressedHamiltonian:
         self.keys = self.map.keys
         self.coeffs = self.map.matrix @ self.map.entries(tensors)
         self.n_slots = 1 + max((slot for *_, slot in rotation_spec), default=-1)
-        self._rotations = {s[0]: rotations[s] for s in ("alpha", "beta")[: 1 if shared else 2]}
-        # each rotation's slot, and +1 where it turns from its lower orbital
-        self._slots = {
-            spin: (np.array([slot for *_, slot in rots], int),
-                   np.array([1.0 if p < q else -1.0 for p, q, _ in rots]))
-            for spin, rots in self._rotations.items()
+        self._matrix = self.map.matrix
+        self._transpose = self._matrix.T.tocsr()
+        self._core = np.array([tensors.core_energy])
+        # per spin: each rotation's orbitals, its slot, and +1 where it
+        # turns from its lower orbital
+        self._rotations = {
+            spin[0]: (np.array([(p, q) for p, q, _ in rots], np.int64).reshape(-1, 2),
+                      np.array([slot for *_, slot in rots], int),
+                      np.array([1.0 if p < q else -1.0 for p, q, _ in rots]))
+            for spin, rots in list(rotations.items())[: 1 if shared else 2]
         }
-        self._transpose = self.map.matrix.T.tocsr()
         # per block: its integrals (the mixed one also with its pairs
         # swapped), each entry's column and share of its orbit, and where
         # the last transform step leaves each representative
@@ -355,39 +384,50 @@ class DressedHamiltonian:
             last = np.ravel_multi_index(at[1:] + at[:1], h.shape)
             self._blocks.append((block, h, swapped, block.start + block.orbit, share, last))
 
+    def restrict(self, rows: np.ndarray) -> DressedHamiltonian:
+        """The same H(theta) on ``keys[rows]`` alone.  It shares the
+        integrals and rotations and multiplies only those rows of the map.
+        Its coefficients equal the full ones on those keys bit for bit, and
+        with sorted ``rows`` so does its pullback of a gradient that is
+        zero on the other keys."""
+        part = copy.copy(self)
+        part.keys, part.coeffs = self.keys[rows], self.coeffs[rows]
+        part._matrix = self._matrix[rows]
+        part._transpose = part._matrix.T.tocsr()
+        return part
+
     def linearize(
         self, params: np.ndarray
     ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         """Coefficients on ``keys`` at the angles ``params``, and the pullback
         of a gradient on them onto ``params``.
 
-        The pullback maps dE/dc through the map's transpose onto the
-        representative entries and spreads each evenly over its orbit,
-        giving a dE/dh' with the integrals' symmetry.  That makes the
-        derivative through every index of a block with one V the same,
-        so dE/dV is that of the first index times the number of indices;
-        the mixed block takes the beta one from its transpose.  For the
-        rotation R_k of the pair (p, q) on V = P_k S_(k+1) (prefix ending
-        with R_k, suffix after it), dE/dtheta_k is -(c_p^T A c_q) with
-        A = G V^T - V G^T, G = dE/dV and c_p, c_q the columns p and q of
-        P_k, which building V leaves behind (:func:`rotation_matrix`).
+        The rotation product takes every angle's cosine and sine at once
+        and leaves its trail in one array.  The pullback maps dE/dc through
+        the map's transpose onto the representative entries and spreads
+        each evenly over its orbit, giving a dE/dh' with the integrals'
+        symmetry.  That makes the derivative through every index of a block
+        with one V the same, so dE/dV is that of the first index times the
+        number of indices; the mixed block takes the beta one from its
+        transpose.  For the rotation R_k of the pair (p, q) on V = P_k
+        S_(k+1) (prefix ending with R_k, suffix after it), dE/dtheta_k is
+        -(c_p^T A c_q) with A = G V^T - V G^T, G = dE/dV and c_p, c_q the
+        columns p and q of P_k, the trail of :func:`rotation_matrix`.
         """
-        angles = np.asarray(params, dtype=np.float64).tolist()
+        params = np.asarray(params, dtype=np.float64)
         n = self.tensors.n_spatial
         v, trails = {}, {}
-        for spin, rotations in self._rotations.items():
-            trails[spin] = []
-            v[spin] = rotation_matrix(
-                n, [(p, q, angles[slot]) for p, q, slot in rotations], trails[spin]
-            )
+        for spin, (pairs, slots, _) in self._rotations.items():
+            trails[spin] = np.empty((len(pairs), 2, n))
+            v[spin] = rotation_matrix(n, pairs, params[slots], trails[spin])
         v.setdefault("b", v["a"])
-        parts = [np.array([self.tensors.core_energy])]
+        parts = [self._core]
         partials = []
         for block, h, _, _, _, last in self._blocks:
             dressed, partial = _transform(h, [v[spin] for spin in _index_spins(block.spins)])
             parts.append(dressed.ravel()[last])
             partials.append(partial)
-        coeffs = self.map.matrix @ np.concatenate(parts)
+        coeffs = self._matrix @ np.concatenate(parts)
 
         def pullback(dcoeffs: np.ndarray) -> np.ndarray:
             du = self._transpose @ dcoeffs
@@ -401,15 +441,12 @@ class DressedHamiltonian:
                 g_b = g.transpose(2, 3, 0, 1)
                 dv["a"] += 2.0 * (g.reshape(n, -1) @ partial.reshape(-1, n))
                 dv["b"] += 2.0 * (g_b.reshape(n, -1) @ partial_b.reshape(-1, n))
-            grad = np.zeros(len(angles))
-            for spin, trail in trails.items():
-                if not trail:
-                    continue
+            grad = np.zeros(params.size)
+            for spin, trail in trails.items():  # trail: (rotation, lower/higher orbital, n)
                 a = dv[spin] @ v[spin].T
                 a -= a.T
-                cols = np.array(trail)  # (rotation, lower/higher orbital, n)
-                slots, orient = self._slots[spin]
-                np.add.at(grad, slots, -orient * ((cols[:, 0] @ a) * cols[:, 1]).sum(1))
+                _, slots, orient = self._rotations[spin]
+                np.add.at(grad, slots, -orient * ((trail[:, 0] @ a) * trail[:, 1]).sum(1))
             return grad
 
         return coeffs, pullback

@@ -10,7 +10,6 @@ aa-ERI, bb-ERI, ab-ERI, alpha-h1, beta-h1 and core sections separated by
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -293,28 +292,46 @@ def emit_fcidump(t: IntegralTensors) -> str:
 
 
 def rotation_matrix(
-    n: int, rotations: Iterable[tuple[int, int, float]], trail: list | None = None
+    n: int,
+    pairs: Sequence[tuple[int, int]],
+    angles: np.ndarray,
+    trail: np.ndarray | None = None,
 ) -> np.ndarray:
     """One-particle matrix V = R_1 R_2 ... of plane rotations, in list order.
 
-    Entry (p, q, theta) is R = exp(theta (E_qp - E_pq)) on 0-based orbitals
-    p != q: the identity except R[p, p] = R[q, q] = cos theta and
-    R[q, p] = -R[p, q] = sin theta.  The product is built in closed form,
-    one pair of rows of V^T per rotation.  With ``trail`` given, each
-    rotation appends the columns (lower orbital, higher orbital) of the
-    prefix product ending with it, as the rows of a 2 x n array.
+    Rotation k, on the 0-based orbitals ``pairs[k]`` = (p, q), p != q, at
+    ``angles[k]`` = theta, is R = exp(theta (E_qp - E_pq)): the identity
+    except R[p, p] = R[q, q] = cos theta and R[q, p] = -R[p, q] = sin
+    theta.  The product is built in closed form, one pair of rows of V^T
+    per rotation.  With ``trail`` given, an array of shape (rotation, 2, n),
+    rotation k writes into ``trail[k]`` the columns (lower orbital, higher
+    orbital) of the prefix product ending with it.
     """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    angles = np.asarray(angles, dtype=np.float64)
+    # the same rotation, seen from its lower orbital
+    angles = np.where(pairs[:, 0] > pairs[:, 1], -angles, angles)
+    c, s = np.cos(angles), np.sin(angles)
+    blocks = np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)
+    if trail is None:
+        trail = np.empty((len(pairs), 2, n))
     vt = np.eye(n)
-    for p, q, theta in rotations:
-        if p > q:  # the same rotation, seen from the other orbital
-            p, q, theta = q, p, -theta
-        c, s = math.cos(theta), math.sin(theta)
+    for k, (p, q) in enumerate(np.sort(pairs, axis=1).tolist()):
         rows = vt[p : q + 1 : q - p]
-        new = np.array([[c, s], [-s, c]]) @ rows
-        rows[...] = new
-        if trail is not None:
-            trail.append(new)
+        np.matmul(blocks[k], rows, out=trail[k])
+        rows[...] = trail[k]
     return vt.T
+
+
+def check_rotation(n: int, p: int, q: int, sector: str) -> None:
+    """Refuse a rotation of 1-based orbitals (p, q) that is not one of two
+    distinct orbitals in 1..n within one known spin sector."""
+    if sector not in ("alpha", "beta"):
+        raise ValueError(f"unknown spin sector {sector!r}")
+    if not (1 <= p <= n and 1 <= q <= n):
+        raise ValueError(f"orbital pair ({p}, {q}) outside 1..{n}")
+    if p == q:
+        raise ValueError("rotation requires two distinct orbitals")
 
 
 def dress_integrals(
@@ -333,16 +350,13 @@ def dress_integrals(
     n = t.n_spatial
     per_sector: dict[str, list[tuple[int, int, float]]] = {"alpha": [], "beta": []}
     for p, q, theta, sector in rotations:
-        if sector not in per_sector:
-            raise ValueError(f"unknown spin sector {sector!r}")
-        if not (1 <= p <= n and 1 <= q <= n):
-            raise ValueError(f"orbital pair ({p}, {q}) outside 1..{n}")
-        if p == q:
-            raise ValueError("rotation requires two distinct orbitals")
+        check_rotation(n, p, q, sector)
         per_sector[sector].append((p, q, theta))
 
     def _total(seq: list[tuple[int, int, float]]) -> np.ndarray:
-        return rotation_matrix(n, [(p - 1, q - 1, theta) for p, q, theta in seq])
+        return rotation_matrix(
+            n, [(p - 1, q - 1) for p, q, _ in seq], np.array([theta for *_, theta in seq])
+        )
 
     v_alpha = _total(per_sector["alpha"])
     same = per_sector["alpha"] == per_sector["beta"]

@@ -50,6 +50,9 @@ scaled by 2^n, the sink of a Schrodinger graph.  They are fixed for a
 them functions of the angles of an orbital-rotation block folded into the
 integrals: the graph is recorded over every key they can weigh, and every
 evaluation takes them, and a gradient their pullback, at its angles.
+Pruning restricts it to the keys the pruned sweep weighs (a few hundred of
+the map's thousands of rows), so energies and gradients dress only those;
+scoring, which reads the full recorded sweep, dresses every key.
 """
 
 from __future__ import annotations
@@ -106,7 +109,8 @@ class _Sweep:
     """Source weights, steps and sink weights of one evaluable sweep.
 
     ``ham_at`` holds the positions of the Hamiltonian's weighed keys in the
-    key vector, and ``ham_of`` their indices in ``hamiltonian.keys``.
+    key vector, and ``ham_of`` their indices in ``hamiltonian.keys``; a
+    dressed ``hamiltonian`` is the graph's restricted to those keys.
     """
 
     source: np.ndarray
@@ -114,6 +118,7 @@ class _Sweep:
     sink: np.ndarray
     ham_at: np.ndarray
     ham_of: np.ndarray
+    hamiltonian: SparseOperator | DressedHamiltonian
 
 
 def _prune(graph: SurrogateGraph) -> _Sweep:
@@ -126,7 +131,9 @@ def _prune(graph: SurrogateGraph) -> _Sweep:
     cosine branch carries it), so a mark taken at a step says whether the
     key still reaches the sink after that gate.  A step keeps the updates
     of such keys and of the partners their sine branches read; the others
-    only touch values no weight reads.  The marked keys are renumbered once.
+    only touch values no weight reads.  The marked keys are renumbered
+    once, and a dressed Hamiltonian is restricted to the kept keys it
+    weighs, so that evaluations multiply only those rows of its map.
     """
     need = graph.sink != 0.0
     if graph.picture == "schrodinger":
@@ -145,9 +152,12 @@ def _prune(graph: SurrogateGraph) -> _Sweep:
         p = np.where(keep[step.p], at[step.p], at)[keep]
         steps.append(_Step(step.slot, renum[step.z[keep]], p, step.sw[keep]))
     held = need[graph.ham_at]
+    hamiltonian, ham_of = graph.hamiltonian, graph.ham_of[held]
+    if isinstance(hamiltonian, DressedHamiltonian):
+        hamiltonian, ham_of = hamiltonian.restrict(ham_of), np.arange(ham_of.size)
     return _Sweep(
-        graph.source[need], steps, graph.sink[need],
-        renum[graph.ham_at[held]], graph.ham_of[held],
+        graph.source[need], steps, graph.sink[need], renum[graph.ham_at[held]], ham_of,
+        hamiltonian,
     )
 
 
@@ -157,11 +167,12 @@ class SurrogateGraph:
 
     ``source``, ``sink``, ``ham_at`` and the indices of ``steps`` all
     address ``final_keys``, which holds every recorded key; ``pruned`` is
-    the same sweep restricted to the keys that reach a sink weight, and is
-    what energies and gradients run over.  The Hamiltonian's side (source
-    in the Heisenberg picture, sink in the Schrodinger picture) holds its
-    coefficients; those of a dressed Hamiltonian at zero rotation angles,
-    since every evaluation takes them at its own angles (:func:`_weights`).
+    the same sweep restricted to the keys that reach a sink weight, with its
+    own dressed Hamiltonian on those keys, and is what energies and
+    gradients run over.  The Hamiltonian's side (source in the Heisenberg
+    picture, sink in the Schrodinger picture) holds its coefficients; those
+    of a dressed Hamiltonian at zero rotation angles, since every
+    evaluation takes them at its own angles (:func:`_weights`).
     """
 
     n_modes: int
@@ -285,14 +296,14 @@ def _weighed(hamiltonian: SparseOperator | DressedHamiltonian) -> np.ndarray:
 
 
 def _weights(
-    graph: SurrogateGraph, params: np.ndarray
+    hamiltonian: SparseOperator | DressedHamiltonian, params: np.ndarray
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray] | None]:
-    """The Hamiltonian's coefficients on its keys at ``params``, and the
-    pullback of a gradient on them onto ``params`` (None when they are
+    """A sweep's Hamiltonian's coefficients on its keys at ``params``, and
+    the pullback of a gradient on them onto ``params`` (None when they are
     fixed)."""
-    if isinstance(graph.hamiltonian, DressedHamiltonian):
-        return graph.hamiltonian.linearize(params)
-    return graph.hamiltonian.coeffs, None
+    if isinstance(hamiltonian, DressedHamiltonian):
+        return hamiltonian.linearize(params)
+    return hamiltonian.coeffs, None
 
 
 def _ends(
@@ -389,8 +400,9 @@ def _forward(
 def eval_energy(graph: SurrogateGraph, params: np.ndarray) -> float:
     """Energy at the given angles from one forward pass over the pruned graph."""
     params = _check_params(graph, params)
-    source, sink = _ends(graph, graph.pruned, _weights(graph, params)[0])
-    return float(np.dot(_forward(source, graph.pruned.steps, params), sink))
+    sweep = graph.pruned
+    source, sink = _ends(graph, sweep, _weights(sweep.hamiltonian, params)[0])
+    return float(np.dot(_forward(source, sweep.steps, params), sink))
 
 
 def eval_energy_and_gradient(
@@ -413,7 +425,7 @@ def _sweep_gradient(
     the adjoint on the source layer (Heisenberg), or 2^n times the forward
     vector at the sink (Schrodinger).
     """
-    coeffs, pullback = _weights(graph, params)
+    coeffs, pullback = _weights(sweep.hamiltonian, params)
     source, sink = _ends(graph, sweep, coeffs)
     grad = np.zeros(params.size)
     gathers: list = []
@@ -608,7 +620,7 @@ def cut_landscapes(
     """
     params = _check_params(graph, params)
     _, depth = _cut(graph, where)
-    coeffs = _weights(graph, params)[0]
+    coeffs = _weights(graph.hamiltonian, params)[0]
     v = _forward(_ends(graph, graph, coeffs)[0], graph.steps[:depth], params)
     live = v != 0.0
     keys, v = graph.final_keys[live], v[live]

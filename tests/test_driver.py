@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,22 @@ def test_stage_times_fit_inside_each_row():
         stages = (row.score_s, row.insert_s, row.optimize_s)
         assert min(stages) >= 0.0
         assert sum(stages) <= row.wall_time_s
+
+
+def test_setup_and_rows_account_for_the_call():
+    """The setup record times what precedes the first row; with the rows it
+    stays within the call's wall time, and the CSV leaves it out."""
+    tensors, _ = _fixture("h4_chain_r20")
+    tic = time.perf_counter()
+    result = run_adapt_vmpe(tensors, RunConfig(max_iterations=2, cutoff=4))
+    wall = time.perf_counter() - tic
+    assert set(result.setup) == {"dressing_s", "hamiltonian_s", "pool_s"}
+    assert min(result.setup.values()) >= 0.0
+    rows = math.fsum(row.wall_time_s for row in result.trajectory)
+    assert math.fsum(result.setup.values()) + rows <= wall
+    out = io.StringIO()
+    result.trajectory.to_csv(out)
+    assert "dressing" not in out.getvalue()
 
 
 def test_memory_budget_stops_the_run_with_its_trajectory():

@@ -6,15 +6,23 @@ gates after the body, as the driver's circuit holds them.
 """
 
 import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from majprop import FermionicCircuit, TruncationPolicy
+from majprop import FermionicCircuit, TruncationPolicy, hamiltonian
 from majprop.driver import init_active_rotations
-from majprop.hamiltonian import DressedHamiltonian, build_majorana_hamiltonian, integral_map
-from majprop.integrals import aufbau_occupation, dress_integrals, parse_fcidump
+from majprop.hamiltonian import (
+    DressedHamiltonian,
+    build_majorana_hamiltonian,
+    integral_map,
+    ladder_terms,
+    spin_orbital_mode,
+)
+from majprop.integrals import aufbau_occupation, dress_integrals, parse_fcidump, rotation_matrix
 from majprop.pool import build_majoranic_pool
 from majprop.surrogate import (
     build_surrogate,
@@ -193,3 +201,155 @@ def test_integral_map_refuses_integrals_it_cannot_read(rng):
     lopsided.h1 = lopsided.h1 + np.triu(np.ones((4, 4)), 1)
     with pytest.raises(ValueError, match="symmetry"):
         build_majorana_hamiltonian(lopsided)
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+@pytest.mark.parametrize("sharing", ["restricted", "unrestricted"])
+def test_pruned_sweep_reads_only_its_rows_of_the_map(rng, picture, sharing):
+    """The pruned sweep's dressed Hamiltonian holds only the map rows of the
+    keys it weighs, and gives energies and gradients equal to the same sweep
+    with the whole map."""
+    tensors = _h4()
+    _, n_rot, _ = init_active_rotations(tensors.n_spatial, sharing)
+    body = _body(tensors, n_rot, 3, rng)
+    folded, _, n_slots = _pair(tensors, sharing, body, picture, 4)
+    pruned, full = folded.pruned, folded.hamiltonian
+    assert pruned.hamiltonian.keys.size < full.keys.size
+    rows = np.searchsorted(full.keys, pruned.hamiltonian.keys)
+    assert np.array_equal(full.keys[rows], pruned.hamiltonian.keys)
+    whole = replace(pruned, hamiltonian=full, ham_of=rows[pruned.ham_of])
+    for _ in range(3):
+        theta = rng.uniform(-np.pi, np.pi, n_slots)
+        energy, grad = _sweep_gradient(folded, whole, theta)
+        assert eval_energy(folded, theta) == energy
+        assert eval_energy_and_gradient(folded, theta)[0] == energy
+        assert np.array_equal(eval_energy_and_gradient(folded, theta)[1], grad)
+        assert np.array_equal(pruned.hamiltonian.linearize(theta)[0], full.linearize(theta)[0][rows])
+
+
+def test_rotation_trail_holds_the_prefix_products(rng):
+    """Each rotation leaves the columns (lower, higher orbital) of the
+    product of explicit plane rotations up to it, in either orientation."""
+    n = 6
+    pairs = [tuple(rng.choice(n, 2, replace=False)) for _ in range(20)]
+    angles = rng.uniform(-np.pi, np.pi, len(pairs))
+    trail = np.empty((len(pairs), 2, n))
+    v = rotation_matrix(n, pairs, angles, trail)
+    prefix = np.eye(n)
+    for (p, q), theta, cols in zip(pairs, angles, trail):
+        plane = np.eye(n)
+        plane[p, p] = plane[q, q] = np.cos(theta)
+        plane[q, p], plane[p, q] = np.sin(theta), -np.sin(theta)
+        prefix = prefix @ plane
+        np.testing.assert_allclose(cols, prefix[:, sorted((p, q))].T, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(v, prefix, rtol=0, atol=1e-15)
+    assert np.array_equal(rotation_matrix(n, pairs, angles), v)
+
+
+@pytest.mark.parametrize(
+    "row, match",
+    [((2, 2, "alpha", 0), "distinct"), ((1, 7, "alpha", 0), "outside"),
+     ((0, 1, "beta", 0), "outside"), ((1, 2, "gamma", 0), "sector"),
+     ((1, 2, "alpha", -1), "slot")],
+)
+def test_dressed_hamiltonian_refuses_bad_rotations(row, match):
+    """A rotation spec row that ``dress_integrals`` would refuse, or one on
+    a negative slot, fails at construction, not at the first evaluation."""
+    _, _, spec = init_active_rotations(4, "restricted")
+    with pytest.raises(ValueError, match=match):
+        DressedHamiltonian(_h4(), spec + [row])
+
+
+def _every_tuple_map(n, shared):
+    """Keys and matrix of the integral map with every index tuple expanded
+    (a same-spin (ij|kl) and (kl|ij) once, weighted by 2), the reference the
+    conjugate-pair build must reproduce bit for bit."""
+    mode = {s: np.array([spin_orbital_mode(p, sector, n) for p in range(1, n + 1)])
+            for s, sector in (("a", "alpha"), ("b", "beta"))}
+    if shared:
+        layout = [("a", [("a", 1.0), ("b", 1.0)]),
+                  ("aa", [("aa", 0.5), ("bb", 0.5), ("ab", 1.0)])]
+    else:
+        layout = [("a", [("a", 1.0)]), ("b", [("b", 1.0)]), ("aa", [("aa", 0.5)]),
+                  ("bb", [("bb", 0.5)]), ("ab", [("ab", 1.0)])]
+    keys, values, columns = [np.zeros(1, np.uint64)], [np.ones(1, complex)], [np.zeros(1, int)]
+    start = 1
+    for name, uses in layout:
+        dims = (n,) * 2 * len(name)
+        idx = np.indices(dims).reshape(len(dims), -1).T
+        orbit = np.minimum.reduce([
+            np.ravel_multi_index(idx[:, list(perm)].T, dims)
+            for perm in hamiltonian._symmetries(name)
+        ])
+        reps, col = np.unique(orbit, return_inverse=True)
+        for spins, weight in uses:
+            m1, m2 = mode[spins[0]], mode[spins[-1]]
+            at, where, weights = idx, col, np.full(len(idx), weight)
+            if len(dims) == 4 and spins[0] == spins[1]:
+                first, second = idx[:, :2] @ [n, 1], idx[:, 2:] @ [n, 1]
+                once = first <= second
+                at, where = idx[once], col[once]
+                weights = np.where(first < second, 2.0, 1.0)[once] * weight
+            if len(dims) == 2:
+                modes, daggers = m1[at], (True, False)
+            else:
+                i, j, k, l = at.T
+                modes = np.stack([m1[i], m2[k], m2[l], m1[j]], axis=1)
+                daggers = (True, True, False, False)
+            term_keys, term_values = ladder_terms(modes, daggers, weights)
+            keys.append(term_keys)
+            values.append(term_values)
+            columns.append(np.repeat(where + start, 1 << len(daggers)))
+        start += reps.size
+    keys, values, columns = (np.concatenate(x) for x in (keys, values, columns))
+    uniq, rows = np.unique(keys, return_inverse=True)
+    matrix = scipy.sparse.csr_array((values, (rows, columns)), shape=(uniq.size, start))
+    matrix.sum_duplicates()
+    assert np.abs(matrix.data.imag).max() <= 1e-12
+    matrix = matrix.real
+    matrix.eliminate_zeros()
+    live = np.diff(matrix.indptr) > 0
+    return uniq[live], matrix[live]
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_integral_map_equals_the_every_tuple_expansion(n, shared):
+    """Expanding one tuple per conjugate orbit gives the keys and matrix of
+    expanding every tuple, bit for bit."""
+    keys, matrix = _every_tuple_map(n, shared)
+    built = integral_map(n, shared)
+    assert np.array_equal(built.keys, keys)
+    assert np.array_equal(built.matrix.toarray(), matrix.toarray())
+
+
+@pytest.mark.parametrize("daggers", [(True, False), (True, True, False, False),
+                                     (False, True, True, False), (True, False, True, False)])
+def test_conjugate_string_expands_to_the_complex_conjugate(rng, daggers):
+    """The Hermitian conjugate of a ladder string (reversed, creators and
+    annihilators swapped) expands to the complex conjugate, term by key."""
+    modes = rng.integers(1, 9, size=(50, len(daggers)))
+    weights = rng.normal(size=50)
+    conj_daggers = [not d for d in reversed(daggers)]
+    for row, weight in zip(modes, weights):
+        keys, real, imag = hamiltonian._merge([ladder_terms([row], daggers, [weight])])
+        c_keys, c_real, c_imag = hamiltonian._merge(
+            [ladder_terms([row[::-1]], conj_daggers, [weight])]
+        )
+        assert np.array_equal(keys, c_keys)
+        assert np.array_equal(real, c_real) and np.array_equal(imag, -c_imag)
+
+
+def test_integral_map_still_refuses_a_non_hermitian_expansion(monkeypatch):
+    """A phase error in the expansion leaves self-conjugate tuples (a+_p a_p,
+    a+_p a+_q a_q a_p) with an imaginary part, which the build refuses."""
+    honest = hamiltonian.ladder_terms
+
+    def off_by_i(modes, daggers, weights):
+        keys, values = honest(modes, daggers, weights)
+        return keys, 1j * values
+
+    monkeypatch.setattr(hamiltonian, "ladder_terms", off_by_i)
+    for shared in (True, False):
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            integral_map(3, shared)
