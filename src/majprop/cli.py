@@ -291,9 +291,6 @@ def bench(modes, gates, cutoff, out_path, seed) -> None:
         graph = build_surrogate(h, circuit, occupation, policy)
         build_s = time.perf_counter() - tic
         theta = rng.uniform(-0.5, 0.5, circuit.n_slots)
-        for _ in range(4):  # warm the caches
-            eval_energy(graph, theta)
-            eval_energy_and_gradient(graph, theta)
         eval_s = min(
             _timed(lambda: eval_energy(graph, theta)) for _ in range(3)
         )

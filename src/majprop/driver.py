@@ -47,7 +47,7 @@ from .engine import (  # noqa: F401 -- perfbench/tracing.py wraps driver.propaga
 from .hamiltonian import DressedHamiltonian, build_majorana_hamiltonian, spin_orbital_mode
 from .integrals import IntegralTensors, aufbau_occupation, dress_integrals
 from .operators import SparseOperator
-from .pool import (
+from .pool import (  # noqa: F401 -- perfbench/tracing.py wraps driver.reduce_pool_equivalence
     Pool,
     build_majoranic_pool,
     is_refresh_iteration,
@@ -165,6 +165,8 @@ def init_active_rotations(
 # eigenvalue floor of a recycled inverse-Hessian estimate: keeps its
 # Cholesky factor well defined however the previous run ended
 _HESS_INV_FLOOR = 1e-6
+# the loop stops once the best candidate's achievable improvement is below this
+_IMPROVEMENT_FLOOR = 1e-9
 
 
 class Optimum(tuple):
@@ -331,10 +333,6 @@ class Trajectory:
     def energies(self) -> np.ndarray:
         return np.array([r.energy for r in self.rows])
 
-    @property
-    def final_energy(self) -> float:
-        return self.rows[-1].energy
-
     def to_csv(self, target: str | IO[str]) -> None:
         import csv
 
@@ -370,22 +368,22 @@ def _theta_hash(theta: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything the adaptive loop needs beyond the integrals themselves."""
+    """Everything the adaptive loop needs beyond the integrals themselves.
+
+    Truncation is by Majorana length alone (``cutoff``), keeping fully
+    paired monomials in the Heisenberg picture only.  The loop's other
+    choices are fixed (see :func:`run_adapt_vmpe`).
+    """
 
     max_iterations: int = 30
     cutoff: int | None = 6
     picture: str = "heisenberg"
     placement: str | None = None  # defaults to front (Heisenberg) / back (Schrodinger)
     selection: str = "ggf"  # gradient | ggf | mixed
-    reduce_pool: bool = True
     trim_tau: int | None = None
     trim_kappa: int = 25
     opt_gtol: float = 1e-7
     opt_maxfun: int = 200
-    gate_init: str | None = None  # zero | ggf_theta_star; None follows the scorer
-    rotation_sharing: str = "restricted"
-    improvement_floor: float = 1e-9
-    paired_accept: bool | None = None
     max_live_monomials: int | None = None
 
     @property
@@ -394,13 +392,8 @@ class RunConfig:
             return self.placement
         return "front" if self.picture == "heisenberg" else "back"
 
-    def resolved_gate_init(self, used_gradient_scores: bool) -> str:
-        if self.gate_init is not None:
-            return self.gate_init
-        return "zero" if used_gradient_scores else "ggf_theta_star"
-
     def policy(self) -> TruncationPolicy:
-        return TruncationPolicy(length_cutoff=self.cutoff, paired_accept=self.paired_accept)
+        return TruncationPolicy(length_cutoff=self.cutoff)
 
     def validate(self, hamiltonian_max_length: int) -> None:
         if self.max_iterations < 0:
@@ -421,12 +414,6 @@ class RunConfig:
             raise ValueError("trim_tau must be at least 1")
         if self.trim_kappa < 1:
             raise ValueError("trim_kappa must be at least 1")
-        if self.gate_init not in (None, "zero", "ggf_theta_star"):
-            raise ValueError(f"unknown gate_init {self.gate_init!r}")
-        if self.rotation_sharing not in ("restricted", "unrestricted"):
-            raise ValueError(f"unknown rotation sharing {self.rotation_sharing!r}")
-        if self.improvement_floor <= 0:
-            raise ValueError("improvement_floor must be positive")
         if self.opt_maxfun < 1:
             raise ValueError("opt_maxfun must be at least 1")
 
@@ -515,18 +502,18 @@ def _swept(graph: SurrogateGraph) -> dict:
 def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
     """Grow and optimize an adaptive circuit for the given integrals.
 
-    Iteration 0 optimizes the active rotations alone; each later iteration
-    appends the best-scoring pool candidate at the configured end of the
-    body and reoptimizes everything.  The loop stops after max_iterations,
-    or as soon as the selected candidate's achievable improvement falls
-    under the floor.
+    Iteration 0 optimizes the active rotations alone, one angle per spatial
+    orbital pair shared by both spins; each later iteration appends the
+    best-scoring pool candidate at the configured end of the body and
+    reoptimizes everything.  The new angle starts at zero after gradient
+    scoring and at the landscape fit's optimum after GGF scoring.  The loop
+    stops after max_iterations, or as soon as the selected candidate's
+    achievable improvement falls under ``_IMPROVEMENT_FLOOR``.
     """
     start = time.perf_counter()
     n_spatial = tensors.n_spatial
     n_modes = 2 * n_spatial
-    rot_gates, n_rot_slots, rotation_spec = init_active_rotations(
-        n_spatial, config.rotation_sharing
-    )
+    rot_gates, n_rot_slots, rotation_spec = init_active_rotations(n_spatial)
     dressed = DressedHamiltonian(tensors, rotation_spec)
     dressed_at = time.perf_counter()
     hamiltonian = build_majorana_hamiltonian(tensors, dressed.map)
@@ -537,10 +524,6 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
     built_at = time.perf_counter()
     pool = build_majoranic_pool(n_spatial, (occ_alpha, occ_beta))
     placement = config.resolved_placement
-    if config.reduce_pool and placement == "front":
-        # new gates act directly on the reference state there, where whole
-        # equivalence classes move it identically
-        pool = reduce_pool_equivalence(pool)
 
     trajectory = Trajectory()
     tic = time.perf_counter()
@@ -600,15 +583,11 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
                 larger_is_better=use_gradient,
             )
         best = rank_candidates(scores, larger_is_better=use_gradient)[0]
-        if abs(best.improvement) < config.improvement_floor:
+        if abs(best.improvement) < _IMPROVEMENT_FLOOR:
             break
 
         candidate = pool.candidates[best.index]
-        init_angle = (
-            best.theta_star
-            if config.resolved_gate_init(use_gradient) == "ggf_theta_star"
-            else 0.0
-        )
+        init_angle = 0.0 if use_gradient else best.theta_star
         # the new slot is the last one, so the previous curvature estimate
         # covers every older slot
         gates = candidate.gates(theta.size)

@@ -79,18 +79,6 @@ class SparseOperator:
             n_modes, np.array(keys, dtype=np.uint64), np.array(coeffs)
         )
 
-    @classmethod
-    def identity(cls, n_modes: int, coeff: float = 1.0) -> "SparseOperator":
-        return cls(
-            n_modes=n_modes,
-            keys=np.array([0], dtype=np.uint64),
-            coeffs=np.array([coeff]),
-        )
-
-    @classmethod
-    def zero(cls, n_modes: int) -> "SparseOperator":
-        return cls(n_modes=n_modes)
-
     # ---- basic queries ----------------------------------------------------
 
     def __len__(self) -> int:

@@ -257,8 +257,6 @@ def test_config_validation():
         RunConfig(picture="interaction").validate(4)
     with pytest.raises(ValueError, match="trim_tau"):
         RunConfig(trim_tau=0).validate(4)
-    with pytest.raises(ValueError, match="gate_init"):
-        RunConfig(gate_init="warm").validate(4)
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -266,6 +264,16 @@ def test_config_from_dict_rejects_unknown_keys():
     assert (cfg.cutoff, cfg.selection) == (8, "mixed")
     with pytest.raises(ValueError, match="unknown config keys: cutofff"):
         RunConfig.from_dict({"cutofff": 8})
+    # options of earlier versions: an old config file fails loudly
+    for key, value in (
+        ("reduce_pool", False),
+        ("gate_init", "zero"),
+        ("rotation_sharing", "unrestricted"),
+        ("improvement_floor", 1e-6),
+        ("paired_accept", False),
+    ):
+        with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):
+            RunConfig.from_dict({key: value})
 
 
 def test_placement_defaults_follow_the_picture():

@@ -208,6 +208,16 @@ def test_reduction_passes_composites_and_repeated_modes_through():
     assert [c.label for c in reduced.candidates] == ["c1", "c2", "two sites on two modes"]
 
 
+@pytest.mark.parametrize("n_spatial", range(2, 9))
+def test_built_pools_hold_one_candidate_per_orbit(n_spatial):
+    """Singles are composites and a double's four modes fix its
+    occupied/virtual split, so the reduction keeps every built candidate."""
+    for o in range(1, n_spatial):
+        for occupied in ((o, o), (o, o - 1)):
+            pool = build_majoranic_pool(n_spatial, occupied)
+            assert reduce_pool_equivalence(pool).candidates == pool.candidates
+
+
 def test_orbit_members_share_the_energy_improvement(rng):
     """All same-parity one-per-mode monomials move a Fock state identically
     up to the rotation direction, so their GGF scores coincide."""
