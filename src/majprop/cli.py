@@ -37,7 +37,7 @@ from .driver import (
     load_circuit_json,
     run_adapt_vmpe,
 )
-from .engine import TruncationPolicy, expectation, fock_expectation
+from .engine import TruncationPolicy, expectation
 from .hamiltonian import build_majorana_hamiltonian
 from .integrals import parse_fcidump
 from .oracle import circuit_state, dense_expectation
@@ -49,6 +49,20 @@ _DENSE_LIMIT = 14
 
 class VerificationFailure(RuntimeError):
     """The engine/oracle cross-check exceeded tolerance."""
+
+
+def _emit_table(header: tuple[str, ...], rows: list[tuple], out_path: str | None) -> None:
+    """Echo a CSV table, and write it to ``out_path`` when given; floats
+    print as ``repr``, everything else as ``str``."""
+    cells = [[repr(x) if isinstance(x, float) else str(x) for x in row] for row in rows]
+    click.echo(",".join(header))
+    for row in cells:
+        click.echo(",".join(row))
+    if out_path:
+        with open(out_path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(cells)
 
 
 def _timed(fn) -> float:
@@ -165,17 +179,9 @@ def evaluate(fcidump_path, circuit_path, cutoffs, picture, out_path) -> None:
         error = "" if exact is None else repr(abs(energy - exact))
         rows.append((c, energy, error))
 
-    header = ("cutoff", "energy", "abs_error_exact")
-    click.echo(",".join(header))
-    for c, energy, error in rows:
-        click.echo(f"{c},{energy!r},{error}")
+    _emit_table(("cutoff", "energy", "abs_error_exact"), rows, out_path)
     if exact is not None:
         click.echo(f"# dense reference {exact!r}")
-    if out_path:
-        with open(out_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
 
 
 # ---- pool-info -------------------------------------------------------------------
@@ -298,14 +304,7 @@ def bench(modes, gates, cutoff, out_path, seed) -> None:
             _timed(lambda: eval_energy_and_gradient(graph, theta)) for _ in range(3)
         )
         rows.append((n, gates, cutoff, build_s, eval_s, grad_s, int(graph.final_keys.size)))
-    click.echo(",".join(header))
-    for row in rows:
-        click.echo(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
-    if out_path:
-        with open(out_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
+    _emit_table(header, rows, out_path)
 
 
 # ---- entry point -----------------------------------------------------------------

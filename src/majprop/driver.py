@@ -33,7 +33,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import IO
+from typing import IO, get_args, get_type_hints
 
 import numpy as np
 import scipy.optimize
@@ -419,10 +419,22 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        """A config from parsed JSON; refuses unknown keys and any value
+        whose type does not fit its field (a float field also takes an int,
+        and no field takes a bool)."""
+        declared = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(data) - set(declared))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        hints = get_type_hints(cls)
+        for key, value in data.items():
+            allowed = get_args(hints[key]) or (hints[key],)
+            if float in allowed:
+                allowed += (int,)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(
+                    f"config key {key!r} must be {declared[key]}, got {value!r}"
+                )
         return cls(**data)
 
 
@@ -502,13 +514,15 @@ def _swept(graph: SurrogateGraph) -> dict:
 def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
     """Grow and optimize an adaptive circuit for the given integrals.
 
-    Iteration 0 optimizes the active rotations alone, one angle per spatial
-    orbital pair shared by both spins; each later iteration appends the
-    best-scoring pool candidate at the configured end of the body and
-    reoptimizes everything.  The new angle starts at zero after gradient
-    scoring and at the landscape fit's optimum after GGF scoring.  The loop
-    stops after max_iterations, or as soon as the selected candidate's
-    achievable improvement falls under ``_IMPROVEMENT_FLOOR``.
+    The baseline is iteration 0 of the one loop: it builds the graph of
+    the empty body and optimizes the active rotations alone, one angle per
+    spatial orbital pair shared by both spins.  Each later iteration first
+    scores the pool and appends the best candidate at the configured end of
+    the body; then every iteration checks the budget, reoptimizes
+    everything and records one row.  The new angle starts at zero after
+    gradient scoring and at the landscape fit's optimum after GGF scoring.
+    The loop stops after max_iterations, or as soon as the selected
+    candidate's achievable improvement falls under ``_IMPROVEMENT_FLOOR``.
     """
     start = time.perf_counter()
     n_spatial = tensors.n_spatial
@@ -524,92 +538,72 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
     built_at = time.perf_counter()
     pool = build_majoranic_pool(n_spatial, (occ_alpha, occ_beta))
     placement = config.resolved_placement
-
-    trajectory = Trajectory()
-    tic = time.perf_counter()
     setup = {
         "dressing_s": dressed_at - start,
         "hamiltonian_s": built_at - dressed_at,
-        "pool_s": tic - built_at,
+        "pool_s": time.perf_counter() - built_at,
     }
-    body = FermionicCircuit(n_modes, [], np.zeros(n_rot_slots))
-    graph = build_surrogate(dressed, body, occupation, config.policy(), config.picture)
-    _check_budget(graph, config, None)
-    built = time.perf_counter()
-    optimum = optimize_parameters(
-        graph, np.zeros(n_rot_slots), config.opt_gtol, config.opt_maxfun
-    )
-    theta, energy = optimum
-    toc = time.perf_counter()
-    trajectory.append(
-        TrajectoryRow(
-            iteration=0,
-            energy=energy,
-            gate="baseline",
-            theta_hash=_theta_hash(theta),
-            wall_time_s=toc - tic,
-            pool_evaluated=0,
-            live_monomials=int(graph.final_keys.size),
-            opt_nfev=optimum.nfev,
-            opt_converged=optimum.converged,
-            opt_nit=optimum.nit,
-            opt_grad_max=optimum.grad_max,
-            insert_s=built - tic,
-            optimize_s=toc - built,
-            **_swept(graph),
-        )
-    )
 
+    trajectory = Trajectory()
+    theta, hess_inv = np.zeros(n_rot_slots), None
     active = list(range(len(pool)))
-    for iteration in range(1, config.max_iterations + 1):
+    for iteration in range(config.max_iterations + 1):
         tic = time.perf_counter()
-        refresh = is_refresh_iteration(iteration, config.trim_kappa)
-        full_pool = refresh or config.trim_tau is None
-        indices = list(range(len(pool))) if full_pool else active
-        if not indices:
-            break
-        use_gradient = config.selection == "gradient" or (
-            config.selection == "mixed" and refresh
-        )
-        # new gates go in at the circuit front or at the body's end: the
-        # active rotations stay outermost
-        if use_gradient:
-            scores = score_pool_gradient(pool, graph, theta, placement, indices)
-        else:
-            scores = score_pool_ggf(pool, graph, theta, placement, indices)
-        if config.trim_tau is not None:
-            active = trim_pool(
-                scores, config.trim_tau, config.trim_kappa, iteration,
-                larger_is_better=use_gradient,
+        if iteration:
+            refresh = is_refresh_iteration(iteration, config.trim_kappa)
+            full_pool = refresh or config.trim_tau is None
+            indices = list(range(len(pool))) if full_pool else active
+            if not indices:
+                break
+            use_gradient = config.selection == "gradient" or (
+                config.selection == "mixed" and refresh
             )
-        best = rank_candidates(scores, larger_is_better=use_gradient)[0]
-        if abs(best.improvement) < _IMPROVEMENT_FLOOR:
-            break
+            # new gates go in at the circuit front or at the body's end: the
+            # active rotations stay outermost
+            if use_gradient:
+                scores = score_pool_gradient(pool, graph, theta, placement, indices)
+            else:
+                scores = score_pool_ggf(pool, graph, theta, placement, indices)
+            if config.trim_tau is not None:
+                active = trim_pool(
+                    scores, config.trim_tau, config.trim_kappa, iteration,
+                    larger_is_better=use_gradient,
+                )
+            best = rank_candidates(scores, larger_is_better=use_gradient)[0]
+            if abs(best.improvement) < _IMPROVEMENT_FLOOR:
+                break
 
-        candidate = pool.candidates[best.index]
-        init_angle = 0.0 if use_gradient else best.theta_star
-        # the new slot is the last one, so the previous curvature estimate
-        # covers every older slot
-        gates = candidate.gates(theta.size)
-        scored = time.perf_counter()
-        graph = extend_surrogate(graph, gates, placement)
-        _check_budget(graph, config, trajectory)
+            candidate = pool.candidates[best.index]
+            label, evaluated = candidate.label, len(indices)
+            # the new slot is the last one, so the previous curvature estimate
+            # covers every older slot
+            gates = candidate.gates(theta.size)
+            theta = np.append(theta, 0.0 if use_gradient else best.theta_star)
+            scored = time.perf_counter()
+            graph = extend_surrogate(graph, gates, placement)
+        else:
+            # the baseline: the active rotations alone, on an empty body
+            label, evaluated, scored = "baseline", 0, tic
+            body = FermionicCircuit(n_modes, [], theta)
+            graph = build_surrogate(dressed, body, occupation, config.policy(), config.picture)
+        # a budget error carries the rows so far, None before the first one
+        _check_budget(graph, config, trajectory or None)
         inserted = time.perf_counter()
 
         optimum = optimize_parameters(
-            graph, np.append(theta, init_angle), config.opt_gtol, config.opt_maxfun,
-            optimum.hess_inv,
+            graph, theta, config.opt_gtol, config.opt_maxfun, hess_inv
         )
         theta, energy = optimum
+        hess_inv = optimum.hess_inv
         toc = time.perf_counter()
         trajectory.append(
             TrajectoryRow(
                 iteration=iteration,
                 energy=energy,
-                gate=candidate.label,
+                gate=label,
                 theta_hash=_theta_hash(theta),
                 wall_time_s=toc - tic,
-                pool_evaluated=len(indices),
+                pool_evaluated=evaluated,
                 live_monomials=int(graph.final_keys.size),
                 opt_nfev=optimum.nfev,
                 opt_converged=optimum.converged,

@@ -36,6 +36,8 @@ class SparseOperator:
     n_modes: int
     keys: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.uint64))
     coeffs: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
+    # parameter slots that move the coefficients: none (see linearize)
+    n_slots = 0
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_modes <= _kernels.MAX_MODES:
@@ -100,6 +102,18 @@ class SparseOperator:
         if not self.keys.size:
             return 0
         return int(_kernels.popcount(self.keys).max())
+
+    # ---- as a surrogate graph's Hamiltonian -------------------------------
+
+    def linearize(self, params: np.ndarray) -> tuple[np.ndarray, None]:
+        """Coefficients at the angles ``params``, which do not move them, and
+        no pullback: the interface of :class:`hamiltonian.DressedHamiltonian`
+        for a fixed operator."""
+        return self.coeffs, None
+
+    def restrict(self, rows: np.ndarray) -> "SparseOperator":
+        """The terms at the sorted positions ``rows`` alone."""
+        return SparseOperator(self.n_modes, self.keys[rows], self.coeffs[rows])
 
     # ---- arithmetic -------------------------------------------------------
 

@@ -17,7 +17,7 @@ Dense matrices are only ever materialized in a particle-number/spin sector
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.linalg

@@ -378,11 +378,9 @@ def score_pool_ggf(
 # ---- trimming ---------------------------------------------------------------
 
 
-def is_refresh_iteration(iteration: int, kappa: int | None) -> bool:
+def is_refresh_iteration(iteration: int, kappa: int) -> bool:
     """Full-pool rescoring happens at iteration 1 and every kappa-th one."""
-    if iteration == 1 or kappa is None:
-        return iteration == 1
-    return iteration % kappa == 0
+    return iteration == 1 or iteration % kappa == 0
 
 
 def rank_candidates(
@@ -407,7 +405,7 @@ def rank_candidates(
 def trim_pool(
     scores: Sequence[SelectionScore],
     tau_keep: int,
-    kappa: int | None,
+    kappa: int,
     iteration: int,
     larger_is_better: bool = True,
 ) -> list[int]:

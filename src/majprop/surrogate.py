@@ -45,21 +45,23 @@ picture the Hamiltonian's weighed keys are closed backward through the
 remaining gates.  Only the keys found so record the rest of the sweep.
 
 The Hamiltonian's coefficients are the source of a Heisenberg graph and,
-scaled by 2^n, the sink of a Schrodinger graph.  They are fixed for a
-:class:`SparseOperator`.  A :class:`hamiltonian.DressedHamiltonian` makes
-them functions of the angles of an orbital-rotation block folded into the
-integrals: the graph is recorded over every key they can weigh, and every
-evaluation takes them, and a gradient their pullback, at its angles.
-Pruning restricts it to the keys the pruned sweep weighs (a few hundred of
-the map's thousands of rows), so energies and gradients dress only those;
-scoring, which reads the full recorded sweep, dresses every key.
+scaled by 2^n, the sink of a Schrodinger graph.  Every evaluation takes
+them at its angles through ``hamiltonian.linearize``, and a gradient their
+pullback.  A :class:`SparseOperator` owns no angles: its coefficients are
+fixed and it has no pullback.  A :class:`hamiltonian.DressedHamiltonian`
+makes them functions of the angles of an orbital-rotation block folded into
+the integrals, so the graph is recorded over every key it can weigh.
+Pruning restricts the Hamiltonian to the keys the pruned sweep weighs (for
+a dressed one, a few hundred of the map's thousands of rows), so energies
+and gradients dress only those; scoring, which reads the full recorded
+sweep, dresses every key.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -109,8 +111,8 @@ class _Sweep:
     """Source weights, steps and sink weights of one evaluable sweep.
 
     ``ham_at`` holds the positions of the Hamiltonian's weighed keys in the
-    key vector, and ``ham_of`` their indices in ``hamiltonian.keys``; a
-    dressed ``hamiltonian`` is the graph's restricted to those keys.
+    key vector, and ``ham_of`` their indices in ``hamiltonian.keys``, which
+    is the graph's Hamiltonian restricted to those keys.
     """
 
     source: np.ndarray
@@ -132,8 +134,9 @@ def _prune(graph: SurrogateGraph) -> _Sweep:
     key still reaches the sink after that gate.  A step keeps the updates
     of such keys and of the partners their sine branches read; the others
     only touch values no weight reads.  The marked keys are renumbered
-    once, and a dressed Hamiltonian is restricted to the kept keys it
-    weighs, so that evaluations multiply only those rows of its map.
+    once, and the Hamiltonian is restricted to the kept keys it weighs, so
+    that evaluations dress only those (multiply only those rows of a
+    dressed Hamiltonian's map).
     """
     need = graph.sink != 0.0
     if graph.picture == "schrodinger":
@@ -152,12 +155,9 @@ def _prune(graph: SurrogateGraph) -> _Sweep:
         p = np.where(keep[step.p], at[step.p], at)[keep]
         steps.append(_Step(step.slot, renum[step.z[keep]], p, step.sw[keep]))
     held = need[graph.ham_at]
-    hamiltonian, ham_of = graph.hamiltonian, graph.ham_of[held]
-    if isinstance(hamiltonian, DressedHamiltonian):
-        hamiltonian, ham_of = hamiltonian.restrict(ham_of), np.arange(ham_of.size)
     return _Sweep(
-        graph.source[need], steps, graph.sink[need], renum[graph.ham_at[held]], ham_of,
-        hamiltonian,
+        graph.source[need], steps, graph.sink[need], renum[graph.ham_at[held]],
+        np.arange(np.count_nonzero(held)), graph.hamiltonian.restrict(graph.ham_of[held]),
     )
 
 
@@ -168,11 +168,12 @@ class SurrogateGraph:
     ``source``, ``sink``, ``ham_at`` and the indices of ``steps`` all
     address ``final_keys``, which holds every recorded key; ``pruned`` is
     the same sweep restricted to the keys that reach a sink weight, with its
-    own dressed Hamiltonian on those keys, and is what energies and
+    own Hamiltonian restricted to those keys, and is what energies and
     gradients run over.  The Hamiltonian's side (source in the Heisenberg
-    picture, sink in the Schrodinger picture) holds its coefficients; those
-    of a dressed Hamiltonian at zero rotation angles, since every
-    evaluation takes them at its own angles (:func:`_weights`).
+    picture, sink in the Schrodinger picture) holds its coefficients as
+    built (those of a dressed Hamiltonian at zero rotation angles); every
+    evaluation rebuilds it from ``hamiltonian.linearize`` at its own angles
+    (:func:`_ends`).
     """
 
     n_modes: int
@@ -262,9 +263,9 @@ def build_surrogate(
     eigenvalues on the reference state; Schrodinger graphs start from the
     truncated reference projector and sink into the Hamiltonian
     coefficients.  The truncation rule reads only keys, so the recorded
-    branch structure holds at every angle.  Fixed Hamiltonian terms of
-    weight 0 are left out; a dressed Hamiltonian weighs all its keys, since
-    its coefficients change with the rotation angles.
+    branch structure holds at every angle.  Terms of weight 0 are left out
+    while no angle moves the coefficients; a Hamiltonian with parameter
+    slots (a dressed one) weighs all its keys.
     """
     _check_picture(picture)
     policy = (policy or TruncationPolicy()).resolved(picture)
@@ -289,21 +290,9 @@ def build_surrogate(
 
 
 def _weighed(hamiltonian: SparseOperator | DressedHamiltonian) -> np.ndarray:
-    """Which of the Hamiltonian's keys can carry a nonzero weight."""
-    if isinstance(hamiltonian, DressedHamiltonian):
-        return np.ones(hamiltonian.keys.size, bool)
-    return hamiltonian.coeffs != 0.0
-
-
-def _weights(
-    hamiltonian: SparseOperator | DressedHamiltonian, params: np.ndarray
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray] | None]:
-    """A sweep's Hamiltonian's coefficients on its keys at ``params``, and
-    the pullback of a gradient on them onto ``params`` (None when they are
-    fixed)."""
-    if isinstance(hamiltonian, DressedHamiltonian):
-        return hamiltonian.linearize(params)
-    return hamiltonian.coeffs, None
+    """Which of the Hamiltonian's keys can carry a nonzero weight: the
+    nonzero terms, or every term once angles move the coefficients."""
+    return (hamiltonian.coeffs != 0.0) | (hamiltonian.n_slots > 0)
 
 
 def _ends(
@@ -311,8 +300,6 @@ def _ends(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A sweep's source and sink weights with the Hamiltonian's
     coefficients ``coeffs`` on its side."""
-    if not isinstance(graph.hamiltonian, DressedHamiltonian):
-        return sweep.source, sweep.sink
     weights = np.zeros(sweep.source.size)
     if graph.picture == "heisenberg":
         weights[sweep.ham_at] = coeffs[sweep.ham_of]
@@ -367,9 +354,7 @@ def _sink_weights(graph: SurrogateGraph, keys: np.ndarray, coeffs: np.ndarray) -
 
 def _check_params(graph: SurrogateGraph, params: np.ndarray) -> np.ndarray:
     params = np.asarray(params, dtype=np.float64)
-    top = max((s.slot for s in graph.steps), default=-1)
-    if isinstance(graph.hamiltonian, DressedHamiltonian):
-        top = max(top, graph.hamiltonian.n_slots - 1)
+    top = max([graph.hamiltonian.n_slots - 1] + [s.slot for s in graph.steps])
     if top >= params.size:
         raise ValueError(f"parameter slot {top} missing from params")
     return params
@@ -401,7 +386,7 @@ def eval_energy(graph: SurrogateGraph, params: np.ndarray) -> float:
     """Energy at the given angles from one forward pass over the pruned graph."""
     params = _check_params(graph, params)
     sweep = graph.pruned
-    source, sink = _ends(graph, sweep, _weights(sweep.hamiltonian, params)[0])
+    source, sink = _ends(graph, sweep, sweep.hamiltonian.linearize(params)[0])
     return float(np.dot(_forward(source, sweep.steps, params), sink))
 
 
@@ -425,7 +410,7 @@ def _sweep_gradient(
     the adjoint on the source layer (Heisenberg), or 2^n times the forward
     vector at the sink (Schrodinger).
     """
-    coeffs, pullback = _weights(sweep.hamiltonian, params)
+    coeffs, pullback = sweep.hamiltonian.linearize(params)
     source, sink = _ends(graph, sweep, coeffs)
     grad = np.zeros(params.size)
     gathers: list = []
@@ -620,7 +605,7 @@ def cut_landscapes(
     """
     params = _check_params(graph, params)
     _, depth = _cut(graph, where)
-    coeffs = _weights(graph.hamiltonian, params)[0]
+    coeffs = graph.hamiltonian.linearize(params)[0]
     v = _forward(_ends(graph, graph, coeffs)[0], graph.steps[:depth], params)
     live = v != 0.0
     keys, v = graph.final_keys[live], v[live]

@@ -97,6 +97,20 @@ def test_run_rejects_unknown_config_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data, key", [({"trim_kappa": None}, "trim_kappa"), ({"max_iterations": "3"}, "max_iterations")]
+)
+def test_run_rejects_mistyped_config_values(tmp_path, capsys, data, key):
+    """A config value of the wrong type is bad input (exit 1 with an error
+    line naming the key), not a traceback from validation."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    rc = main(["run", "--fcidump", H2, "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+
+
 def test_run_missing_fcidump_is_a_usage_error(tmp_path):
     assert main(["run", "--fcidump", str(tmp_path / "nope.fcidump")]) == 1
 

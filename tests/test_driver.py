@@ -276,6 +276,30 @@ def test_config_from_dict_rejects_unknown_keys():
             RunConfig.from_dict({key: value})
 
 
+def test_config_from_dict_checks_value_types():
+    """Each value must fit its field's type: a bool is no int, an optional
+    field takes None, and the float field also takes an int."""
+    cfg = RunConfig.from_dict(
+        {"cutoff": None, "placement": None, "trim_tau": 4, "opt_gtol": 0, "max_live_monomials": None}
+    )
+    assert (cfg.cutoff, cfg.trim_tau, cfg.opt_gtol) == (None, 4, 0)
+    assert RunConfig.from_dict({"opt_gtol": 1e-5, "picture": "schrodinger"}).opt_gtol == 1e-5
+    for key, value in (
+        ("max_iterations", "3"),
+        ("max_iterations", True),
+        ("max_iterations", 2.0),
+        ("trim_kappa", None),
+        ("trim_tau", "4"),
+        ("cutoff", 6.0),
+        ("picture", None),
+        ("placement", 0),
+        ("opt_gtol", "1e-7"),
+        ("opt_gtol", False),
+    ):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+            RunConfig.from_dict({key: value})
+
+
 def test_placement_defaults_follow_the_picture():
     assert RunConfig(picture="heisenberg").resolved_placement == "front"
     assert RunConfig(picture="schrodinger").resolved_placement == "back"

@@ -113,3 +113,50 @@ def test_every_exported_name_resolves():
         if stale:
             missing[name] = stale
     assert missing == {}
+
+
+def _unused_imports(source):
+    """Names a module imports at module level but never reads and does not
+    list in ``__all__``; an import statement whose first line carries
+    ``# noqa: F401`` is kept on purpose."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in read and bound not in exported:
+                yield bound
+
+
+def test_no_unused_module_imports():
+    probe = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "import numpy as np\n"
+        "from typing import Callable, Sequence\n"
+        "from . import _kernels  # noqa: F401 -- kept for a wrapper\n"
+        "from .engine import Gate\n"
+        "__all__ = ['Gate']\n"
+        "def f(x: Sequence[int]) -> None:\n"
+        "    return sys.argv\n"
+    )
+    assert list(_unused_imports(probe)) == ["os", "np", "Callable"]
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := list(_unused_imports(path.read_text())))
+    }
+    assert offenders == {}

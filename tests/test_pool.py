@@ -758,8 +758,6 @@ def test_ggf_rejects_a_cut_outside_the_circuit(rng):
 
 
 def test_refresh_schedule():
-    assert is_refresh_iteration(1, None)
-    assert not is_refresh_iteration(2, None)
     assert [it for it in range(1, 10) if is_refresh_iteration(it, 3)] == [1, 3, 6, 9]
     assert all(is_refresh_iteration(it, 1) for it in range(1, 5))
 

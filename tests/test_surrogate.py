@@ -1,6 +1,7 @@
 """Surrogate graphs against direct propagation, finite differences, rebuilds."""
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import majprop.instances as inst
 from majprop import TruncationPolicy, _kernels, expectation, fock_expectation
 from majprop.engine import FermionicCircuit, Gate
+from majprop.operators import SparseOperator
 from majprop.surrogate import (
     SurrogateGraph,
     build_surrogate,
@@ -232,6 +234,28 @@ def test_pruned_evaluation_matches_the_full_sweep_without_side_effects(rng, pict
         cut_landscapes(graph, theta, where, gates)
         extend_surrogate(graph, gates[0], where)
         assert pickle.dumps(graph) == before, where
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+def test_fixed_hamiltonian_pruned_sweep_holds_only_its_terms(rng, picture):
+    """The pruned sweep of a fixed operator holds the operator restricted to
+    the keys it weighs, fewer than the whole one, and gives energies and
+    gradients equal bit for bit to the same sweep with the whole operator."""
+    h, circuit = _instance(rng)
+    graph = build_surrogate(h, circuit, OCC, POLICY, picture)
+    pruned = graph.pruned
+    assert isinstance(pruned.hamiltonian, SparseOperator)
+    assert 0 < pruned.hamiltonian.keys.size < h.keys.size
+    rows = np.searchsorted(h.keys, pruned.hamiltonian.keys)
+    assert np.array_equal(h.keys[rows], pruned.hamiltonian.keys)
+    assert np.array_equal(h.coeffs[rows], pruned.hamiltonian.coeffs)
+    whole = replace(pruned, hamiltonian=h, ham_of=rows[pruned.ham_of])
+    for _ in range(3):
+        theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
+        energy, grad = _sweep_gradient(graph, whole, theta)
+        assert eval_energy(graph, theta) == energy
+        assert eval_energy_and_gradient(graph, theta)[0] == energy
+        assert np.array_equal(eval_energy_and_gradient(graph, theta)[1], grad)
 
 
 def test_recorded_layers_merge_like_union1d(rng):
