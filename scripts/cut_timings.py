@@ -10,7 +10,12 @@ the final graph: the median of ``--calls`` calls after one warm-up call
     python3 scripts/cut_timings.py --calls 5 --rows rows.npz
 
 It prints one line per cut (milliseconds per call); ``--rows`` saves every
-landscape row, so that two checkouts can be compared row by row.
+landscape row, so that two checkouts can be compared row by row.  With
+``--fcidump`` it times one system instead, such as an H8 or H10 chain from
+``scripts/make_fixtures.py``: a GGF run at ``--cutoff`` (0: none) for
+``--iterations``, scored at the front, the middle and the back:
+
+    python3 scripts/cut_timings.py --fcidump h8_chain_r20.fcidump --cutoff 6 --iterations 30
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-from majprop import parse_fcidump, run_adapt_vmpe  # noqa: E402
-from majprop.pool import build_majoranic_pool  # noqa: E402
+from majprop import RunConfig, parse_fcidump, run_adapt_vmpe  # noqa: E402
 from majprop.surrogate import cut_landscapes  # noqa: E402
 from workloads import WORKLOADS, write_input  # noqa: E402
 
@@ -45,23 +49,36 @@ CUTS = {
 SLOW_S = 1.0
 
 
+def systems(args):
+    """(name, integrals, config, cuts) of each system to score."""
+    if args.fcidump is not None:
+        config = RunConfig(max_iterations=args.iterations, cutoff=args.cutoff or None)
+        yield args.fcidump.stem, parse_fcidump(args.fcidump.read_text()), config, None
+        return
+    for name, cuts in CUTS.items():
+        workload = WORKLOADS[name]
+        path, _ = write_input(workload, 1, ROOT, ROOT / "perfbench" / ".cache")
+        yield name, parse_fcidump(path.read_text()), workload.run_config(), cuts
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--calls", type=int, default=5)
     parser.add_argument("--rows", type=Path, help="save the landscape rows here (.npz)")
+    parser.add_argument("--fcidump", type=Path, help="score this system instead of the workloads")
+    parser.add_argument("--cutoff", type=int, default=6, help="with --fcidump; 0: no cutoff")
+    parser.add_argument("--iterations", type=int, default=30, help="with --fcidump")
     args = parser.parse_args()
     rows = {}
-    for name, cuts in CUTS.items():
-        workload = WORKLOADS[name]
-        path, _ = write_input(workload, 1, ROOT, ROOT / "perfbench" / ".cache")
-        tensors = parse_fcidump(path.read_text())
-        result = run_adapt_vmpe(tensors, workload.run_config())
-        occ = result.occupation
-        per_spin = (bin(occ & 0x5555555555555555).count("1"),
-                    bin(occ & 0xAAAAAAAAAAAAAAAA).count("1"))
-        pool = build_majoranic_pool(tensors.n_spatial, per_spin)
-        gate_sets = [c.gates(result.params.size) for c in pool.candidates]
+    for name, tensors, config, cuts in systems(args):
+        tic = time.perf_counter()
+        result = run_adapt_vmpe(tensors, config)
+        print(f"{name}: {len(result.trajectory) - 1} iterations in"
+              f" {time.perf_counter() - tic:.2f} s", flush=True)
+        gate_sets = [c.gates(result.params.size) for c in result.pool.candidates]
         graph, params = result.graph, result.params
+        if cuts is None:
+            cuts = {"front": 0, "mid": len(graph.steps) // 2, "back": None}
         for label, cut in cuts.items():
             where = len(graph.steps) if cut is None else cut
             tic = time.perf_counter()

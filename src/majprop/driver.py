@@ -396,6 +396,9 @@ class RunConfig:
         return TruncationPolicy(length_cutoff=self.cutoff)
 
     def validate(self, hamiltonian_max_length: int) -> None:
+        """Refuse a value whose type does not fit its field, then a value
+        outside its field's range, with a ``ValueError`` naming the field."""
+        self._check_types()
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
         if self.cutoff is not None:
@@ -417,25 +420,30 @@ class RunConfig:
         if self.opt_maxfun < 1:
             raise ValueError("opt_maxfun must be at least 1")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        """A config from parsed JSON; refuses unknown keys and any value
-        whose type does not fit its field (a float field also takes an int,
-        and no field takes a bool)."""
-        declared = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(data) - set(declared))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        hints = get_type_hints(cls)
-        for key, value in data.items():
-            allowed = get_args(hints[key]) or (hints[key],)
+    def _check_types(self) -> None:
+        """Every value fits its field's type; a float field also takes an
+        int, and no field takes a bool."""
+        hints = get_type_hints(type(self))
+        for item in fields(self):
+            value = getattr(self, item.name)
+            allowed = get_args(hints[item.name]) or (hints[item.name],)
             if float in allowed:
                 allowed += (int,)
             if isinstance(value, bool) or not isinstance(value, allowed):
                 raise ValueError(
-                    f"config key {key!r} must be {declared[key]}, got {value!r}"
+                    f"config key {item.name!r} must be {item.type}, got {value!r}"
                 )
-        return cls(**data)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RunConfig":
+        """A config from parsed JSON; refuses unknown keys, and any value
+        whose type does not fit its field as :meth:`validate` does."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        config = cls(**data)
+        config._check_types()
+        return config
 
 
 # ---- results ----------------------------------------------------------------------
@@ -453,7 +461,11 @@ class AdaptResult:
     ``setup`` gives the seconds the call spent before its first trajectory
     row: ``dressing_s`` on the integral map and the dressed Hamiltonian,
     ``hamiltonian_s`` on the undressed Hamiltonian and ``pool_s`` on the
-    pool.  The first graph build is the baseline row's ``insert_s``.
+    pool.  The map and the pool are built once per process and size and
+    then shared, so after the first call at a size ``dressing_s`` holds
+    only the dressed Hamiltonian's set-up and ``pool_s`` reads near zero.
+    ``pool`` is that shared, immutable pool.  The first graph build is the
+    baseline row's ``insert_s``.
     """
 
     energy: float

@@ -25,6 +25,7 @@ coefficients onto the rotation angles, at every evaluation.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 _PRUNE = 1e-14
+_CACHED_MAPS = 4  # integral maps kept per process, one per (orbital count, sharing)
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
@@ -176,13 +178,16 @@ def _symmetries(spins: str) -> list[tuple[int, ...]]:
 class _Block:
     """One integral block's columns of the map: ``spins`` names the block
     ("a", "b": one-body; "aa", "bb", "ab": two-body), ``reps`` holds the
-    flat tensor index of each column's representative entry, ``orbit`` the
-    column (from ``start``) of every tensor entry."""
+    flat tensor index of each column's representative entry, ``columns``
+    the column of every tensor entry, ``share`` each entry's share of its
+    orbit and ``last`` where the last step of a transform leaves each
+    representative."""
 
     spins: str
     reps: np.ndarray
-    orbit: np.ndarray
-    start: int
+    columns: np.ndarray
+    share: np.ndarray
+    last: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -196,12 +201,16 @@ class IntegralMap:
     spins); the others keep the alpha, beta and mixed blocks apart.  The
     rows cover every key the blocks can reach at any integral values, since
     rotating the orbitals fills terms that are zero by symmetry.
+    ``transpose`` is ``matrix.T`` in CSR form, for pullbacks.  A map is
+    shared by every caller of :func:`integral_map`, so its arrays are
+    read-only.
     """
 
     n_spatial: int
     shared: bool
     keys: np.ndarray
     matrix: scipy.sparse.csr_array
+    transpose: scipy.sparse.csr_array
     blocks: tuple[_Block, ...]
 
     def entries(self, t: IntegralTensors) -> np.ndarray:
@@ -241,8 +250,22 @@ def _conjugates(spins: str) -> list[tuple[int, ...]]:
     return group if spins[0] != spins[1] else group + [(2, 3, 0, 1), (3, 2, 1, 0)]
 
 
+def _read_only(*arrays: np.ndarray | scipy.sparse.csr_array) -> None:
+    for array in arrays:
+        if scipy.sparse.issparse(array):
+            _read_only(array.data, array.indices, array.indptr)
+        else:
+            array.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=_CACHED_MAPS)
 def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
     """The integral map of ``n_spatial`` orbitals (see :class:`IntegralMap`).
+
+    It depends on its two arguments alone, so it is built once per process
+    and kept, with read-only arrays, for the last few argument pairs
+    (``integral_map.cache_clear()`` drops them): the first call at a size
+    pays the build, every later one gets the same object.
 
     The index tuples of each spin combination fall into orbits under
     :func:`_conjugates`: an orbit's operators are one term and its
@@ -274,6 +297,8 @@ def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
             np.ravel_multi_index(idx[:, list(perm)].T, dims) for perm in _symmetries(name)
         ])
         reps, col = np.unique(orbit, return_inverse=True)
+        at = np.unravel_index(reps, dims)
+        last = np.ravel_multi_index(at[1:] + at[:1], dims)
         for spins, weight in uses:
             m1, m2 = mode[spins[0]], mode[spins[-1]]
             # image of every tuple under each map; the smallest one expands the orbit
@@ -297,7 +322,8 @@ def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
             values.append(np.where(np.repeat(hermitian, 1 << len(daggers)),
                                    term_values, term_values.real))
             columns.append(np.repeat(where + start, 1 << len(daggers)))
-        blocks.append(_Block(name, reps, col, start))
+        blocks.append(_Block(name, reps, start + col, 1.0 / np.bincount(col)[col], last))
+        _read_only(blocks[-1].reps, blocks[-1].columns, blocks[-1].share, last)
         start += reps.size
     keys, values, columns = (np.concatenate(x) for x in (keys, values, columns))
     uniq, rows = np.unique(keys, return_inverse=True)
@@ -309,7 +335,10 @@ def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
     matrix = matrix.real
     matrix.eliminate_zeros()
     live = np.diff(matrix.indptr) > 0
-    return IntegralMap(n, shared, uniq[live], matrix[live], tuple(blocks))
+    keys, matrix = uniq[live], matrix[live]
+    transpose = matrix.T.tocsr()
+    _read_only(keys, matrix, transpose)
+    return IntegralMap(n, shared, keys, matrix, transpose, tuple(blocks))
 
 
 def _transform(h: np.ndarray, vs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -362,7 +391,7 @@ class DressedHamiltonian:
         self.coeffs = self.map.matrix @ self.map.entries(tensors)
         self.n_slots = 1 + max((slot for *_, slot in rotation_spec), default=-1)
         self._matrix = self.map.matrix
-        self._transpose = self._matrix.T.tocsr()
+        self._transpose = self.map.transpose
         self._core = np.array([tensors.core_energy])
         # per spin: each rotation's orbitals, its slot, and +1 where it
         # turns from its lower orbital
@@ -372,17 +401,12 @@ class DressedHamiltonian:
                       np.array([1.0 if p < q else -1.0 for p, q, _ in rots]))
             for spin, rots in list(rotations.items())[: 1 if shared else 2]
         }
-        # per block: its integrals (the mixed one also with its pairs
-        # swapped), each entry's column and share of its orbit, and where
-        # the last transform step leaves each representative
+        # per block: its integrals, the mixed one also with its pairs swapped
         self._blocks = []
         for block in self.map.blocks:
             h = _tensor(tensors, block.spins)
             swapped = np.ascontiguousarray(h.transpose(2, 3, 0, 1)) if block.spins == "ab" else None
-            share = 1.0 / np.bincount(block.orbit)[block.orbit]
-            at = np.unravel_index(block.reps, h.shape)
-            last = np.ravel_multi_index(at[1:] + at[:1], h.shape)
-            self._blocks.append((block, h, swapped, block.start + block.orbit, share, last))
+            self._blocks.append((block, h, swapped))
 
     def restrict(self, rows: np.ndarray) -> DressedHamiltonian:
         """The same H(theta) on ``keys[rows]`` alone.  It shares the
@@ -423,17 +447,17 @@ class DressedHamiltonian:
         v.setdefault("b", v["a"])
         parts = [self._core]
         partials = []
-        for block, h, _, _, _, last in self._blocks:
+        for block, h, _ in self._blocks:
             dressed, partial = _transform(h, [v[spin] for spin in _index_spins(block.spins)])
-            parts.append(dressed.ravel()[last])
+            parts.append(dressed.ravel()[block.last])
             partials.append(partial)
         coeffs = self._matrix @ np.concatenate(parts)
 
         def pullback(dcoeffs: np.ndarray) -> np.ndarray:
             du = self._transpose @ dcoeffs
             dv = {"a": np.zeros((n, n)), "b": np.zeros((n, n))}
-            for (block, h, swapped, orbit, share, _), partial in zip(self._blocks, partials):
-                g = (du[orbit] * share).reshape(h.shape)
+            for (block, h, swapped), partial in zip(self._blocks, partials):
+                g = (du[block.columns] * block.share).reshape(h.shape)
                 if swapped is None:
                     dv[block.spins[0]] += h.ndim * (g.reshape(n, -1) @ partial.reshape(-1, n))
                     continue

@@ -9,9 +9,9 @@ representative per excitation suffices).
 
 Both scoring schemes read the exact single-angle landscape of each
 candidate -- a sinusoid for a single-monomial gate, second harmonics for a
-composite -- whose coefficients ``surrogate.cut_landscapes`` gives in
-closed form for the whole pool at once, at any insertion point of the
-surrogate graph's circuit.  Gradient scores are the slope at theta = 0.
+composite -- whose coefficients ``surrogate.landscape_rows`` gives in
+closed form for the whole pool at once, from the pool's generator and sign
+arrays, at any insertion point of the surrogate graph's circuit.  Gradient scores are the slope at theta = 0.
 GGF (greedy gradient-free) scores minimize the landscape, one eigenvalue
 call per companion-matrix size for the whole pool, and report the
 achievable energy improvement together with the minimizing angle.
@@ -19,9 +19,10 @@ achievable energy improvement together with the minimizing angle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -30,8 +31,8 @@ from .engine import Gate
 from .hamiltonian import spin_orbital_mode
 from .surrogate import (  # noqa: F401 -- perfbench/tracing.py wraps pool.extend_surrogate
     SurrogateGraph,
-    cut_landscapes,
     extend_surrogate,
+    landscape_rows,
 )
 
 __all__ = [
@@ -113,10 +114,40 @@ class PoolCandidate:
         ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pool:
+    """An immutable tuple of candidates on ``n_modes`` modes.
+
+    ``generators`` and ``signs`` hold every candidate's generators and gate
+    signs as read-only (candidates, 2) arrays, the layout
+    :func:`surrogate.landscape_rows` reads (a lone gate pairs with generator
+    0, the identity, of sign 1).  They are built on first use, since
+    generators fit ``uint64`` only up to the 32 modes propagation supports.
+    """
+
     n_modes: int
-    candidates: list[PoolCandidate] = field(default_factory=list)
+    candidates: tuple[PoolCandidate, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "candidates", tuple(self.candidates))
+
+    @functools.cached_property
+    def generators(self) -> np.ndarray:
+        return self._padded("generators", 0, np.uint64)
+
+    @functools.cached_property
+    def signs(self) -> np.ndarray:
+        return self._padded("signs", 1, np.float64)
+
+    def _padded(self, name: str, fill: int, dtype: type) -> np.ndarray:
+        out = np.full((len(self.candidates), 2), fill, dtype)
+        for row, cand in enumerate(self.candidates):
+            values = getattr(cand, name)
+            if len(values) > 2:
+                raise ValueError("landscapes are resolved for at most two gates")
+            out[row, : len(values)] = values
+        out.flags.writeable = False
+        return out
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -151,6 +182,10 @@ def _per_sector(value: int | tuple[int, int]) -> tuple[int, int]:
     return int(value), int(value)
 
 
+_CACHED_POOLS = 8  # pools kept per process, one per argument tuple
+
+
+@functools.lru_cache(maxsize=_CACHED_POOLS)
 def build_majoranic_pool(
     n_spatial: int,
     n_occupied: int | tuple[int, int],
@@ -160,7 +195,10 @@ def build_majoranic_pool(
 
     Occupied orbitals are 1..o per sector (energy order), virtuals the rest.
     Counts: 2ov singles, 2 C(o,2) C(v,2) same-spin doubles, (ov)^2
-    opposite-spin doubles.
+    opposite-spin doubles.  The pool depends on the arguments alone and is
+    immutable, so it is built once per process and kept for the last few
+    argument tuples (``build_majoranic_pool.cache_clear()`` drops them):
+    the first call pays the build, every later one gets the same object.
     """
     occ = _per_sector(n_occupied)
     virt = _per_sector(n_virtual) if n_virtual is not None else tuple(
@@ -258,9 +296,12 @@ def _landscapes(pool, graph, params, where, indices) -> tuple[list[int], np.ndar
     """Chosen candidate indices and their landscape rows at ``where``."""
     if pool.n_modes != graph.n_modes:
         raise ValueError(f"pool acts on {pool.n_modes} modes, the graph on {graph.n_modes}")
-    chosen = list(range(len(pool.candidates)) if indices is None else indices)
-    gate_sets = [pool.candidates[idx].gates(np.size(params)) for idx in chosen]
-    return chosen, cut_landscapes(graph, params, where, gate_sets)
+    if indices is None:
+        chosen, generators, signs = range(len(pool)), pool.generators, pool.signs
+    else:
+        chosen = list(indices)
+        generators, signs = pool.generators[chosen], pool.signs[chosen]
+    return chosen, landscape_rows(graph, params, where, generators, signs)
 
 
 def score_pool_gradient(
@@ -363,7 +404,7 @@ def score_pool_ggf(
 
     ``where`` is the insertion point: "front", "back", or a gate index
     (the candidate goes before that gate of ``graph.circuit``).  The
-    landscape coefficients come in closed form from ``cut_landscapes`` at
+    landscape coefficients come in closed form from ``landscape_rows`` at
     any point.  All improvements are <= 0; a flat landscape scores 0 with
     theta* = 0.
     """

@@ -36,9 +36,11 @@ from the layer at the cut.  At the end the graph was recorded towards
 (front of the circuit in the Heisenberg picture, back in the Schrodinger
 picture) that rest is empty.  Scoring inserts nothing: a gate's landscape
 at any cut sums the paths of the layer's keys through it that end on a
-key of nonzero weight after the rest of the sweep, and one kernel finds
-those paths for a whole pool from the sink side and sums them in one
-pass.  In the Heisenberg picture a path can end on a paired key only if
+key of nonzero weight after the rest of the sweep, and one kernel sums
+them for a whole pool.  The paths that take no sine branch end where they
+start, on the same keys for every candidate, so one (candidates x keys)
+table sums them; the kernel finds the others from the sink side and walks
+them.  In the Heisenberg picture a path can end on a paired key only if
 its pairing defect lies in the span of the remaining gates' defects, so
 the layer is bucketed by defect modulo that span; in the Schrodinger
 picture the Hamiltonian's weighed keys are closed backward through the
@@ -576,6 +578,12 @@ def _sources(graph: SurrogateGraph, keys: np.ndarray, gates: Sequence[Gate]) -> 
     return keys
 
 
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct ``keys``, by one sort and a neighbour mask (no hashing)."""
+    keys = np.sort(keys)
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+
+
 def cut_landscapes(
     graph: SurrogateGraph,
     params: np.ndarray,
@@ -588,36 +596,64 @@ def cut_landscapes(
     a2 cos 2t + b2 sin 2t for the (at most two) gates of ``gate_sets[k]``
     entering the sweep in list order at the cut with one new angle t
     (``where`` is "front", "back" or the index of the gate the set goes
-    before, as for :func:`extend_surrogate`).  E(t) sums v(x) c^i s^j w(z)
-    over the paths of the live keys x of the layer at the cut that end on
-    a key z = x ^ gamma_F of nonzero weight (F: the gates whose sine branch
-    the path takes); w is the sink pulled back through the far half of the
-    sweep, as a fresh build of the extended circuit would record it.  The
-    paths are found from the sink side.  In the Heisenberg picture z can
-    end paired only if its pairing defect lies in the span of the far
-    gates' defects, so the layer is bucketed by defect modulo that span
-    and each (row, F) walks the bucket of gamma_F's defect; at the natural
-    end the span is {0} and w is the sink itself, elsewhere the far half
-    is recorded once from the endpoints of those paths.  In the
-    Schrodinger picture the far half is recorded from the keys that reach
-    a weighted Hamiltonian key through it (the Hamiltonian's own keys at
-    the natural end), and each weighted z ^ gamma_F is looked up.
+    before, as for :func:`extend_surrogate`).  Only the gates' generators
+    and signs matter; :func:`landscape_rows` computes the rows from those.
     """
-    params = _check_params(graph, params)
-    _, depth = _cut(graph, where)
-    coeffs = graph.hamiltonian.linearize(params)[0]
-    v = _forward(_ends(graph, graph, coeffs)[0], graph.steps[:depth], params)
-    live = v != 0.0
-    keys, v = graph.final_keys[live], v[live]
-    gens, signs = np.zeros((len(gate_sets), 2), np.uint64), np.ones((len(gate_sets), 2))
+    generators, signs = np.zeros((len(gate_sets), 2), np.uint64), np.ones((len(gate_sets), 2))
     for row, gates in enumerate(gate_sets):
         if len(gates) > 2:
             raise ValueError("landscapes are resolved for at most two gates")
         for k, gate in enumerate(gates):
-            gens[row, k], signs[row, k] = gate.generator, gate.sign
-    # pattern 4 * row + F; a lone gate pairs with the identity, which has no sine branch
+            generators[row, k], signs[row, k] = gate.generator, gate.sign
+    return landscape_rows(graph, params, where, generators, signs)
+
+
+def landscape_rows(
+    graph: SurrogateGraph,
+    params: np.ndarray,
+    where: Literal["front", "back"] | int,
+    generators: np.ndarray,
+    signs: np.ndarray,
+) -> np.ndarray:
+    """Landscape rows, as :func:`cut_landscapes` gives them, of the gate
+    pairs ``generators[k]`` with gate signs ``signs[k]`` ((rows, 2) arrays;
+    generator 0, the identity, leaves a lone gate).
+
+    E(t) sums v(x) c^i s^j w(z) over the paths of the live keys x of the
+    layer at the cut that end on a key z = x ^ gamma_F of nonzero weight
+    (F: the gates whose sine branch the path takes); w is the sink pulled
+    back through the far half of the sweep, as a fresh build of the
+    extended circuit would record it.  A path with F empty takes only
+    cosine branches and ends where it starts, so every row reads the same
+    keys for it: those of the layer with a nonzero weight.  Those paths are
+    summed as one (rows x keys) table of f = v w over the count of gates
+    each key anticommutes with.  The other paths are found from the sink
+    side and walked one by one.  In the Heisenberg picture z can end
+    paired only if its pairing defect lies in the span of the far gates'
+    defects, so the layer is bucketed by defect modulo that span, each
+    (row, F) walks the bucket of gamma_F's defect, and the table reads the
+    bucket of defect 0; at the natural end the span is {0} and w is the
+    sink itself, elsewhere the far half is recorded once from the
+    endpoints of the walked paths and the table's keys.  In the
+    Schrodinger picture the far half is recorded from the keys that reach
+    a weighted Hamiltonian key through it (the Hamiltonian's own keys at
+    the natural end); each weighted z ^ gamma_F is looked up, and the
+    table reads the weighted keys in the layer.  Both sums run in
+    ascending key order and in chunks of whole rows, so a row does not
+    depend on the others.
+    """
+    params = _check_params(graph, params)
+    _, depth = _cut(graph, where)
+    gens, signs = np.asarray(generators, np.uint64), np.asarray(signs, np.float64)
+    coeffs = graph.hamiltonian.linearize(params)[0]
+    v = _forward(_ends(graph, graph, coeffs)[0], graph.steps[:depth], params)
+    live = v != 0.0
+    keys, v = graph.final_keys[live], v[live]
+    # pattern 4 * row + F; a lone gate pairs with the identity, which has no
+    # sine branch; the table sums F = 0
     sine = (np.arange(4)[:, None] >> np.arange(2)) & 1 == 1
-    valid = ~(sine & (gens[:, None] == 0)).any(2).ravel()
+    walked = ~(sine & (gens[:, None] == 0)).any(2).ravel()
+    walked[::4] = False
     gamma = np.bitwise_xor.reduce(np.where(sine, gens[:, None], 0), axis=2).ravel()
     sin_sign = 1.0 if graph.picture == "heisenberg" else -1.0
     far = _processed_gates(graph.circuit, graph.picture)[depth:]
@@ -650,14 +686,19 @@ def cut_landscapes(
         order = np.argsort(defect, kind="stable")
         target = _coset(_kernels.pairing_defect(gamma), span)
         starts = np.searchsorted(defect[order], target, "left")
-        counts = np.where(valid, np.searchsorted(defect[order], target, "right") - starts, 0)
+        counts = np.where(walked, np.searchsorted(defect[order], target, "right") - starts, 0)
+        # defect 0 is the lowest, and the stable sort keeps its keys ascending
+        cosine = order[: np.searchsorted(defect[order], 0, "right")]
         if far:
-            ends = [np.empty(0, np.uint64)]
+            ends = [keys[cosine]]
             for pattern, pos in _spans(starts, counts):
                 z, exists, _, _ = walk(pattern, order[pos])
                 ends.append(z[exists])
-            weighted = np.unique(np.concatenate(ends))
+            weighted = _unique(np.concatenate(ends))
             weights = _far_weights(graph, params, coeffs, weighted, far)
+            cosine_w = weights[np.searchsorted(weighted, keys[cosine])]
+        else:
+            cosine_w = _sink_weights(graph, keys[cosine], coeffs)
 
         def resolve(pattern, pos):
             ix = order[pos]
@@ -670,13 +711,16 @@ def cut_landscapes(
         weighted = _sources(graph, graph.hamiltonian.keys[coeffs != 0.0], far)
         weights = _far_weights(graph, params, coeffs, weighted, far)
         weighted, weights = weighted[weights != 0.0], weights[weights != 0.0]
-        starts, counts = np.zeros(valid.size, int), np.where(valid, weighted.size, 0)
+        starts, counts = np.zeros(walked.size, int), np.where(walked, weighted.size, 0)
+        at, hit = _lookup(keys, weighted)
+        cosine, cosine_w = at[hit], weights[hit]
 
         def resolve(pattern, pos):
             at, hit = _lookup(keys, weighted[pos] ^ gamma[pattern])
             return pattern[hit], at[hit], weights[pos[hit]]
 
-    sums = np.zeros((valid.size, 7))
+    sums = np.zeros((walked.size, 7))
+    _cosine_table(sums, gens, keys[cosine], v[cosine] * cosine_w)
     for pattern, pos in _spans(starts, counts):
         pattern, ix, weight = resolve(pattern, pos)
         _, exists, harmonic, sign = walk(pattern, ix)
@@ -684,3 +728,23 @@ def cut_landscapes(
         sums += np.bincount(7 * pattern + harmonic, values, sums.size).reshape(-1, 7)
     rows = sums.reshape(-1, 4, 7).sum(1)  # each row's patterns in order, whatever the batch
     return (rows[:, :, None] * _HARMONICS).sum(1)
+
+
+def _cosine_table(sums: np.ndarray, gens: np.ndarray, keys: np.ndarray, f: np.ndarray) -> None:
+    """Add each row's cosine-only paths to its pattern F = 0 of ``sums``.
+
+    The path of key x through the gate pair ``gens[row]`` that takes no
+    sine branch contributes f(x) to harmonic c^i, i the number of the
+    pair's gates x anticommutes with.  One bincount per chunk of whole rows
+    adds them up in the order of ``keys`` (ascending), as the path walk
+    does; zero terms are left out, which changes no sum.
+    """
+    keys, f = keys[f != 0.0], f[f != 0.0]
+    step = max(1, _BLOCK // max(keys.size, 1))
+    for lo in range(0, gens.shape[0], step):
+        pair = gens[lo: lo + step, :, None]
+        n = pair.shape[0]
+        harmonic = (_kernels.anticommutes_with(pair[:, 0], keys).astype(int)
+                    + _kernels.anticommutes_with(pair[:, 1], keys))
+        bins = (28 * np.arange(n)[:, None] + harmonic).ravel()
+        sums[4 * lo: 4 * (lo + n)] += np.bincount(bins, np.tile(f, n), 28 * n).reshape(-1, 7)

@@ -28,13 +28,20 @@ from majprop.driver import (
 from majprop.hamiltonian import (
     DressedHamiltonian,
     build_majorana_hamiltonian,
+    integral_map,
     ladder_product,
     spin_orbital_mode,
 )
 from majprop.integrals import aufbau_occupation, dress_integrals, parse_fcidump
 from majprop.monomials import MajoranaMonomial
 from majprop.oracle import basis_state, circuit_state, dense_monomial
-from majprop.pool import Pool, PoolCandidate, score_pool_gradient, single_excitation_monomials
+from majprop.pool import (
+    Pool,
+    PoolCandidate,
+    build_majoranic_pool,
+    score_pool_gradient,
+    single_excitation_monomials,
+)
 from majprop.surrogate import build_surrogate, eval_energy, eval_energy_and_gradient
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -300,6 +307,14 @@ def test_config_from_dict_checks_value_types():
             RunConfig.from_dict({key: value})
 
 
+def test_config_built_directly_gets_its_types_checked():
+    """A config built without ``from_dict`` (the library, the benchmark's
+    workloads) is type-checked by ``validate``, with a ValueError naming the key."""
+    for key, value in (("trim_kappa", None), ("max_iterations", "3"), ("opt_maxfun", 2.5)):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+            RunConfig(**{key: value}).validate(4)
+
+
 def test_placement_defaults_follow_the_picture():
     assert RunConfig(picture="heisenberg").resolved_placement == "front"
     assert RunConfig(picture="schrodinger").resolved_placement == "back"
@@ -307,6 +322,34 @@ def test_placement_defaults_follow_the_picture():
 
 
 # ---- the adaptive loop -----------------------------------------------------------
+
+
+def _record(result):
+    """Everything a trajectory row holds but its timings."""
+    timings = {"wall_time_s", "score_s", "insert_s", "optimize_s"}
+    return [{k: v for k, v in vars(row).items() if k not in timings}
+            for row in result.trajectory]
+
+
+@pytest.mark.parametrize("system", ["h4", "random10"])
+def test_runs_match_with_a_cold_and_a_warm_cache(system):
+    """The integral map and the pool are built once per size and shared: a
+    run after clearing both caches and a run that reuses them give the same
+    rows bit for bit (H4 exact; c12's 10-orbital instance at cutoff 4)."""
+    if system == "h4":
+        tensors, _ = _fixture("h4_chain_r20")
+        config = RunConfig(max_iterations=4, cutoff=None)
+    else:
+        tensors = inst.random_restricted_integrals(10, np.random.default_rng(120), n_electrons=10)
+        config = RunConfig(max_iterations=1, cutoff=4, selection="gradient")
+    integral_map.cache_clear()
+    build_majoranic_pool.cache_clear()
+    cold = run_adapt_vmpe(tensors, config)
+    warm = run_adapt_vmpe(tensors, config)
+    assert warm.pool is cold.pool
+    assert warm.graph.hamiltonian.map is cold.graph.hamiltonian.map
+    assert _record(warm) == _record(cold)
+    assert warm.params.tobytes() == cold.params.tobytes()
 
 
 def test_h2_run_reaches_full_ci():

@@ -350,6 +350,20 @@ def test_integral_map_still_refuses_a_non_hermitian_expansion(monkeypatch):
         return keys, 1j * values
 
     monkeypatch.setattr(hamiltonian, "ladder_terms", off_by_i)
+    integral_map.cache_clear()  # a cached map would skip the build
     for shared in (True, False):
         with pytest.raises(ValueError, match="non-Hermitian"):
             integral_map(3, shared)
+
+
+def test_integral_map_is_shared_and_read_only():
+    """The same (orbital count, sharing) gives the same map object, whose
+    keys, matrix and transpose refuse writes; the transpose is the matrix's."""
+    mapping = integral_map(4, True)
+    assert integral_map(4, True) is mapping
+    assert integral_map(4, False) is not mapping
+    assert (mapping.transpose != mapping.matrix.T).nnz == 0
+    for array in (mapping.keys, mapping.matrix.data, mapping.matrix.indices,
+                  mapping.transpose.data, mapping.blocks[-1].share):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0

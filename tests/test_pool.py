@@ -744,6 +744,38 @@ def test_schrodinger_natural_end_records_only_the_weighed_keys(rng, monkeypatch)
     assert len(sizes) == 1 and 0 < sizes[0] <= weighed
 
 
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+@pytest.mark.parametrize("cutoff", [None, 4, 6])
+def test_landscape_rows_do_not_depend_on_the_chunk_size(rng, monkeypatch, picture, cutoff):
+    """H4 against the dressed Hamiltonian: every landscape row is bit-identical
+    whether the cosine table and the path walk take the default chunks or
+    chunks of at most 5 entries (one row at a time), at the front, inside
+    the body and at the back."""
+    graph, theta, _ = _dressed_graph("h4", [3, 17, 9], picture, cutoff, rng)
+    _, _, _, pool = _dressed_system("h4")
+    cuts = ("front", len(graph.circuit) // 2, "back")
+    rows = [surrogate.landscape_rows(graph, theta, where, pool.generators, pool.signs)
+            for where in cuts]
+    monkeypatch.setattr(surrogate, "_BLOCK", 5)
+    for where, expected in zip(cuts, rows):
+        chunked = surrogate.landscape_rows(graph, theta, where, pool.generators, pool.signs)
+        assert chunked.tobytes() == expected.tobytes()
+        gate_sets = [c.gates(theta.size) for c in pool.candidates]
+        assert cut_landscapes(graph, theta, where, gate_sets).tobytes() == expected.tobytes()
+
+
+def test_the_pool_is_shared_and_read_only():
+    """The same arguments give the same pool object: an immutable tuple of
+    candidates whose generator and sign arrays refuse writes."""
+    pool = build_majoranic_pool(4, 2)
+    assert build_majoranic_pool(4, 2) is pool
+    assert isinstance(pool.candidates, tuple)
+    assert pool.generators.shape == pool.signs.shape == (len(pool), 2)
+    for array in (pool.generators, pool.signs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+
+
 def test_ggf_rejects_a_cut_outside_the_circuit(rng):
     h = inst.random_molecular_hamiltonian(N, rng)
     circuit = inst.random_circuit(N, 3, rng)
