@@ -27,14 +27,16 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from . import _kernels
 from .integrals import IntegralTensors, check_rotation, rotation_matrix
 from .operators import SparseOperator
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "DressedHamiltonian",
@@ -251,6 +253,8 @@ def _conjugates(spins: str) -> list[tuple[int, ...]]:
 
 
 def _read_only(*arrays: np.ndarray | scipy.sparse.csr_array) -> None:
+    import scipy.sparse
+
     for array in arrays:
         if scipy.sparse.issparse(array):
             _read_only(array.data, array.indices, array.indptr)
@@ -327,6 +331,8 @@ def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
         start += reps.size
     keys, values, columns = (np.concatenate(x) for x in (keys, values, columns))
     uniq, rows = np.unique(keys, return_inverse=True)
+
+    import scipy.sparse
 
     matrix = scipy.sparse.csr_array((values, (rows, columns)), shape=(uniq.size, start))
     matrix.sum_duplicates()

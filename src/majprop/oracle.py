@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
 
 from .monomials import MajoranaMonomial
 from .operators import SparseOperator
@@ -242,6 +241,8 @@ def eigensolve_sector(
         H[pos_clipped[valid], positions[valid]] += c * amps[valid]
     if not np.allclose(H, H.conj().T, atol=1e-10):
         raise ValueError("projected operator is not Hermitian")
+    import scipy.linalg
+
     w, v = scipy.linalg.eigh(H)
     return w, v, cols
 

@@ -658,25 +658,28 @@ def landscape_rows(
     sin_sign = 1.0 if graph.picture == "heisenberg" else -1.0
     far = _processed_gates(graph.circuit, graph.picture)[depth:]
 
-    def walk(pattern, ix):
+    def walk(pattern, ix, ends_only=False):
         """Paths of the keys ``keys[ix]`` through the pairs ``gens[pattern >> 2]``,
         taking gate k's sine branch where bit k of ``pattern`` is set: each
         path's final key, whether it exists (a sine branch needs an
-        anticommuting gate and a kept partner), its harmonic and its sign."""
+        anticommuting gate and a kept partner) and, unless ``ends_only``,
+        its harmonic and its sign."""
         row, key = pattern >> 2, keys[ix]
         harmonic, sign = np.zeros(ix.size, int), np.ones(ix.size)
         exists = np.ones(ix.size, bool)
         for k in (0, 1):
             gen, flip = gens[row, k], (pattern >> k) & 1 == 1
-            harmonic += _kernels.anticommutes_with(gen, key) & ~flip
+            if not ends_only:
+                harmonic += _kernels.anticommutes_with(gen, key) & ~flip
             at = np.flatnonzero(flip)
             src, gen = key[at], gen[at]
             key = key.copy()
             key[at] = partner = src ^ gen
             kept = graph.policy.survivor_mask(partner)
             exists[at] &= _kernels.anticommutes_with(gen, src) & kept
-            sign[at] *= sin_sign * signs[row[at], k] * _kernels.product_sign_with(gen, src)
-            harmonic[at] += 3
+            if not ends_only:
+                sign[at] *= sin_sign * signs[row[at], k] * _kernels.product_sign_with(gen, src)
+                harmonic[at] += 3
         return key, exists, harmonic, sign
 
     if graph.picture == "heisenberg":
@@ -692,7 +695,7 @@ def landscape_rows(
         if far:
             ends = [keys[cosine]]
             for pattern, pos in _spans(starts, counts):
-                z, exists, _, _ = walk(pattern, order[pos])
+                z, exists, _, _ = walk(pattern, order[pos], ends_only=True)
                 ends.append(z[exists])
             weighted = _unique(np.concatenate(ends))
             weights = _far_weights(graph, params, coeffs, weighted, far)

@@ -4,7 +4,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +21,7 @@ import majprop.pool
 from majprop.surrogate import build_surrogate
 
 PACKAGE = Path(majprop.__file__).parent
+CHECKOUT = Path(__file__).parents[1]
 
 
 def _private(name):
@@ -160,3 +164,90 @@ def test_no_unused_module_imports():
         if (names := list(_unused_imports(path.read_text())))
     }
     assert offenders == {}
+
+
+def _eager_scipy_imports(tree):
+    """scipy modules a module imports while it loads: its import statements
+    outside function bodies and ``if TYPE_CHECKING:`` blocks."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module.split(".")[0] == "scipy":
+                yield node.module
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_scipy_imports():
+    """Each scipy module loads inside the function that uses it, so that
+    ``import majprop`` and the CLI start without scipy."""
+    probe = ast.parse(
+        "from __future__ import annotations\n"
+        "from typing import TYPE_CHECKING\n"
+        "import numpy as np, scipy.linalg\n"
+        "from scipy.sparse import csr_array\n"
+        "if TYPE_CHECKING:\n"
+        "    import scipy.optimize\n"
+        "else:\n"
+        "    import scipy.special\n"
+        "try:\n"
+        "    import scipy.stats\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class A:\n"
+        "    import scipy.fft\n"
+        "def f():\n"
+        "    import scipy.integrate\n"
+        "    from . import _kernels\n"
+    )
+    assert sorted(_eager_scipy_imports(probe)) == [
+        "scipy.fft", "scipy.linalg", "scipy.sparse", "scipy.special", "scipy.stats"
+    ]
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := list(_eager_scipy_imports(ast.parse(path.read_text()))))
+    }
+    assert offenders == {}
+
+
+_COLD_START = """
+import json, sys
+from pathlib import Path
+
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+import majprop, majprop.cli
+fixtures = Path(sys.argv[1])
+h4 = majprop.parse_fcidump((fixtures / "h4_chain_r20.fcidump").read_text())
+stages = {"import": loaded()}
+majprop.build_majorana_hamiltonian(h4)
+stages["hamiltonian"] = loaded()
+h2 = majprop.parse_fcidump((fixtures / "h2_sto3g.fcidump").read_text())
+majprop.run_adapt_vmpe(h2, majprop.RunConfig(max_iterations=1))
+stages["run"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_scipy_loads_with_its_first_use():
+    """In a fresh interpreter, importing the package and its CLI and
+    reading an FCIDUMP load no scipy; the first Hamiltonian build loads
+    ``scipy.sparse`` (its integral map) and the first optimizer run
+    ``scipy.optimize``."""
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(CHECKOUT / "tests" / "fixtures")],
+        env={**os.environ, "PYTHONPATH": str(CHECKOUT / "src")},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    stages = json.loads(done.stdout)
+    assert stages["import"] == []
+    assert "scipy.sparse" in stages["hamiltonian"]
+    assert "scipy.optimize" not in stages["hamiltonian"]
+    assert "scipy.optimize" in stages["run"]
