@@ -9,7 +9,10 @@ the final graph: the median of ``--calls`` calls after one warm-up call
 
     python3 scripts/cut_timings.py --calls 5 --rows rows.npz
 
-It prints one line per cut (milliseconds per call); ``--rows`` saves every
+Before the first run it runs one iteration on the H2 fixture, as
+perfbench does, so that each run's "iterations in" time leaves out loading
+the package's lazily imported modules.  It prints one line per cut
+(milliseconds per call); ``--rows`` saves every
 landscape row, so that two checkouts can be compared row by row.  With
 ``--fcidump`` it times one system instead, such as an H8 or H10 chain from
 ``scripts/make_fixtures.py``: a GGF run at ``--cutoff`` (0: none) for
@@ -70,6 +73,8 @@ def main() -> None:
     parser.add_argument("--iterations", type=int, default=30, help="with --fcidump")
     args = parser.parse_args()
     rows = {}
+    h2 = parse_fcidump((ROOT / "tests" / "fixtures" / "h2_sto3g.fcidump").read_text())
+    run_adapt_vmpe(h2, RunConfig(max_iterations=1))  # warm-up: first-use imports
     for name, tensors, config, cuts in systems(args):
         tic = time.perf_counter()
         result = run_adapt_vmpe(tensors, config)

@@ -265,7 +265,13 @@ def write_fcidump(path: Path, h1: np.ndarray, h2: np.ndarray, core: float, n_ele
     path.write_text("\n".join(lines) + "\n")
 
 
-def hydrogen_chain(n_atoms: int, spacing_bohr: float, name: str, out_dir: Path):
+def hydrogen_chain_fcidump(
+    n_atoms: int, spacing_bohr: float, path: Path
+) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Write the FCIDUMP of an evenly spaced hydrogen chain to ``path``:
+    STO-3G integrals over the restricted Hartree-Fock orbitals.  Returns
+    the Hartree-Fock energy, the MO integrals and the nuclear repulsion.
+    It runs no CI, so it also serves chains too long for the dense one."""
     centers = np.array([[i * spacing_bohr, 0.0, 0.0] for i in range(n_atoms)])
     charges = [(1.0, c) for c in centers]
     e_nuc = sum(
@@ -281,8 +287,15 @@ def hydrogen_chain(n_atoms: int, spacing_bohr: float, name: str, out_dir: Path):
     n_occ = n_atoms // 2
     e_hf, c = restricted_hartree_fock(S, hcore, eri, n_occ, e_nuc)
     h1, h2 = mo_transform(hcore, eri, c)
+    write_fcidump(path, h1, h2, e_nuc, n_atoms)
+    return e_hf, h1, h2, e_nuc
+
+
+def hydrogen_chain(n_atoms: int, spacing_bohr: float, name: str, out_dir: Path):
+    e_hf, h1, h2, e_nuc = hydrogen_chain_fcidump(
+        n_atoms, spacing_bohr, out_dir / f"{name}.fcidump"
+    )
     e_fci = fci_ground_energy(h1, h2, e_nuc, n_atoms)
-    write_fcidump(out_dir / f"{name}.fcidump", h1, h2, e_nuc, n_atoms)
     sidecar = {
         "system": f"H{n_atoms} chain",
         "spacing_bohr": spacing_bohr,

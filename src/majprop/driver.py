@@ -513,7 +513,7 @@ def _check_budget(
 ) -> None:
     if config.max_live_monomials is None:
         return
-    widest = graph.stats()["max_layer"]
+    widest = int(graph.final_keys.size)  # layers only grow: the last is the widest
     if widest > config.max_live_monomials:
         raise MemoryBudgetError(
             f"propagation layer holds {widest} monomials, over the budget of "

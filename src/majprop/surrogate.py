@@ -12,39 +12,50 @@ in-place update per gate of the keys z it touches,
     v[z] = cos(theta) v[z] + sin(theta) sw v[z ^ gamma],
 
 where the sign sw is +/-1 where the sine branch lands (z ^ gamma is in the
-layer before and the truncation rule keeps z) and 0 elsewhere.  For
-gradients the forward pass keeps each gate's gathered inputs, an in-place
-adjoint runs backwards, and the derivative of each gate is two dot
-products -- at most a threefold overhead on top of one energy evaluation,
-independent of the parameter count.
+layer before and the truncation rule keeps z) and 0 elsewhere.  The keys
+are numbered in birth order (the source's, then each gate's new ones), so
+every layer is a prefix of the final one and a key never moves as the
+graph grows; a sorted view (the keys in ascending order with their
+positions) serves every lookup by key.  The recorded steps store int32
+positions and int8 signs.  For gradients the forward pass keeps each
+gate's gathered inputs, an in-place adjoint runs backwards, and the
+derivative of each gate is two dot products -- at most a threefold
+overhead on top of one energy evaluation, independent of the parameter
+count.
 
 Building or extending a graph also prunes it once: every key with no
 branch path to a nonzero sink weight is dropped -- typically the vast
 majority, since layers only ever grow while few keys measure -- and so is
 every update of a key that reaches no sink weight from that gate on,
-unless a kept sine branch reads it.
-Energies and gradients run over the pruned steps.  Every value that still
-reaches the sink is reproduced bit for bit; only the closing dot products
-see a different summation tree, leaving energies and gradients equal to
-the full sweep's to roundoff.  Evaluation never writes to the graph.  The
-scoring landscapes keep running over the full recorded steps, since a new
-gate can turn keys that reach no sink weight into ones that do.
+unless a kept sine branch reads it.  The kept keys are numbered in
+ascending key order.  Pruning is one backward pass over every recorded
+entry.  Energies and gradients run over the pruned steps.
+Every value that still reaches the sink is reproduced bit for bit; only
+the closing dot products see a different summation tree, leaving energies
+and gradients equal to the full sweep's to roundoff.  Evaluation never
+writes to the graph.  The scoring landscapes keep running over the full
+recorded steps, since a new gate can turn keys that reach no sink weight
+into ones that do.
 
 A graph takes new gates at any cut of its gate list: the steps before the
-cut are kept, and the new gates and the rest of the sweep are recorded
-from the layer at the cut.  At the end the graph was recorded towards
-(front of the circuit in the Heisenberg picture, back in the Schrodinger
-picture) that rest is empty.  Scoring inserts nothing: a gate's landscape
-at any cut sums the paths of the layer's keys through it that end on a
-key of nonzero weight after the rest of the sweep, and one kernel sums
-them for a whole pool.  The paths that take no sine branch end where they
-start, on the same keys for every candidate, so one (candidates x keys)
-table sums them; the kernel finds the others from the sink side and walks
-them.  In the Heisenberg picture a path can end on a paired key only if
-its pairing defect lies in the span of the remaining gates' defects, so
-the layer is bucketed by defect modulo that span; in the Schrodinger
-picture the Hamiltonian's weighed keys are closed backward through the
-remaining gates.  Only the keys found so record the rest of the sweep.
+cut are kept as they are, and the new gates and the rest of the sweep are
+recorded from the layer at the cut.  At the natural end, the end the graph
+was recorded towards (front of the circuit in the Heisenberg picture, back
+in the Schrodinger picture), that rest is empty: an insertion records
+its new gates from the final layer, re-indexes no kept step, and then
+prunes the grown graph.
+
+Scoring inserts nothing: a gate's landscape at any cut sums the paths of
+the layer's keys through it that end on a key of nonzero weight after the
+rest of the sweep, and one kernel sums them for a whole pool.  The paths
+that take no sine branch end where they start, on the same keys for every
+candidate, so one (candidates x keys) table sums them; the kernel finds
+the others from the sink side and walks them.  In the Heisenberg picture
+a path can end on a paired key only if its pairing defect lies in the
+span of the remaining gates' defects, so the layer is bucketed by defect
+modulo that span; in the Schrodinger picture the Hamiltonian's weighed
+keys are closed backward through the remaining gates.  Only the keys
+found so record the rest of the sweep.
 
 The Hamiltonian's coefficients are the source of a Heisenberg graph and,
 scaled by 2^n, the sink of a Schrodinger graph.  Every evaluation takes
@@ -63,7 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -94,12 +105,14 @@ class _Step:
     """One gate's in-place update of the key vector.
 
     ``z`` indexes the keys the gate updates (the anticommuting keys of the
-    layer after it; while recording, the keys themselves).  ``p`` points
-    each entry at the entry of its partner z ^ gamma, or at itself where
-    the partner is not there, so it pairs the entries off.  ``sw`` is the
-    sign (branch x gate x picture) of the sine branch from the partner
-    where it lands on z -- the partner is in the layer before and the
-    truncation rule keeps z -- and 0 elsewhere.
+    layer after it), in ascending key order.  ``p`` points each entry at
+    the entry of its partner z ^ gamma, or at itself where the partner is
+    not there, so it pairs the entries off.  ``sw`` is the sign (branch x
+    gate x picture) of the sine branch from the partner where it lands on
+    z -- the partner is in the layer before and the truncation rule keeps
+    z -- and 0 elsewhere.  A recorded step stores them compactly (int32
+    positions, int8 signs: 9 bytes an entry); a pruned one, which energies
+    and gradients run over, as intp positions and float64 signs.
     """
 
     slot: int
@@ -128,37 +141,47 @@ class _Sweep:
 def _prune(graph: SurrogateGraph) -> _Sweep:
     """The recorded sweep restricted to what can reach the sink.
 
-    One backward pass marks the keys with a branch path to a sink weight
-    that can be nonzero (in the Schrodinger picture, every key the
-    Hamiltonian weighs, whatever its value now).  A key that reaches it
-    from one layer also reaches it from every earlier layer it is in (its
-    cosine branch carries it), so a mark taken at a step says whether the
-    key still reaches the sink after that gate.  A step keeps the updates
-    of such keys and of the partners their sine branches read; the others
-    only touch values no weight reads.  The marked keys are renumbered
-    once, and the Hamiltonian is restricted to the kept keys it weighs, so
-    that evaluations dress only those (multiply only those rows of a
-    dressed Hamiltonian's map).
+    One backward pass over every recorded entry marks the keys with a
+    branch path to a sink weight that can be nonzero (in the Schrodinger
+    picture, every key the Hamiltonian weighs, whatever its value now).  A
+    key that reaches it from one layer also reaches it from every earlier
+    layer it is in (its cosine branch carries it), so a mark taken at a
+    step says whether the key still reaches the sink after that gate.  A
+    step keeps the updates of such keys and of the partners their sine
+    branches read; the others only touch values no weight reads.  The
+    marked keys are renumbered in ascending key order, and the Hamiltonian
+    is restricted to the kept keys it weighs, so that evaluations dress
+    only those (multiply only those rows of a dressed Hamiltonian's map).
+    A build and every insertion run this pass.
     """
     need = graph.sink != 0.0
     if graph.picture == "schrodinger":
         need[graph.ham_at] = True
-    keeps = []
+    kept = []
     for step in reversed(graph.steps):
+        step = _widened(step)
         mark = need[step.z]
-        lands = mark & (step.sw != 0.0)
+        lands = mark & (step.sw != 0)
         need[step.z[step.p[lands]]] = True
-        keeps.append(mark | lands[step.p])
-    renum = np.cumsum(need) - 1
+        kept.append(np.flatnonzero(mark | lands[step.p]))
+    # few keys are needed: sort them by key rather than walk the whole sorted view
+    at = np.flatnonzero(need)
+    at = at[np.argsort(graph.final_keys[at])]
+    renum = np.zeros(need.size, np.int32)  # one per recorded key, so as narrow as positions
+    renum[at] = np.arange(at.size)
     steps = []
-    for step, keep in zip(graph.steps, reversed(keeps)):
+    for step, entries in zip(graph.steps, reversed(kept)):
         # a kept entry whose partner is dropped reads no sine branch: it pairs with itself
-        at = np.cumsum(keep) - 1
-        p = np.where(keep[step.p], at[step.p], at)[keep]
-        steps.append(_Step(step.slot, renum[step.z[keep]], p, step.sw[keep]))
+        own, slot_of = np.arange(entries.size), np.full(step.z.size, -1, np.int32)
+        slot_of[entries] = own
+        partner = slot_of[step.p[entries].astype(np.intp)]
+        steps.append(_Step(
+            step.slot, renum[step.z[entries].astype(np.intp)].astype(np.intp),
+            np.where(partner >= 0, partner, own), step.sw[entries].astype(np.float64),
+        ))
     held = need[graph.ham_at]
     return _Sweep(
-        graph.source[need], steps, graph.sink[need], renum[graph.ham_at[held]],
+        graph.source[at], steps, graph.sink[at], renum[graph.ham_at[held]].astype(np.intp),
         np.arange(np.count_nonzero(held)), graph.hamiltonian.restrict(graph.ham_of[held]),
     )
 
@@ -167,15 +190,20 @@ def _prune(graph: SurrogateGraph) -> _Sweep:
 class SurrogateGraph:
     """Recorded branch structure of one truncated propagation sweep.
 
-    ``source``, ``sink``, ``ham_at`` and the indices of ``steps`` all
-    address ``final_keys``, which holds every recorded key; ``pruned`` is
-    the same sweep restricted to the keys that reach a sink weight, with its
-    own Hamiltonian restricted to those keys, and is what energies and
-    gradients run over.  The Hamiltonian's side (source in the Heisenberg
-    picture, sink in the Schrodinger picture) holds its coefficients as
-    built (those of a dressed Hamiltonian at zero rotation angles); every
-    evaluation rebuilds it from ``hamiltonian.linearize`` at its own angles
-    (:func:`_ends`).
+    ``final_keys`` holds every recorded key in birth order: the source's
+    keys, then each step's new keys in ascending order.  A layer holds the
+    keys born up to it, so layer d is the first ``layer_sizes[d]`` of them,
+    and a recorded key keeps its position as the graph grows.  The sorted
+    view, ``sorted_keys`` and their positions ``order``, serves every
+    lookup by key.  ``source``, ``sink``, ``ham_at`` and the indices of
+    ``steps`` all address ``final_keys``.  ``pruned`` is the same sweep
+    restricted to the keys that reach a sink weight, numbered in ascending
+    key order, with its own Hamiltonian restricted to those keys, and is
+    what energies and gradients run over.  The Hamiltonian's side (source
+    in the Heisenberg picture, sink in the Schrodinger picture) holds its
+    coefficients as built (those of a dressed Hamiltonian at zero rotation
+    angles); every evaluation rebuilds it from ``hamiltonian.linearize`` at
+    its own angles (:func:`_ends`).
     """
 
     n_modes: int
@@ -187,6 +215,9 @@ class SurrogateGraph:
     source: np.ndarray
     steps: list[_Step] = field(default_factory=list)
     final_keys: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.uint64))
+    sorted_keys: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.uint64))
+    order: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
+    layer_sizes: list[int] = field(default_factory=list)
     sink: np.ndarray = field(default_factory=lambda: np.empty(0))
     ham_at: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     ham_of: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -215,33 +246,83 @@ def _processed_gates(circuit: FermionicCircuit, picture: str) -> list[Gate]:
     return gates[::-1] if picture == "heisenberg" else gates
 
 
+_MAX_POSITION = np.iinfo(np.int32).max
+
+
 def _record_step(
-    keys: np.ndarray, gate: Gate, sin_sign: float, policy: TruncationPolicy
+    keys: np.ndarray, order: np.ndarray, gate: Gate, sin_sign: float, policy: TruncationPolicy
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Step]:
+    """Branch one layer through a gate, given as its sorted ``keys`` and
+    their positions ``order``: the next layer the same way, its new keys
+    (ascending, numbered on from ``keys.size``) and the step."""
+    odd = _kernels.anticommutes_with(np.uint64(gate.generator), keys)
+    new, step = _branch(keys[odd], order[odd], keys.size, gate, sin_sign, policy)
+    old = _slots(keys, new)
+    next_order = _interleave(old, order, np.arange(keys.size, old.size), np.int32)
+    return _interleave(old, keys, new, keys.dtype), next_order, new, step
+
+
+def _branch(
+    a: np.ndarray, at: np.ndarray, size: int, gate: Gate, sin_sign: float, policy: TruncationPolicy
 ) -> tuple[np.ndarray, _Step]:
-    """Branch one layer's sorted keys through a gate: the next layer, and
-    the step, whose ``z`` still holds keys (``_record`` turns them into
-    positions)."""
+    """The keys a gate creates from a layer of ``size`` keys, ascending,
+    and its step, given the layer's sorted anticommuting keys ``a`` at
+    positions ``at``.
+
+    The gate updates the ``a`` and the keys it creates.  Each a sends a
+    sine branch to its partner a ^ gamma, which anticommutes too, so a
+    partner already in the layer is one of the ``a``; the branch lands on
+    the partner, or creates it, where the truncation rule keeps it.  So
+    partners are looked up among the ``a`` alone.
+    """
     gamma = np.uint64(gate.generator)
-    cand = keys[_kernels.anticommutes_with(gamma, keys)] ^ gamma
-    landed = np.sort(cand[policy.survivor_mask(cand)])
-    # each landing branch comes from a distinct source, so none share a key
-    if np.any(landed[1:] == landed[:-1]):
+    # distinct sources send their sine branches to distinct keys
+    if np.any(a[1:] == a[:-1]):
         raise RuntimeError(f"sine branches of gate {gate.generator:#x} collide in one key")
-    next_keys = _merge(keys, landed)
-    z = next_keys[_kernels.anticommutes_with(gamma, next_keys)]
-    at, paired = _lookup(z, z ^ gamma)
-    p = np.where(paired, at, np.arange(z.size))
-    lands = _lookup(landed, z)[1]
-    sw = np.zeros(z.size)
-    sw[lands] = _kernels.product_sign_with(gamma, z[lands] ^ gamma) * sin_sign * gate.sign
-    return next_keys, _Step(gate.slot, z, p, sw)
+    partner = a ^ gamma
+    mate, there = _lookup(a, partner)
+    src = np.flatnonzero(~there & policy.survivor_mask(partner))
+    src = src[np.argsort(partner[src])]  # sources of the new keys, which come out ascending
+    new = partner[src]
+    if size + new.size > _MAX_POSITION:
+        raise OverflowError(f"a layer of {size + new.size} keys outgrows int32 positions")
+    was = _slots(a, new)
+    ia, inew = np.flatnonzero(was), np.flatnonzero(~was)
+    p = np.arange(was.size, dtype=np.int32)
+    p[ia[there]] = ia[mate[there]]
+    p[ia[src]], p[inew] = inew, ia[src]
+    # a sine branch lands on an a whose partner is in the layer where the rule
+    # keeps the a, and on every new key; its sign is read off its source
+    lands = np.flatnonzero(there & policy.survivor_mask(a))
+    sw = np.zeros(was.size, np.int8)
+    sw[np.concatenate([ia[lands], inew])] = _kernels.product_sign_with(
+        gamma, np.concatenate([partner[lands], a[src]])
+    ) * sin_sign * gate.sign
+    z = _interleave(was, at, np.arange(size, size + new.size), np.int32)
+    return new, _Step(gate.slot, z, p, sw)
+
+
+def _slots(keys: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Where the sorted ``keys`` go when the sorted ``new`` keys, none of
+    them among ``keys``, are merged in: a mask over the merged array."""
+    old = np.ones(keys.size + new.size, bool)
+    old[np.searchsorted(keys, new) + np.arange(new.size)] = False
+    return old
+
+
+def _interleave(old: np.ndarray, values: np.ndarray, new: np.ndarray, dtype) -> np.ndarray:
+    """``values`` at the ``old`` slots of the mask and ``new`` at the others."""
+    if not new.size:
+        return values.astype(dtype, copy=False)
+    merged = np.empty(old.size, dtype)
+    merged[old], merged[~old] = values, new
+    return merged
 
 
 def _merge(keys: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Union of two sorted, duplicate-free key arrays (no hashing)."""
-    merged = np.concatenate([keys, new[~_lookup(keys, new)[1]]])
-    merged.sort(kind="stable")
-    return merged
+    new = new[~_lookup(keys, new)[1]]
+    return _interleave(_slots(keys, new), keys, new, keys.dtype)
 
 
 def _lookup(keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,9 +367,16 @@ def build_surrogate(
         circuit=circuit.copy(),
         hamiltonian=hamiltonian,
         source=weights,
+        layer_sizes=[first.size],
     )
-    keys, graph.steps = _record(graph, first, _processed_gates(circuit, picture))
-    return _close(graph, keys, first)
+    keys, sorted_keys, order, graph.steps, sizes = _record(
+        graph, first, first, np.arange(first.size, dtype=np.int32),
+        _processed_gates(circuit, picture),
+    )
+    graph.layer_sizes += sizes
+    _attach(graph, keys, sorted_keys, order, np.empty(0))
+    graph.pruned = _prune(graph)
+    return graph
 
 
 def _weighed(hamiltonian: SparseOperator | DressedHamiltonian) -> np.ndarray:
@@ -311,34 +399,50 @@ def _ends(
 
 
 def _record(
-    graph: SurrogateGraph, keys: np.ndarray, gates: Sequence[Gate]
-) -> tuple[np.ndarray, list[_Step]]:
-    """Record ``gates`` in sweep order from the layer ``keys``; returns the
-    last layer's keys and the steps, indexed against that layer (which
-    holds every key the sweep met)."""
+    graph: SurrogateGraph,
+    keys: np.ndarray,
+    sorted_keys: np.ndarray,
+    order: np.ndarray,
+    gates: Sequence[Gate],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[_Step], list[int]]:
+    """Record ``gates`` in sweep order from the layer ``keys`` (in birth
+    order) with its sorted view, ``sorted_keys`` at positions ``order``.
+    Returns the last layer's keys (``keys``, then each gate's new keys in
+    ascending order), which hold every key the sweep met, their sorted
+    view, the steps, indexed against those keys, and the size of the layer
+    after each step."""
     sin_sign = 1.0 if graph.picture == "heisenberg" else -1.0
-    steps = []
+    born, steps, sizes = [keys], [], []
     for gate in gates:
-        keys, step = _record_step(keys, gate, sin_sign, graph.policy)
+        sorted_keys, order, new, step = _record_step(
+            sorted_keys, order, gate, sin_sign, graph.policy
+        )
+        born.append(new)
         steps.append(step)
-    for step in steps:
-        step.z = np.searchsorted(keys, step.z)
-    return keys, steps
+        sizes.append(sorted_keys.size)
+    return np.concatenate(born), sorted_keys, order, steps, sizes
 
 
-def _close(graph: SurrogateGraph, keys: np.ndarray, source_keys: np.ndarray) -> SurrogateGraph:
-    """Move the source weights from ``source_keys`` onto the final layer's
-    keys, attach those keys, where the Hamiltonian weighs them and their
-    sink weights, then prune the sweep."""
-    source, graph.source = graph.source, np.zeros(keys.size)
-    graph.source[np.searchsorted(keys, source_keys)] = source
-    graph.final_keys = keys
-    at, hit = _lookup(keys, graph.hamiltonian.keys)
+def _attach(
+    graph: SurrogateGraph,
+    keys: np.ndarray,
+    sorted_keys: np.ndarray,
+    order: np.ndarray,
+    sink: np.ndarray,
+) -> None:
+    """Attach the final layer, ``keys`` in birth order with their sorted
+    view, and where the Hamiltonian weighs them.  The source weights stay on
+    the first layer's keys; ``sink`` holds the sink weights of the first
+    keys, and those of the others are computed."""
+    first = graph.layer_sizes[0]
+    graph.source = np.concatenate([graph.source[:first], np.zeros(keys.size - first)])
+    graph.sink = np.concatenate(
+        [sink, _sink_weights(graph, keys[sink.size:], graph.hamiltonian.coeffs)]
+    )
+    graph.final_keys, graph.sorted_keys, graph.order = keys, sorted_keys, order
+    at, hit = _lookup(sorted_keys, graph.hamiltonian.keys)
     hit &= _weighed(graph.hamiltonian)
-    graph.ham_at, graph.ham_of = at[hit], np.flatnonzero(hit)
-    graph.sink = _sink_weights(graph, keys, graph.hamiltonian.coeffs)
-    graph.pruned = _prune(graph)
-    return graph
+    graph.ham_at, graph.ham_of = order[at[hit]].astype(np.intp), np.flatnonzero(hit)
 
 
 def _sink_weights(graph: SurrogateGraph, keys: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -362,9 +466,15 @@ def _check_params(graph: SurrogateGraph, params: np.ndarray) -> np.ndarray:
     return params
 
 
+def _widened(step: _Step) -> _Step:
+    """A recorded step with intp positions, for a sweep over the recorded
+    steps: numpy indexes with int32 arrays several times slower."""
+    return _Step(step.slot, step.z.astype(np.intp), step.p.astype(np.intp), step.sw)
+
+
 def _forward(
     source: np.ndarray,
-    steps: Sequence[_Step],
+    steps: Iterable[_Step],
     params: np.ndarray,
     gathers: list | None = None,
 ) -> np.ndarray:
@@ -458,15 +568,16 @@ def _cut(graph: SurrogateGraph, where: Literal["front", "back"] | int) -> tuple[
     return int(cut), int(n_gates - cut if graph.picture == "heisenberg" else cut)
 
 
-def _layer_keys(graph: SurrogateGraph, depth: int) -> np.ndarray:
-    """Keys of layer ``depth``: the source's keys and those the sine
-    branches of the first ``depth`` steps created."""
-    exists = graph.source != 0.0
-    if graph.picture == "heisenberg":
-        exists[graph.ham_at] = True
-    for step in graph.steps[:depth]:
-        exists[step.z[step.sw != 0.0]] = True
-    return graph.final_keys[exists]
+def _layer_keys(
+    graph: SurrogateGraph, depth: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keys of layer ``depth`` in birth order, the first keys of the final
+    layer, and their sorted view (keys and positions)."""
+    size = graph.layer_sizes[depth]
+    if size == graph.final_keys.size:
+        return graph.final_keys, graph.sorted_keys, graph.order
+    born = graph.order < size
+    return graph.final_keys[:size], graph.sorted_keys[born], graph.order[born]
 
 
 def extend_surrogate(
@@ -477,12 +588,14 @@ def extend_surrogate(
     ``where`` is "front", "back" or a gate index, and the gates enter the
     sweep in list order, as one row of :func:`cut_landscapes` scores them
     (so a Heisenberg graph, which sweeps the circuit from its back, holds
-    them in reverse).  The steps before the cut are kept, re-indexed into
-    the grown key vector, and the new gates and the rest of the circuit are
-    recorded from the layer at the cut, so the result equals a fresh build
-    of the extended circuit.  At the natural end (front in the Heisenberg
-    picture, back in the Schrodinger picture) only the new gates are
-    recorded.
+    them in reverse).  The steps before the cut are kept as they are, since
+    the layer at the cut is the first keys of the final one, and the new
+    gates and the rest of the circuit are recorded from that layer, so the
+    result equals a fresh build of the extended circuit, array for array.
+    At the natural end (front in the Heisenberg picture, back in the
+    Schrodinger picture) only the new gates are recorded, from the whole
+    final layer.  Every insertion then prunes the whole graph anew
+    (:func:`_prune`).
     """
     cut, depth = _cut(graph, where)
     gates = list(gates)
@@ -491,10 +604,16 @@ def extend_surrogate(
     circuit.params = np.pad(circuit.params, (0, max(n_slots - circuit.n_slots, 0)))
     circuit.gates[cut:cut] = gates[::-1] if graph.picture == "heisenberg" else gates
     far = _processed_gates(graph.circuit, graph.picture)[depth:]
-    keys, steps = _record(graph, _layer_keys(graph, depth), gates + far)
-    at = np.searchsorted(keys, graph.final_keys)  # the grown last layer holds every old key
-    kept = [_Step(s.slot, at[s.z], s.p, s.sw) for s in graph.steps[:depth]]
-    return _close(replace(graph, circuit=circuit, steps=kept + steps), keys, graph.final_keys)
+    keys, sorted_keys, order, steps, sizes = _record(
+        graph, *_layer_keys(graph, depth), gates + far
+    )
+    grown = replace(
+        graph, circuit=circuit, steps=graph.steps[:depth] + steps,
+        layer_sizes=graph.layer_sizes[: depth + 1] + sizes,
+    )
+    _attach(grown, keys, sorted_keys, order, graph.sink[: graph.layer_sizes[depth]])
+    grown.pruned = _prune(grown)
+    return grown
 
 
 # [a0, a1, b1, a2, b2] of c^i s^j of the new angle t, row i + 3j: c^2 =
@@ -521,12 +640,12 @@ def _far_weights(
     of keys holding the ones a caller reads gives those bit-identical
     weights.
     """
-    last, steps = _record(graph, keys, gates)
+    last, _, _, steps, _ = _record(graph, keys, keys, np.arange(keys.size, dtype=np.int32), gates)
     w = _sink_weights(graph, last, coeffs)
     for step in reversed(steps):
         theta = params[step.slot]
-        _adjoint_step(step, w, math.cos(theta), math.sin(theta))
-    return w[np.searchsorted(last, keys)]
+        _adjoint_step(_widened(step), w, math.cos(theta), math.sin(theta))
+    return w[: keys.size]
 
 
 def _spans(starts: np.ndarray, counts: np.ndarray):
@@ -646,9 +765,11 @@ def landscape_rows(
     _, depth = _cut(graph, where)
     gens, signs = np.asarray(generators, np.uint64), np.asarray(signs, np.float64)
     coeffs = graph.hamiltonian.linearize(params)[0]
-    v = _forward(_ends(graph, graph, coeffs)[0], graph.steps[:depth], params)
+    recorded = map(_widened, graph.steps[:depth])
+    # widened first: numpy gathers through int32 indices much slower
+    v = _forward(_ends(graph, graph, coeffs)[0], recorded, params)[graph.order.astype(np.intp)]
     live = v != 0.0
-    keys, v = graph.final_keys[live], v[live]
+    keys, v = graph.sorted_keys[live], v[live]
     # pattern 4 * row + F; a lone gate pairs with the identity, which has no
     # sine branch; the table sums F = 0
     sine = (np.arange(4)[:, None] >> np.arange(2)) & 1 == 1

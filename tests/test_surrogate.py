@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import majprop.instances as inst
-from majprop import TruncationPolicy, _kernels, expectation, fock_expectation
+from majprop import TruncationPolicy, _kernels, expectation, fock_expectation, surrogate
 from majprop.engine import FermionicCircuit, Gate
 from majprop.operators import SparseOperator
 from majprop.surrogate import (
@@ -100,12 +100,26 @@ def test_gradient_accumulates_over_shared_slots(rng):
 
 def _assert_same_graph(graph, reference):
     assert np.array_equal(graph.final_keys, reference.final_keys)
+    assert np.array_equal(graph.sorted_keys, reference.sorted_keys)
+    assert np.array_equal(graph.order, reference.order)
+    assert graph.layer_sizes == reference.layer_sizes
     assert np.array_equal(graph.source, reference.source)
     assert np.array_equal(graph.sink, reference.sink)
     assert len(graph.steps) == len(reference.steps)
     for step, ref in zip(graph.steps, reference.steps):
         for name, value in vars(step).items():
             assert np.array_equal(value, getattr(ref, name)), name
+    sweep, reference = graph.pruned, reference.pruned
+    for name in ("source", "sink", "ham_at", "ham_of"):
+        value, ref = getattr(sweep, name), getattr(reference, name)
+        assert np.array_equal(value, ref) and value.dtype == ref.dtype, name
+    assert len(sweep.steps) == len(reference.steps)
+    for step, ref in zip(sweep.steps, reference.steps):
+        for name, value in vars(step).items():
+            assert np.array_equal(value, getattr(ref, name)), name
+            assert np.asarray(value).dtype == np.asarray(getattr(ref, name)).dtype, name
+    for name in ("keys", "coeffs"):
+        assert np.array_equal(getattr(sweep.hamiltonian, name), getattr(reference.hamiltonian, name))
 
 
 @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
@@ -113,7 +127,8 @@ def _assert_same_graph(graph, reference):
 def test_extend_matches_rebuild(rng, picture, where):
     """Inserting one or two gates at the front, mid-circuit or the back
     gives exactly the graph a fresh build of the extended circuit records,
-    keys, edges and energies bit for bit, with and without a cutoff; the
+    keys in birth order, edges, pruned sweep and energies bit for bit,
+    with and without a cutoff; the
     gates enter the sweep in list order, and the result extends again."""
     for policy in (TruncationPolicy(), POLICY):
         for n_new in (1, 2):
@@ -147,10 +162,53 @@ def test_extend_matches_rebuild(rng, picture, where):
 
 
 @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+def test_insertion_moves_no_key_and_shares_the_steps_before_the_cut(rng, picture):
+    """Keys are numbered in birth order, so an insertion keeps every key of
+    the layer at its cut where it was and shares the recorded steps before
+    the cut; at the natural end that is every old key and every step."""
+    h, circuit = _instance(rng, n_gates=6)
+    graph = build_surrogate(h, circuit, OCC, POLICY, picture)
+    natural = "front" if picture == "heisenberg" else "back"
+    for where, depth in ((natural, len(circuit)), (3, 3)):
+        gate = Gate(int(inst.random_monomial_bits(N, 4, rng)), slot=circuit.n_slots)
+        grown = extend_surrogate(graph, [gate], where)
+        size = graph.final_keys.size if where == natural else graph.layer_sizes[depth]
+        assert np.array_equal(grown.final_keys[:size], graph.final_keys[:size])
+        assert np.array_equal(grown.sink[:size], graph.sink[:size])
+        assert grown.layer_sizes[: depth + 1] == graph.layer_sizes[: depth + 1]
+        assert all(new is old for new, old in zip(grown.steps[:depth], graph.steps[:depth]))
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+def test_recorded_steps_are_compact_and_the_pruned_sweep_wide(rng, picture):
+    """Recorded steps hold int32 positions and int8 signs (9 bytes an
+    entry); the pruned sweep that evaluations run over, intp and float64."""
+    h, circuit = _instance(rng, n_gates=6)
+    graph = build_surrogate(h, circuit, OCC, POLICY, picture)
+    gate = Gate(int(inst.random_monomial_bits(N, 4, rng)), slot=circuit.n_slots)
+    for where in ("front", 3, "back"):
+        grown = extend_surrogate(graph, [gate], where)
+        for step in grown.steps:
+            assert (step.z.dtype, step.p.dtype, step.sw.dtype) == (np.int32, np.int32, np.int8)
+        for step in grown.pruned.steps:
+            assert (step.z.dtype, step.p.dtype, step.sw.dtype) == (np.intp, np.intp, np.float64)
+
+
+def test_a_layer_past_int32_positions_raises(rng, monkeypatch):
+    """A layer that would outgrow the recorded steps' int32 positions raises
+    a real error (the bound is lowered here rather than grown past)."""
+    h, circuit = _instance(rng, n_gates=4)
+    monkeypatch.setattr(surrogate, "_MAX_POSITION", 10)
+    with pytest.raises(OverflowError, match="int32"):
+        build_surrogate(h, circuit, OCC, POLICY)
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
 def test_layer_keys_are_the_keys_of_a_partial_build(rng, picture):
     """The layer after the first d processed gates holds exactly the keys a
-    fresh build of those d gates ends on, at every d, also when a source
-    term has weight 0 (the build leaves it out)."""
+    fresh build of those d gates ends on, in the same (birth) order and
+    with the same sorted view, at every d, also when a source term has
+    weight 0 (the build leaves it out)."""
     for policy in (TruncationPolicy(), POLICY):
         h, circuit = _instance(rng, n_gates=8)
         h.coeffs[3] = 0.0
@@ -162,7 +220,10 @@ def test_layer_keys_are_the_keys_of_a_partial_build(rng, picture):
                 N, gates[::-1] if picture == "heisenberg" else gates, circuit.params
             )
             fresh = build_surrogate(h, partial, OCC, policy, picture)
-            assert np.array_equal(_layer_keys(graph, depth), fresh.final_keys), depth
+            keys, sorted_keys, order = _layer_keys(graph, depth)
+            assert np.array_equal(keys, fresh.final_keys), depth
+            assert np.array_equal(sorted_keys, fresh.sorted_keys), depth
+            assert np.array_equal(order, fresh.order), depth
 
 
 def test_extend_rejects_a_cut_outside_the_circuit(rng):
@@ -277,17 +338,24 @@ def test_recorded_layers_merge_like_union1d(rng):
             elif trial % 3 == 1:  # some partners hit keys of the layer
                 keys = np.concatenate([keys, keys[anti][::2] ^ np.uint64(gamma)])
             keys = np.unique(keys)
-            next_keys, step = _record_step(keys, Gate(gamma, slot=0), 1.0, policy)
+            next_keys, order, new, step = _record_step(
+                keys, np.arange(keys.size), Gate(gamma, slot=0), 1.0, policy
+            )
             cand = keys[_kernels.anticommutes_with(gamma, keys)] ^ np.uint64(gamma)
             kept = cand[policy.survivor_mask(cand)]
             assert np.array_equal(next_keys, np.union1d(keys, kept))
             assert next_keys.dtype == np.uint64
-            land, partner = step.sw != 0.0, step.z ^ np.uint64(gamma)
-            paired = np.isin(partner, step.z)
-            assert np.array_equal(step.z, next_keys[_kernels.anticommutes_with(gamma, next_keys)])
-            assert np.array_equal(step.z[land], np.sort(kept))
+            # new keys are numbered on after the layer's, in ascending order
+            assert np.array_equal(new, np.setdiff1d(kept, keys))
+            born = np.concatenate([keys, new])
+            assert np.array_equal(born[order], next_keys)
+            z = born[step.z]
+            land, partner = step.sw != 0.0, z ^ np.uint64(gamma)
+            paired = np.isin(partner, z)
+            assert np.array_equal(z, next_keys[_kernels.anticommutes_with(gamma, next_keys)])
+            assert np.array_equal(z[land], np.sort(kept))
             assert np.array_equal(step.sw[land], _kernels.product_sign_with(gamma, partner[land]))
-            assert np.array_equal(step.z[step.p[paired]], partner[paired])
+            assert np.array_equal(z[step.p[paired]], partner[paired])
             assert np.array_equal(step.p[~paired], np.flatnonzero(~paired))
 
 
@@ -296,7 +364,7 @@ def test_colliding_sine_branches_raise_a_real_error():
     holding one anticommuting key twice must raise, not corrupt the step."""
     keys = np.array([0b110, 0b110], dtype=np.uint64)
     with pytest.raises(RuntimeError, match="collide"):
-        _record_step(keys, Gate(0b11, slot=0), 1.0, TruncationPolicy())
+        _record_step(keys, np.arange(2), Gate(0b11, slot=0), 1.0, TruncationPolicy())
 
 
 def test_coset_representatives_agree_exactly_within_the_span(rng):
