@@ -546,7 +546,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
     rot_gates, n_rot_slots, rotation_spec = init_active_rotations(n_spatial)
     dressed = DressedHamiltonian(tensors, rotation_spec)
     dressed_at = time.perf_counter()
-    hamiltonian = build_majorana_hamiltonian(tensors, dressed.map)
+    hamiltonian = build_majorana_hamiltonian(dressed)
     config.validate(hamiltonian.max_degree())
     occupation = aufbau_occupation(tensors.n_electrons)
     occ_alpha = bin(occupation & 0x5555555555555555).count("1")

@@ -144,7 +144,7 @@ def assemble_operator(
 
 
 def build_majorana_hamiltonian(
-    t: IntegralTensors, mapping: IntegralMap | None = None
+    t: IntegralTensors | DressedHamiltonian, mapping: IntegralMap | None = None
 ) -> SparseOperator:
     """Expand H = E_core + sum h_pq a+_p a_q + 1/2 sum (ij|kl) a+ a+ a a.
 
@@ -152,15 +152,24 @@ def build_majorana_hamiltonian(
     (ij|kl) weighs a+_{i s1} a+_{k s2} a_{l s2} a_{j s1} over all
     spin-sector pairs.  The coefficients are the :class:`IntegralMap` of
     ``t``'s size applied to its unique entries; ``mapping`` passes one
-    already built (a shared map needs restricted integrals).  Terms at or
-    below 1e-14 are dropped.  The result contains the identity plus even
-    monomials of length 2 and 4 only, with real coefficients.
+    already built (a shared map needs restricted integrals).  A
+    :class:`DressedHamiltonian` in place of the integrals gives its
+    Hamiltonian at zero angles from the coefficients it already holds,
+    without applying the map again.  Terms at or below 1e-14 are dropped.
+    The result contains the identity plus even monomials of length 2 and 4
+    only, with real coefficients.
     """
+    if isinstance(t, DressedHamiltonian):
+        return _operator(t.n_modes, t.keys, t.coeffs)
     if mapping is None:
         mapping = integral_map(t.n_spatial, t.is_restricted)
-    coeffs = mapping.matrix @ mapping.entries(t)
+    return _operator(2 * t.n_spatial, mapping.keys, mapping.matrix @ mapping.entries(t))
+
+
+def _operator(n_modes: int, keys: np.ndarray, coeffs: np.ndarray) -> SparseOperator:
+    """The terms of ``coeffs`` on the sorted ``keys`` above the pruning floor."""
     keep = np.abs(coeffs) > _PRUNE
-    return SparseOperator(2 * t.n_spatial, mapping.keys[keep], coeffs[keep])
+    return SparseOperator(n_modes, keys[keep], coeffs[keep])
 
 
 # ---- the integral map and the dressed Hamiltonian ------------------------------
@@ -202,10 +211,13 @@ class IntegralMap:
     serve both spins (restricted integrals under one rotation for both
     spins); the others keep the alpha, beta and mixed blocks apart.  The
     rows cover every key the blocks can reach at any integral values, since
-    rotating the orbitals fills terms that are zero by symmetry.
-    ``transpose`` is ``matrix.T`` in CSR form, for pullbacks.  A map is
-    shared by every caller of :func:`integral_map`, so its arrays are
-    read-only.
+    rotating the orbitals fills terms that are zero by symmetry, and hold
+    no stored zero.  ``transpose`` is ``matrix.T`` in CSR form, for
+    pullbacks.  Both are canonical CSR (sorted, duplicate-free columns)
+    with int32 ``indices`` and ``indptr``, so the map keeps 12 bytes per
+    nonzero in each: 0.85 MiB in all at 10 orbitals (22,031 nonzeros).  A
+    map is shared by every caller of :func:`integral_map`, so its arrays
+    are read-only.
     """
 
     n_spatial: int
@@ -262,6 +274,40 @@ def _read_only(*arrays: np.ndarray | scipy.sparse.csr_array) -> None:
             array.flags.writeable = False
 
 
+def _run_starts(*arrays: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries starts, in arrays sorted together:
+    the positions at which any of ``arrays`` differs from the entry before."""
+    start = np.ones(arrays[0].size, bool)
+    start[1:] = np.logical_or.reduce([a[1:] != a[:-1] for a in arrays])
+    return np.flatnonzero(start)
+
+
+def _summed(
+    keys: np.ndarray, columns: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (key, column) pairs in ascending order, key first, with
+    the sum of their ``values``: one lexsort and one ``np.add.reduceat``."""
+    order = np.lexsort((columns, keys))
+    keys, columns, values = keys[order], columns[order], values[order]
+    first = _run_starts(keys, columns)
+    return keys[first], columns[first], np.add.reduceat(values, first)
+
+
+def _expanded(
+    modes: np.ndarray, daggers: Sequence[bool], weights: np.ndarray,
+    columns: np.ndarray, hermitian: np.ndarray,
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """One use of a block: the real parts of its tuples' expansions summed
+    per (key, column), and the imaginary parts of its self-conjugate
+    tuples' terms, as (keys, columns, values)."""
+    keys, values = ladder_terms(modes, daggers, weights)
+    columns = np.repeat(columns.astype(np.int32), 1 << len(daggers))
+    real = values.real != 0.0
+    imag = np.repeat(hermitian, 1 << len(daggers)) & (values.imag != 0.0)
+    return (_summed(keys[real], columns[real], values.real[real]),
+            (keys[imag], columns[imag], values.imag[imag]))
+
+
 @functools.lru_cache(maxsize=_CACHED_MAPS)
 def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
     """The integral map of ``n_spatial`` orbitals (see :class:`IntegralMap`).
@@ -278,7 +324,16 @@ def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
     weighted by the orbit's size, and only the real part of its expansion
     is credited to the column of its integrals' symmetry orbit.  A tuple
     whose conjugate is the same operator keeps its imaginary part, which
-    must cancel; the non-Hermitian check reads it.
+    must cancel; the non-Hermitian check reads it once every use is summed,
+    since uses of one block can meet on a (key, column).
+
+    The matrix is assembled by sort and sum: each use's nonzero real terms
+    are summed per (key, column) as soon as they are expanded, the uses'
+    sums are summed the same way, and the CSR arrays (int32 ``indices``
+    and ``indptr``) are read off the sorted pairs that do not cancel.
+    Every term is a dyadic rational, so the sums are exact in any order.
+    The build holds one use's expansion and the summed pairs at a time: at
+    10 orbitals it peaks near 6 MiB (tracemalloc) for a map of under 1 MiB.
     """
     n = n_spatial
     mode = {s: np.array([spin_orbital_mode(p, sector, n) for p in range(1, n + 1)])
@@ -292,7 +347,10 @@ def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
     else:
         layout = [("a", [("a", 1.0)]), ("b", [("b", 1.0)]), ("aa", [("aa", 0.5)]),
                   ("bb", [("bb", 0.5)]), ("ab", [("ab", 1.0)])]
-    keys, values, columns = [np.zeros(1, np.uint64)], [np.ones(1, complex)], [np.zeros(1, int)]
+    # summed (key, column, value) runs: the core energy is the identity's
+    # column 0; ``residue`` holds the self-conjugate tuples' imaginary parts
+    runs = [(np.zeros(1, np.uint64), np.zeros(1, np.int32), np.ones(1))]
+    residue = []
     blocks, start = [], 1
     for name, uses in layout:
         dims = (n,) * 2 * len(name)
@@ -321,28 +379,26 @@ def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
                 i, j, k, l = at.T
                 modes = np.stack([m1[i], m2[k], m2[l], m1[j]], axis=1)
                 daggers = (True, True, False, False)
-            term_keys, term_values = ladder_terms(modes, daggers, weight * size)
-            keys.append(term_keys)
-            values.append(np.where(np.repeat(hermitian, 1 << len(daggers)),
-                                   term_values, term_values.real))
-            columns.append(np.repeat(where + start, 1 << len(daggers)))
+            run, imag = _expanded(modes, daggers, weight * size, where + start, hermitian)
+            runs.append(run)
+            residue.append(imag)
         blocks.append(_Block(name, reps, start + col, 1.0 / np.bincount(col)[col], last))
         _read_only(blocks[-1].reps, blocks[-1].columns, blocks[-1].share, last)
         start += reps.size
-    keys, values, columns = (np.concatenate(x) for x in (keys, values, columns))
-    uniq, rows = np.unique(keys, return_inverse=True)
+    _, _, imag = _summed(*(np.concatenate(part) for part in zip(*residue)))
+    if np.abs(imag).max(initial=0.0) > 1e-12:
+        raise ValueError("an integral orbit expands to a non-Hermitian term")
+    keys, columns, values = _summed(*(np.concatenate(part) for part in zip(*runs)))
+    kept = values != 0.0
+    keys, columns, values = keys[kept], columns[kept], values[kept]
+    rows = _run_starts(keys)
+    indptr = np.append(rows, keys.size).astype(np.int32)
 
     import scipy.sparse
 
-    matrix = scipy.sparse.csr_array((values, (rows, columns)), shape=(uniq.size, start))
-    matrix.sum_duplicates()
-    if np.abs(matrix.data.imag).max(initial=0.0) > 1e-12:
-        raise ValueError("an integral orbit expands to a non-Hermitian term")
-    matrix = matrix.real
-    matrix.eliminate_zeros()
-    live = np.diff(matrix.indptr) > 0
-    keys, matrix = uniq[live], matrix[live]
+    matrix = scipy.sparse.csr_array((values, columns, indptr), shape=(rows.size, start))
     transpose = matrix.T.tocsr()
+    keys = keys[rows]
     _read_only(keys, matrix, transpose)
     return IntegralMap(n, shared, keys, matrix, transpose, tuple(blocks))
 

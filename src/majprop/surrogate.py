@@ -620,7 +620,7 @@ def extend_surrogate(
 # (1 + cos 2t)/2, s^2 = (1 - cos 2t)/2, cs = (sin 2t)/2 (c^2 s never occurs)
 _HARMONICS = np.array([[1.0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0.5, 0, 0, 0.5, 0], [0, 0, 1, 0, 0],
                        [0, 0, 0, 0, 0.5], [0, 0, 0, 0, 0], [0.5, 0, 0, -0.5, 0]])
-_BLOCK = 1 << 18  # paths followed at once
+_BLOCK = 1 << 15  # paths followed at once
 
 
 def _far_weights(

@@ -43,6 +43,7 @@ from majprop.pool import (
     single_excitation_monomials,
 )
 from majprop.surrogate import build_surrogate, eval_energy, eval_energy_and_gradient
+from test_hamiltonian import _random_unrestricted
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -350,6 +351,34 @@ def test_runs_match_with_a_cold_and_a_warm_cache(system):
     assert warm.graph.hamiltonian.map is cold.graph.hamiltonian.map
     assert _record(warm) == _record(cold)
     assert warm.params.tobytes() == cold.params.tobytes()
+
+
+@pytest.mark.parametrize("system", ["h4", "uhf"])
+def test_a_run_applies_the_integral_map_once(rng, monkeypatch, system):
+    """A run reads its undressed Hamiltonian off the dressed one's
+    coefficients: the map's ``entries`` is called once per run, the
+    driver's ``build_majorana_hamiltonian`` (the benchmark tracer's
+    Hamiltonian span) once, and the result equals a build from the
+    integrals, array for array (H4; random UHF integrals on 3 orbitals)."""
+    import majprop.driver as drv
+    from majprop.hamiltonian import IntegralMap
+
+    if system == "h4":
+        tensors, _ = _fixture("h4_chain_r20")
+    else:
+        tensors = _random_unrestricted(rng, 3)
+        tensors.n_electrons = 4
+    entries, builds = [], []
+    read, build = IntegralMap.entries, drv.build_majorana_hamiltonian
+    monkeypatch.setattr(IntegralMap, "entries", lambda self, t: entries.append(t) or read(self, t))
+    monkeypatch.setattr(drv, "build_majorana_hamiltonian",
+                        lambda *args: builds.append(args) or build(*args))
+    result = run_adapt_vmpe(tensors, RunConfig(max_iterations=2, cutoff=None))
+    assert len(entries) == len(builds) == 1
+    monkeypatch.undo()
+    expected = build_majorana_hamiltonian(tensors)
+    assert np.array_equal(result.hamiltonian.keys, expected.keys)
+    assert np.array_equal(result.hamiltonian.coeffs, expected.coeffs)
 
 
 def test_h2_run_reaches_full_ci():

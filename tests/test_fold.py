@@ -5,7 +5,11 @@ give the energy, gradient and scores of a graph that records the rotation
 gates after the body, as the driver's circuit holds them.
 """
 
+import os
 import pickle
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -313,7 +317,7 @@ def _every_tuple_map(n, shared):
 
 
 @pytest.mark.parametrize("shared", [True, False])
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
 def test_integral_map_equals_the_every_tuple_expansion(n, shared):
     """Expanding one tuple per conjugate orbit gives the keys and matrix of
     expanding every tuple, bit for bit."""
@@ -354,6 +358,58 @@ def test_integral_map_still_refuses_a_non_hermitian_expansion(monkeypatch):
     for shared in (True, False):
         with pytest.raises(ValueError, match="non-Hermitian"):
             integral_map(3, shared)
+
+
+_OFF_BY_I = """
+from majprop import hamiltonian
+
+honest = hamiltonian.ladder_terms
+
+
+def off_by_i(modes, daggers, weights):
+    keys, values = honest(modes, daggers, weights)
+    return keys, 1j * values
+
+
+hamiltonian.ladder_terms = off_by_i
+print(__debug__)
+for shared in (True, False):
+    try:
+        hamiltonian.integral_map(3, shared)
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_non_hermitian_refusal_is_no_assert():
+    """The refusal above is a raise that ``python -O`` keeps: with the same
+    phase error, an optimized interpreter refuses both builds."""
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _OFF_BY_I],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    message = "an integral orbit expands to a non-Hermitian term"
+    assert done.stdout.splitlines() == ["False", message, message]
+
+
+def test_integral_map_build_peaks_near_what_it_keeps():
+    """A cold build of the 10-orbital shared map peaks at no more than
+    7 MiB under tracemalloc (the sort-and-sum assembly holds one use's
+    expansion at a time), and the arrays the map keeps take under 1 MiB."""
+    integral_map.cache_clear()
+    tracemalloc.start()
+    try:
+        mapping = integral_map(10, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = [mapping.keys]
+    kept += [getattr(a, name) for a in (mapping.matrix, mapping.transpose)
+             for name in ("data", "indices", "indptr")]
+    kept += [getattr(b, name) for b in mapping.blocks for name in ("reps", "columns", "share", "last")]
+    assert peak <= 7 * 2**20
+    assert sum(array.nbytes for array in kept) < 2**20
 
 
 def test_integral_map_is_shared_and_read_only():

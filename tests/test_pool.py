@@ -764,6 +764,31 @@ def test_landscape_rows_do_not_depend_on_the_chunk_size(rng, monkeypatch, pictur
         assert cut_landscapes(graph, theta, where, gate_sets).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+@pytest.mark.parametrize("cutoff", [None, 4])
+def test_landscape_rows_do_not_depend_on_the_block_size(rng, monkeypatch, picture, cutoff):
+    """A random 8-mode graph scored with the 4-orbital pool: the rows at
+    the front, inside the body and at the back are equal with ``_BLOCK``
+    at its default, 2^6 (many chunks everywhere) and 2^18 (one chunk even
+    for the exact Schrodinger front's 2e5 paths), since every pattern of a
+    row sums in one chunk."""
+    h = inst.random_molecular_hamiltonian(N, rng)
+    circuit = inst.random_circuit(N, 12, rng)
+    graph = build_surrogate(h, circuit, OCC, TruncationPolicy(length_cutoff=cutoff), picture)
+    pool = build_majoranic_pool(N // 2, 2)
+    cuts = ("front", len(circuit) // 2, "back")
+
+    def rows():
+        return [surrogate.landscape_rows(graph, circuit.params, where, pool.generators, pool.signs)
+                for where in cuts]
+
+    expected = rows()
+    for block in (1 << 6, 1 << 18):
+        monkeypatch.setattr(surrogate, "_BLOCK", block)
+        for got, want in zip(rows(), expected):
+            assert np.array_equal(got, want)
+
+
 def test_the_pool_is_shared_and_read_only():
     """The same arguments give the same pool object: an immutable tuple of
     candidates whose generator and sign arrays refuse writes."""
