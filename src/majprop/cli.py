@@ -130,6 +130,7 @@ def run(fcidump_path, config_path, out_dir, cutoff, picture, iterations,
         f"final energy {result.energy:.12f} after "
         f"{len(result.trajectory) - 1} iterations"
     )
+    click.echo(f"stopped on {result.stop}")
     for row in result.trajectory:
         if not row.opt_converged:
             click.echo(f"warning: iteration {row.iteration}: the optimizer stopped unconverged "

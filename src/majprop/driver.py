@@ -469,7 +469,10 @@ class AdaptResult:
     ``scipy.sparse``, and the baseline row's ``optimize_s`` loading
     ``scipy.optimize`` (about 0.17 and 0.23 s on a 2-CPU Xeon VM), since
     each loads with its first use.  ``pool`` is that shared, immutable pool.
-    The first graph build is the baseline row's ``insert_s``.
+    The first graph build is the baseline row's ``insert_s``.  ``stop`` says
+    which exit ended the loop: "max_iterations", "improvement_floor" (the
+    best candidate's achievable improvement fell under the floor) or
+    "empty_pool" (no candidate left to score).
     """
 
     energy: float
@@ -483,6 +486,7 @@ class AdaptResult:
     rotation_spec: list[tuple[int, int, str, int]]
     tensors: IntegralTensors
     config: RunConfig
+    stop: str
     setup: dict[str, float] = field(default_factory=dict)
 
     def circuit_json(self) -> str:
@@ -537,8 +541,9 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
     the body; then every iteration checks the budget, reoptimizes
     everything and records one row.  The new angle starts at zero after
     gradient scoring and at the landscape fit's optimum after GGF scoring.
-    The loop stops after max_iterations, or as soon as the selected
-    candidate's achievable improvement falls under ``_IMPROVEMENT_FLOOR``.
+    The loop stops after max_iterations, as soon as the selected
+    candidate's achievable improvement falls under ``_IMPROVEMENT_FLOOR``,
+    or when no candidate is left to score; ``AdaptResult.stop`` says which.
     """
     start = time.perf_counter()
     n_spatial = tensors.n_spatial
@@ -563,6 +568,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
     trajectory = Trajectory()
     theta, hess_inv = np.zeros(n_rot_slots), None
     active = list(range(len(pool)))
+    stop = "max_iterations"
     for iteration in range(config.max_iterations + 1):
         tic = time.perf_counter()
         if iteration:
@@ -570,6 +576,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
             full_pool = refresh or config.trim_tau is None
             indices = list(range(len(pool))) if full_pool else active
             if not indices:
+                stop = "empty_pool"
                 break
             use_gradient = config.selection == "gradient" or (
                 config.selection == "mixed" and refresh
@@ -587,6 +594,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
                 )
             best = rank_candidates(scores, larger_is_better=use_gradient)[0]
             if abs(best.improvement) < _IMPROVEMENT_FLOOR:
+                stop = "improvement_floor"
                 break
 
             candidate = pool.candidates[best.index]
@@ -645,5 +653,6 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
         rotation_spec=rotation_spec,
         tensors=tensors,
         config=config,
+        stop=stop,
         setup=setup,
     )

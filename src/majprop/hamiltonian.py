@@ -126,33 +126,30 @@ def ladder_product(ops: Sequence[tuple[int, bool]]) -> dict[int, complex]:
 
 
 def assemble_operator(
-    parts: Sequence[tuple[np.ndarray, np.ndarray]], n_modes: int, prune: float = _PRUNE
+    parts: Sequence[tuple[np.ndarray, np.ndarray]], n_modes: int
 ) -> SparseOperator:
     """Merge (keys, complex coefficients) parts into a real SparseOperator.
 
     Hermitian combinations of ladder terms always cancel their imaginary
     parts on the canonical monomial basis; a residual above roundoff means
-    the accumulated operator was not Hermitian.
+    the accumulated operator was not Hermitian.  Terms at or below 1e-14
+    are dropped.
     """
     keys, real, imag = _merge(parts)
     scale = max(1.0, float(np.abs(real + 1j * imag).max(initial=0.0)))
     worst = float(np.abs(imag).max(initial=0.0))
     if worst > 1e-10 * scale:
         raise ValueError(f"non-Hermitian accumulation: imaginary residue {worst:.3e}")
-    keep = np.abs(real) > prune
-    return SparseOperator(n_modes, keys[keep], real[keep])
+    return _operator(n_modes, keys, real)
 
 
-def build_majorana_hamiltonian(
-    t: IntegralTensors | DressedHamiltonian, mapping: IntegralMap | None = None
-) -> SparseOperator:
+def build_majorana_hamiltonian(t: IntegralTensors | DressedHamiltonian) -> SparseOperator:
     """Expand H = E_core + sum h_pq a+_p a_q + 1/2 sum (ij|kl) a+ a+ a a.
 
     The two-electron part uses the chemist-ordered integrals directly:
     (ij|kl) weighs a+_{i s1} a+_{k s2} a_{l s2} a_{j s1} over all
     spin-sector pairs.  The coefficients are the :class:`IntegralMap` of
-    ``t``'s size applied to its unique entries; ``mapping`` passes one
-    already built (a shared map needs restricted integrals).  A
+    ``t``'s size applied to its unique entries.  A
     :class:`DressedHamiltonian` in place of the integrals gives its
     Hamiltonian at zero angles from the coefficients it already holds,
     without applying the map again.  Terms at or below 1e-14 are dropped.
@@ -161,8 +158,7 @@ def build_majorana_hamiltonian(
     """
     if isinstance(t, DressedHamiltonian):
         return _operator(t.n_modes, t.keys, t.coeffs)
-    if mapping is None:
-        mapping = integral_map(t.n_spatial, t.is_restricted)
+    mapping = integral_map(t.n_spatial, t.is_restricted)
     return _operator(2 * t.n_spatial, mapping.keys, mapping.matrix @ mapping.entries(t))
 
 

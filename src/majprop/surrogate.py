@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -494,6 +494,36 @@ def _forward(
     return v
 
 
+def _backward(
+    steps: Iterable[_Step],
+    w: np.ndarray,
+    params: np.ndarray,
+    gathers: Iterator[np.ndarray] | None = None,
+) -> np.ndarray | None:
+    """Pull the weights ``w`` back through ``steps``, given last first, at
+    the given angles, in place: the adjoint of :func:`_forward`.
+
+    ``p`` pairs the entries off, so the sine branches landing on z carry
+    back to their partners through ``p`` itself.  With ``gathers``, the
+    inputs a forward pass gathered (also last first), returns the gradient:
+    the derivative of a gate is two dot products between its inputs and
+    the adjoint's cosine and sine parts, accumulated into the gate's slot
+    (shared slots sum by the chain rule).
+    """
+    angles = params.tolist()
+    grad = None if gathers is None else np.zeros(params.size)
+    for step in steps:
+        theta = angles[step.slot]
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        w_z = w[step.z]
+        w_p = (step.sw * w_z)[step.p]
+        w[step.z] = cos_t * w_z + sin_t * w_p
+        if grad is not None:
+            g = next(gathers)
+            grad[step.slot] += cos_t * g.dot(w_p) - sin_t * g.dot(w_z)
+    return grad
+
+
 def eval_energy(graph: SurrogateGraph, params: np.ndarray) -> float:
     """Energy at the given angles from one forward pass over the pruned graph."""
     params = _check_params(graph, params)
@@ -515,26 +545,17 @@ def _sweep_gradient(
 ) -> tuple[float, np.ndarray]:
     """Energy and gradient from a forward pass and an in-place backward adjoint.
 
-    The derivative of gate k is two dot products between the inputs the
-    forward pass gathered and the adjoint's cosine and sine parts,
-    accumulated into the gate's slot (shared slots sum by the chain rule).
     A dressed Hamiltonian's angles get the pullback of dE/d(coefficients):
     the adjoint on the source layer (Heisenberg), or 2^n times the forward
     vector at the sink (Schrodinger).
     """
     coeffs, pullback = sweep.hamiltonian.linearize(params)
     source, sink = _ends(graph, sweep, coeffs)
-    grad = np.zeros(params.size)
     gathers: list = []
     v = _forward(source, sweep.steps, params, gathers)
     energy = float(np.dot(v, sink))
     w = sink.copy()
-    angles = params.tolist()
-    for step, g in zip(reversed(sweep.steps), reversed(gathers)):
-        theta = angles[step.slot]
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-        w_z, w_p = _adjoint_step(step, w, cos_t, sin_t)
-        grad[step.slot] += cos_t * g.dot(w_p) - sin_t * g.dot(w_z)
+    grad = _backward(reversed(sweep.steps), w, params, reversed(gathers))
     if pullback is not None:
         dcoeffs = np.zeros(coeffs.size)
         if graph.picture == "heisenberg":
@@ -543,19 +564,6 @@ def _sweep_gradient(
             dcoeffs[sweep.ham_of] = (2.0**graph.n_modes) * v[sweep.ham_at]
         grad += pullback(dcoeffs)
     return energy, grad
-
-
-def _adjoint_step(
-    step: _Step, w: np.ndarray, cos_t: float, sin_t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pull the weights on a step's output keys back onto its input keys,
-    in place.  ``p`` pairs the entries off, so the sine branches landing on
-    z carry back to their partners through ``p`` itself.  Returns the
-    weights on z and the signed weights each entry's partner passes back."""
-    w_z = w[step.z]
-    w_p = (step.sw * w_z)[step.p]
-    w[step.z] = cos_t * w_z + sin_t * w_p
-    return w_z, w_p
 
 
 def _cut(graph: SurrogateGraph, where: Literal["front", "back"] | int) -> tuple[int, int]:
@@ -642,9 +650,7 @@ def _far_weights(
     """
     last, _, _, steps, _ = _record(graph, keys, keys, np.arange(keys.size, dtype=np.int32), gates)
     w = _sink_weights(graph, last, coeffs)
-    for step in reversed(steps):
-        theta = params[step.slot]
-        _adjoint_step(_widened(step), w, math.cos(theta), math.sin(theta))
+    _backward(map(_widened, reversed(steps)), w, params)
     return w[: keys.size]
 
 

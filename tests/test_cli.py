@@ -46,6 +46,7 @@ def test_run_writes_trajectory_and_circuit(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "final energy" in out
+    assert "stopped on improvement_floor" in out  # H2 stalls after one gate
     rows = _read_rows(tmp_path / "trajectory.csv")
     assert [r["iteration"] for r in rows] == [str(i) for i in range(len(rows))]
     energies = [float(r["energy"]) for r in rows]

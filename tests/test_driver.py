@@ -417,6 +417,19 @@ def test_k_zero_records_only_the_baseline():
     assert result.energy <= ref["e_hf"] + 1e-10
 
 
+def test_stop_names_the_exit_the_loop_took():
+    """The iteration budget, the improvement floor (H4 exact at back
+    placement stalls at 14 gates) and an empty pool (every orbital
+    occupied) each end a run under their own name."""
+    h4, _ = _fixture("h4_chain_r20")
+    assert run_adapt_vmpe(h4, RunConfig(max_iterations=0)).stop == "max_iterations"
+    stalled = run_adapt_vmpe(h4, RunConfig(max_iterations=30, cutoff=None, placement="back"))
+    assert (stalled.stop, len(stalled.trajectory) - 1) == ("improvement_floor", 14)
+    full = inst.random_restricted_integrals(2, np.random.default_rng(0), n_electrons=4)
+    empty = run_adapt_vmpe(full, RunConfig(max_iterations=3))
+    assert (empty.stop, len(empty.pool), len(empty.trajectory)) == ("empty_pool", 0, 1)
+
+
 def test_exhausted_optimizer_budget_is_reported():
     tensors, _ = _fixture("h4_chain_r20")
     rows = {

@@ -198,9 +198,9 @@ def test_integral_map_refuses_integrals_it_cannot_read(rng):
     integrals' index symmetry, since it reads one entry per orbit."""
     uhf = _systems(rng)["uhf"]
     with pytest.raises(ValueError, match="cannot read"):
-        build_majorana_hamiltonian(uhf, integral_map(3, True))
+        integral_map(3, True).entries(uhf)
     with pytest.raises(ValueError, match="cannot read"):
-        build_majorana_hamiltonian(uhf, integral_map(4, False))
+        integral_map(4, False).entries(uhf)
     lopsided = _h4()
     lopsided.h1 = lopsided.h1 + np.triu(np.ones((4, 4)), 1)
     with pytest.raises(ValueError, match="symmetry"):
