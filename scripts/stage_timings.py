@@ -1,10 +1,8 @@
 #!/usr/bin/env python3
 """Time majprop stage by stage, on the benchmark workloads or on one FCIDUMP.
 
-With BLAS threads pinned to 1, each subcommand runs every benchmark
-workload's seed-1 input (perfbench's workloads and sign gauge), or with
-``--fcidump`` one system (say an H8 chain from ``scripts/make_fixtures.py``)
-in a GGF run of ``--iterations`` at the first of ``--cutoffs`` (0: none):
+With BLAS threads pinned to 1, ``insertion`` times an H8 chain, the others each
+benchmark workload's seed-1 input; ``--fcidump`` times one other system instead:
 
     python3 scripts/stage_timings.py start --processes 9
     python3 scripts/stage_timings.py cuts --calls 5 --rows rows.npz
@@ -16,7 +14,6 @@ import argparse
 import json
 import os
 import resource
-import statistics
 import subprocess
 import sys
 import time
@@ -29,12 +26,14 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 CACHE = ROOT / "perfbench" / ".cache"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-from majprop import RunConfig, parse_fcidump, run_adapt_vmpe  # noqa: E402
+from majprop import RunConfig, build_majoranic_pool, parse_fcidump, run_adapt_vmpe  # noqa: E402
 from majprop.hamiltonian import integral_map  # noqa: E402
-from majprop.pool import build_majoranic_pool  # noqa: E402
 from majprop.surrogate import cut_landscapes, eval_energy_and_gradient  # noqa: E402
-from workloads import WORKLOADS, write_input  # noqa: E402
 
+SHARED = {  # options that more than one subcommand reads
+    "--calls": dict(type=int, default=5, help="timed calls per figure"),
+    "--iterations": dict(type=int, default=30, help="GGF iterations of the --fcidump or H8 run"),
+    "--fcidump": dict(type=Path, help="time this system instead of the default ones")}
 SLOW_S = 1.0  # a warm-up call slower than this is followed by one timed call
 MAP_CALLS = 5  # map builds are slower; fewer of them
 # the workloads' inner cuts (gate indices); m20_grad has one gate
@@ -50,12 +49,13 @@ RECORD = ("{iterations} iterations in {wall_s:.2f} s  score {score_s:.2f} s  ins
           " {full_entries} full, {pruned_entries} pruned  peak RSS {peak_rss_mib:.0f} MiB")
 
 
-def systems(args):
-    """(name, FCIDUMP path, run configuration) of each system to time."""
-    if args.fcidump is not None:
-        yield args.fcidump.stem, args.fcidump, dict(max_iterations=args.iterations,
-                                                     cutoff=args.cutoffs[0] or None)
+def systems(fcidump=None, **config):
+    """(name, FCIDUMP path, run configuration) of each workload, or of ``fcidump``."""
+    if fcidump is not None:
+        yield fcidump.stem, fcidump, config
         return
+    # perfbench's modules load here, so that insertion's child does without them
+    from workloads import WORKLOADS, write_input
     for name, workload in WORKLOADS.items():
         yield name, write_input(workload, 1, ROOT, CACHE)[0], workload.config
 
@@ -77,20 +77,19 @@ def median_ms(call, calls: int) -> tuple[float, int]:
         tic = time.perf_counter()
         call()
         seconds.append(time.perf_counter() - tic)
-    return 1e3 * statistics.median(seconds), calls
+    return 1e3 * np.median(seconds), calls
 
 
 def start(args) -> None:
     """Time what a fresh interpreter pays to start majprop, one command at a time.
 
-    The median over ``--processes`` fresh processes, in turns, of ``import
-    majprop``, of it plus ``parse_fcidump`` of each input (the benchmark's
-    ``setup_s``), of two CLI calls and of one run per input (which pays
-    every import deferred to first use)."""
+    The median over ``--processes`` fresh processes, in turns, of ``import majprop``,
+    of it plus ``parse_fcidump`` of each input (the benchmark's ``setup_s``), of two
+    CLI calls and of one run per input (which pays every import deferred to first use)."""
     if args.processes < 1:
         sys.exit("start: --processes must be at least 1")
     src = str(ROOT / "src")
-    inputs = [(name, str(path), json.dumps(config)) for name, path, config in systems(args)]
+    inputs = [(name, str(path), json.dumps(config)) for name, path, config in systems()]
     timed = [
         ("import majprop", ["-c", IMPORT, src]),
         *((f"import + parse {name}", ["-c", PARSE, src, path]) for name, path, _ in inputs),
@@ -107,7 +106,7 @@ def start(args) -> None:
             seconds[label].append(time.perf_counter() - tic)
     print(f"{'command':44s} {'median ms':>10s}  ({args.processes} processes each)")
     for label, values in seconds.items():
-        print(f"{label:44s} {1e3 * statistics.median(values):10.0f}")
+        print(f"{label:44s} {1e3 * np.median(values):10.0f}")
 
 
 def cuts(args) -> None:
@@ -118,7 +117,8 @@ def cuts(args) -> None:
     every landscape row, so that two checkouts can be compared row by row."""
     rows = {}
     warm_up()
-    for name, path, config in systems(args):
+    for name, path, config in systems(args.fcidump, max_iterations=args.iterations,
+                                      cutoff=args.cutoff or None):
         tensors = parse_fcidump(path.read_text())
         tic = time.perf_counter()
         result = run_adapt_vmpe(tensors, RunConfig(**config))
@@ -145,7 +145,7 @@ def dressing(args) -> None:
     sweep's dressed Hamiltonian, and one ``eval_energy_and_gradient``."""
     print(f"{'workload':9s} {'cold call':>10s} {'warm call':>10s} {'rows read':>13s}"
           f" {'map build':>10s} {'dressing':>9s} {'eval+grad':>10s}  (ms)")
-    for name, path, config in systems(args):
+    for name, path, config in systems():
         tensors = parse_fcidump(path.read_text())
         calls_ms = []
         integral_map.cache_clear()
@@ -169,9 +169,8 @@ def dressing(args) -> None:
 def insertion(args) -> None:
     """Time graph insertion, one fresh process per cutoff.
 
-    The system defaults to the H8 chain at 2.0 Angstrom (STO-3G, no CI).
-    Each cutoff's run follows the H2 warm-up in its own process, one at a
-    time: an exact H8 run takes several GiB."""
+    The system defaults to the H8 chain at 2.0 Angstrom (STO-3G, no CI). Cutoffs run one
+    at a time, each in a fresh process after the H2 warm-up: exact H8 takes several GiB."""
     if args.child is not None:
         warm_up()
         tensors = parse_fcidump(args.fcidump.read_text())
@@ -210,21 +209,21 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     subcommands = parser.add_subparsers(required=True)
 
-    def add(func, calls=5, cutoffs=(6,)):
+    def add(func, *shared):
         sub = subcommands.add_parser(func.__name__, help=func.__doc__.splitlines()[0],
                                      description=func.__doc__)
-        sub.add_argument("--calls", type=int, default=calls, help="timed calls per figure")
-        sub.add_argument("--iterations", type=int, default=30, help="per --fcidump or H8 run")
-        sub.add_argument("--cutoffs", type=int, nargs="+", default=cutoffs,
-                         help="0: none; insertion runs each, the others the first")
-        sub.add_argument("--fcidump", type=Path, help="time this system instead")
+        for option in shared:
+            sub.add_argument(option, **SHARED[option])
         sub.set_defaults(func=func)
         return sub
 
     add(start).add_argument("--processes", type=int, default=9)
-    add(cuts).add_argument("--rows", type=Path, help="save the landscape rows here (.npz)")
-    add(dressing, calls=200)
-    timed = add(insertion, cutoffs=(6, 8, 0))
+    timed = add(cuts, "--calls", "--iterations", "--fcidump")
+    timed.add_argument("--cutoff", type=int, default=6, help="with --fcidump; 0: none")
+    timed.add_argument("--rows", type=Path, help="save the landscape rows here (.npz)")
+    add(dressing, "--calls").set_defaults(calls=200)
+    timed = add(insertion, "--iterations", "--fcidump")
+    timed.add_argument("--cutoffs", type=int, nargs="+", default=[6, 8, 0], help="0: none")
     timed.add_argument("--json", type=Path, help="also write the records here")
     timed.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()

@@ -2,6 +2,7 @@
 system gives (each call runs the script in a fresh process)."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +34,7 @@ def h4_run():
 
 def test_cuts_saves_the_rows_of_an_in_process_run(tmp_path, h4_run):
     rows = tmp_path / "rows.npz"
-    out = _harness("cuts", "--fcidump", H4, "--iterations", 3, "--cutoffs", 0, "--calls", 1,
+    out = _harness("cuts", "--fcidump", H4, "--iterations", 3, "--cutoff", 0, "--calls", 1,
                    "--rows", rows)
     assert out.startswith("h4_chain_r20: 3 iterations in")
     graph, params = h4_run.graph, h4_run.params
@@ -60,12 +61,22 @@ def test_insertion_reports_the_counts_of_an_in_process_run(tmp_path, h4_run):
 
 
 def test_start_prints_one_line_per_command():
-    lines = _harness("start", "--fcidump", FIXTURES / "h2_sto3g.fcidump", "--processes", 1)
-    labels = [line[:44].rstrip() for line in lines.splitlines()[1:]]
+    # the workloads' runs take seconds each; the H2 fixture stands in for them
+    code = ("import sys; sys.path.insert(0, sys.argv.pop(1)); import stage_timings as s;"
+            " s.systems = lambda: [('h2_sto3g', s.ROOT / 'tests/fixtures/h2_sto3g.fcidump', {})];"
+            " s.main()")
+    argv = [sys.executable, "-c", code, str(CHECKOUT / "scripts"), "start", "--processes", "1"]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120)
+    labels = [line[:44].rstrip() for line in done.stdout.splitlines()[1:]]
     assert labels == ["import majprop", "import + parse h2_sto3g", "majprop --help",
                       "majprop pool-info --occupied 2 --virtual 2", "run h2_sto3g"]
 
 
-@pytest.mark.parametrize("subcommand", ["start", "cuts", "dressing", "insertion"])
-def test_every_subcommand_has_help(subcommand):
-    assert "--fcidump" in _harness(subcommand, "--help")
+@pytest.mark.parametrize("subcommand, options", [
+    ("start", ["--processes"]),
+    ("cuts", ["--calls", "--iterations", "--fcidump", "--cutoff", "--rows"]),
+    ("dressing", ["--calls"]),
+    ("insertion", ["--iterations", "--fcidump", "--cutoffs", "--json"]),
+])
+def test_every_subcommand_has_help_with_only_the_options_it_reads(subcommand, options):
+    assert re.findall(r"\[(--[a-z]+)", _harness(subcommand, "--help")) == options
