@@ -12,6 +12,11 @@ Everything in here is branch-free numpy on arrays; generators ``gamma``
 broadcast against the keys (gamma = 0 is the identity).  The scalar
 reference implementations live in :mod:`majprop.monomials` and the two are
 cross-checked in the test suite.
+
+:func:`summed` is the package's one sum by key: the propagation step,
+:class:`operators.SparseOperator`, the Hamiltonian assembly and the
+integral map all merge duplicate keys through it, adding each key's values
+in input order.
 """
 
 from __future__ import annotations
@@ -123,9 +128,33 @@ def _expand_occupation(occupation: int) -> int:
     return out
 
 
-def sort_canonical(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort key/coefficient arrays by key, merging duplicate keys by summation."""
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    merged = np.zeros(uniq.shape, dtype=np.float64)
-    np.add.at(merged, inverse, coeffs)
-    return uniq, merged
+def run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries starts, in arrays sorted together:
+    the positions at which any of ``keys`` differs from the entry before."""
+    start = np.ones(keys[0].size, bool)
+    start[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
+    return np.flatnonzero(start)
+
+
+def summed(values: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sum real or complex ``values`` over equal tuples of ``keys``: returns
+    the sums, then the distinct tuples in ascending order (the first key
+    array most significant), in the order of the arguments.
+
+    One stable lexsort, the run starts, and one ``np.bincount`` over run
+    ids for the real part and one for the imaginary part, so each sum is
+    added in input order.
+    """
+    order = np.lexsort(keys[::-1])
+    keys = tuple(k[order] for k in keys)
+    values = values[order]
+    first = run_starts(*keys)
+    run = np.zeros(values.size, np.int64)
+    run[first[1:]] = 1
+    run = np.cumsum(run)
+    # bincount gives int64 for no entries, float64 otherwise
+    sums = np.bincount(run, weights=values.real, minlength=first.size).astype(float, copy=False)
+    if np.iscomplexobj(values):
+        sums = sums.astype(complex)
+        sums.imag = np.bincount(run, weights=values.imag, minlength=first.size)
+    return sums, *(k[first] for k in keys)

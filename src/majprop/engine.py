@@ -264,9 +264,9 @@ def _gate_step(
         * coeffs[anti]
     )
     keep = policy.survivor_mask(cand_keys)
-    merged_keys, merged_coeffs = _kernels.sort_canonical(
-        np.concatenate([keys, cand_keys[keep]]),
+    merged_coeffs, merged_keys = _kernels.summed(
         np.concatenate([out_coeffs, cand_coeffs[keep]]),
+        np.concatenate([keys, cand_keys[keep]]),
     )
     if policy.hygiene_eps > 0:
         live = np.abs(merged_coeffs) >= policy.hygiene_eps

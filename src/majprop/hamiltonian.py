@@ -11,7 +11,7 @@ Every term is expanded in its normal-ordered form (a+_p a_q for one body,
 a+ a+ a a for two) by one batched kernel, :func:`ladder_terms`: a whole
 block of weighted ladder strings is multiplied out one Majorana factor at a
 time on uint64 keys, with the phase tracked exactly as a power of i.  The
-blocks are then merged by key in a single pass.
+blocks' terms are then summed by key with :func:`_kernels.summed`.
 
 The coefficients are linear in the integrals, so one sparse
 :class:`IntegralMap` from the unique integral entries to the coefficients
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from .integrals import IntegralTensors, check_rotation, rotation_matrix
+from .integrals import IntegralTensors, check_rotation, index_symmetries, rotation_matrix
 from .operators import SparseOperator
 
 if TYPE_CHECKING:
@@ -102,18 +102,6 @@ def ladder_terms(
     return keys.ravel(), values.ravel()
 
 
-def _merge(
-    parts: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted unique keys with the summed real and imaginary coefficients."""
-    keys = np.concatenate([k for k, _ in parts])
-    values = np.concatenate([v for _, v in parts])
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    real = np.bincount(inverse, weights=values.real, minlength=uniq.size)
-    imag = np.bincount(inverse, weights=values.imag, minlength=uniq.size)
-    return uniq, real, imag
-
-
 def ladder_product(ops: Sequence[tuple[int, bool]]) -> dict[int, complex]:
     """Majorana expansion of one product of ladder operators.
 
@@ -121,8 +109,9 @@ def ladder_product(ops: Sequence[tuple[int, bool]]) -> dict[int, complex]:
     first).  Returns a map from monomial bitmask to its nonzero complex
     coefficient.
     """
-    keys, real, imag = _merge([ladder_terms([[m for m, _ in ops]], [d for _, d in ops], [1.0])])
-    return {int(k): complex(re, im) for k, re, im in zip(keys, real, imag) if re or im}
+    keys, values = ladder_terms([[m for m, _ in ops]], [d for _, d in ops], [1.0])
+    values, keys = _kernels.summed(values, keys)
+    return {int(k): complex(v) for k, v in zip(keys, values) if v}
 
 
 def assemble_operator(
@@ -135,12 +124,13 @@ def assemble_operator(
     the accumulated operator was not Hermitian.  Terms at or below 1e-14
     are dropped.
     """
-    keys, real, imag = _merge(parts)
-    scale = max(1.0, float(np.abs(real + 1j * imag).max(initial=0.0)))
-    worst = float(np.abs(imag).max(initial=0.0))
+    keys, values = (np.concatenate(part) for part in zip(*parts))
+    values, keys = _kernels.summed(values, keys)
+    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
+    worst = float(np.abs(values.imag).max(initial=0.0))
     if worst > 1e-10 * scale:
         raise ValueError(f"non-Hermitian accumulation: imaginary residue {worst:.3e}")
-    return _operator(n_modes, keys, real)
+    return _operator(n_modes, keys, values.real)
 
 
 def build_majorana_hamiltonian(t: IntegralTensors | DressedHamiltonian) -> SparseOperator:
@@ -169,16 +159,6 @@ def _operator(n_modes: int, keys: np.ndarray, coeffs: np.ndarray) -> SparseOpera
 
 
 # ---- the integral map and the dressed Hamiltonian ------------------------------
-
-
-def _symmetries(spins: str) -> list[tuple[int, ...]]:
-    """Index permutations that leave a block's integrals unchanged: h1
-    pairs, the 8-fold (ij|kl) orbits of a same-spin block, and the 4-fold
-    orbits of the mixed block, symmetric within each pair only."""
-    if len(spins) == 1:
-        return [(0, 1), (1, 0)]
-    within = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)]
-    return within if spins == "ab" else within + [perm[2:] + perm[:2] for perm in within]
 
 
 @dataclass(frozen=True)
@@ -234,7 +214,7 @@ class IntegralMap:
         parts = [np.array([t.core_energy])]
         for block in self.blocks:
             tensor = _tensor(t, block.spins)
-            for perm in _symmetries(block.spins):
+            for perm in index_symmetries(block.spins):
                 if not np.allclose(tensor.transpose(perm), tensor, rtol=0.0, atol=1e-10):
                     raise ValueError(f"the {block.spins} integrals lack their index symmetry")
             parts.append(tensor.ravel()[block.reps])
@@ -270,38 +250,19 @@ def _read_only(*arrays: np.ndarray | scipy.sparse.csr_array) -> None:
             array.flags.writeable = False
 
 
-def _run_starts(*arrays: np.ndarray) -> np.ndarray:
-    """Where each run of equal entries starts, in arrays sorted together:
-    the positions at which any of ``arrays`` differs from the entry before."""
-    start = np.ones(arrays[0].size, bool)
-    start[1:] = np.logical_or.reduce([a[1:] != a[:-1] for a in arrays])
-    return np.flatnonzero(start)
-
-
-def _summed(
-    keys: np.ndarray, columns: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (key, column) pairs in ascending order, key first, with
-    the sum of their ``values``: one lexsort and one ``np.add.reduceat``."""
-    order = np.lexsort((columns, keys))
-    keys, columns, values = keys[order], columns[order], values[order]
-    first = _run_starts(keys, columns)
-    return keys[first], columns[first], np.add.reduceat(values, first)
-
-
 def _expanded(
     modes: np.ndarray, daggers: Sequence[bool], weights: np.ndarray,
     columns: np.ndarray, hermitian: np.ndarray,
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """One use of a block: the real parts of its tuples' expansions summed
     per (key, column), and the imaginary parts of its self-conjugate
-    tuples' terms, as (keys, columns, values)."""
+    tuples' terms, as (values, keys, columns)."""
     keys, values = ladder_terms(modes, daggers, weights)
     columns = np.repeat(columns.astype(np.int32), 1 << len(daggers))
     real = values.real != 0.0
     imag = np.repeat(hermitian, 1 << len(daggers)) & (values.imag != 0.0)
-    return (_summed(keys[real], columns[real], values.real[real]),
-            (keys[imag], columns[imag], values.imag[imag]))
+    return (_kernels.summed(values.real[real], keys[real], columns[real]),
+            (values.imag[imag], keys[imag], columns[imag]))
 
 
 @functools.lru_cache(maxsize=_CACHED_MAPS)
@@ -343,16 +304,16 @@ def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
     else:
         layout = [("a", [("a", 1.0)]), ("b", [("b", 1.0)]), ("aa", [("aa", 0.5)]),
                   ("bb", [("bb", 0.5)]), ("ab", [("ab", 1.0)])]
-    # summed (key, column, value) runs: the core energy is the identity's
+    # summed (value, key, column) runs: the core energy is the identity's
     # column 0; ``residue`` holds the self-conjugate tuples' imaginary parts
-    runs = [(np.zeros(1, np.uint64), np.zeros(1, np.int32), np.ones(1))]
+    runs = [(np.ones(1), np.zeros(1, np.uint64), np.zeros(1, np.int32))]
     residue = []
     blocks, start = [], 1
     for name, uses in layout:
         dims = (n,) * 2 * len(name)
         idx = np.indices(dims).reshape(len(dims), -1).T
         orbit = np.minimum.reduce([
-            np.ravel_multi_index(idx[:, list(perm)].T, dims) for perm in _symmetries(name)
+            np.ravel_multi_index(idx[:, list(perm)].T, dims) for perm in index_symmetries(name)
         ])
         reps, col = np.unique(orbit, return_inverse=True)
         at = np.unravel_index(reps, dims)
@@ -381,13 +342,13 @@ def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
         blocks.append(_Block(name, reps, start + col, 1.0 / np.bincount(col)[col], last))
         _read_only(blocks[-1].reps, blocks[-1].columns, blocks[-1].share, last)
         start += reps.size
-    _, _, imag = _summed(*(np.concatenate(part) for part in zip(*residue)))
+    imag, *_ = _kernels.summed(*(np.concatenate(part) for part in zip(*residue)))
     if np.abs(imag).max(initial=0.0) > 1e-12:
         raise ValueError("an integral orbit expands to a non-Hermitian term")
-    keys, columns, values = _summed(*(np.concatenate(part) for part in zip(*runs)))
+    values, keys, columns = _kernels.summed(*(np.concatenate(part) for part in zip(*runs)))
     kept = values != 0.0
     keys, columns, values = keys[kept], columns[kept], values[kept]
-    rows = _run_starts(keys)
+    rows = _kernels.run_starts(keys)
     indptr = np.append(rows, keys.size).astype(np.int32)
 
     import scipy.sparse

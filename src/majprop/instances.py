@@ -89,25 +89,14 @@ def random_restricted_integrals(
     total spin, which is what the overlap-bound machinery assumes of its
     inputs.  Returns an ``IntegralTensors``.
     """
-    from .integrals import IntegralTensors
+    from .integrals import IntegralTensors, index_symmetries
 
     if n_electrons is None:
         n_electrons = n_spatial
     h1 = rng.normal(size=(n_spatial, n_spatial))
     h1 = 0.5 * (h1 + h1.T)
     raw = rng.normal(size=(n_spatial,) * 4) * 0.25
-    # full real-orbital symmetry group of (pq|rs) electron-repulsion integrals
-    perms = [
-        (0, 1, 2, 3),
-        (1, 0, 2, 3),
-        (0, 1, 3, 2),
-        (1, 0, 3, 2),
-        (2, 3, 0, 1),
-        (3, 2, 0, 1),
-        (2, 3, 1, 0),
-        (3, 2, 1, 0),
-    ]
-    h2 = sum(raw.transpose(p) for p in perms) / 8.0
+    h2 = sum(raw.transpose(perm) for perm in index_symmetries("aa")) / 8.0
     return IntegralTensors(
         core_energy=float(rng.normal()), h1=h1, h2=h2, n_electrons=n_electrons
     )

@@ -6,19 +6,26 @@ mixed-spin blocks for unrestricted problems.  Unrestricted files follow the
 common multi-section convention: ``UHF=.TRUE.`` in the header and the
 aa-ERI, bb-ERI, ab-ERI, alpha-h1, beta-h1 and core sections separated by
 ``0.0 0 0 0 0`` delimiter lines.
+
+:func:`index_symmetries` is the one statement of the blocks' index
+symmetry: the parser stores each line on its whole orbit, the writer
+writes one entry per orbit, and the integral map of
+:mod:`majprop.hamiltonian` and the random instances read it too.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "IntegralTensors",
     "FcidumpError",
+    "index_symmetries",
     "parse_fcidump",
     "emit_fcidump",
     "dress_integrals",
@@ -91,6 +98,25 @@ class IntegralTensors:
         raise ValueError(f"unknown spin-sector pair {sectors!r}")
 
 
+def index_symmetries(spins: str) -> list[tuple[int, ...]]:
+    """Index permutations that leave an integral block unchanged, the
+    identity first: ``tensor.transpose(perm)`` equals the tensor for each.
+
+    A one-body block ("a", "b") has (pq) = (qp).  A same-spin two-body
+    block ("aa", "bb") has the 8-fold symmetry of real orbitals (Knowles and
+    Handy, Comput. Phys. Commun. 54, 75 (1989)): (ij|kl) = (ji|kl) = (ij|lk)
+    = (kl|ij) and their products.  The mixed block ("ab") keeps the 4-fold
+    symmetry within each pair only.
+    """
+    if len(spins) == 1:
+        return [(0, 1), (1, 0)]
+    within = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)]
+    if spins[0] != spins[1]:
+        return within
+    # the same four with the pairs swapped: (kl|ij), (lk|ij), (kl|ji), (lk|ji)
+    return within + [tuple((axis + 2) % 4 for axis in perm) for perm in within]
+
+
 # ---- FCIDUMP parsing --------------------------------------------------------
 
 
@@ -141,25 +167,9 @@ def parse_fcidump(text: str) -> IntegralTensors:
     core = 0.0
     # unrestricted section order: aa ERI, bb ERI, ab ERI, alpha h1, beta h1, core
     section = 0
-
-    def _store_h2(tensor: np.ndarray, i: int, j: int, k: int, l: int, v: float) -> None:
-        for a, b, c, d in (
-            (i, j, k, l),
-            (j, i, k, l),
-            (i, j, l, k),
-            (j, i, l, k),
-            (k, l, i, j),
-            (l, k, i, j),
-            (k, l, j, i),
-            (l, k, j, i),
-        ):
-            tensor[a - 1, b - 1, c - 1, d - 1] = v
-
-    def _store_h2_mixed(tensor: np.ndarray, i, j, k, l, v) -> None:
-        # mixed-spin block: pair permutation symmetry within each pair only
-        for a, b in ((i, j), (j, i)):
-            for c, d in ((k, l), (l, k)):
-                tensor[a - 1, b - 1, c - 1, d - 1] = v
+    # each line is stored on its whole orbit under the block's index symmetry
+    orbit = {spins: [itemgetter(*perm) for perm in index_symmetries(spins)]
+             for spins in ("a", "aa", "ab")}
 
     for ln, raw in enumerate(lines[data_start:], start=data_start + 1):
         stripped = raw.strip()
@@ -184,32 +194,19 @@ def parse_fcidump(text: str) -> IntegralTensors:
         if k == 0 and l == 0:
             if j == 0:
                 continue  # orbital-energy line
-            target_h1 = h1_a
-            if unrestricted:
-                if section == 4:
-                    target_h1 = h1_b
-                elif section != 3:
-                    raise FcidumpError(
-                        f"line {ln}: one-electron entry in two-electron section"
-                    )
-            target_h1[i - 1, j - 1] = value
-            target_h1[j - 1, i - 1] = value
-            continue
-        if min(i, j, k, l) == 0:
-            raise FcidumpError(f"line {ln}: partial zero indices in {stripped!r}")
-        if unrestricted:
-            if section == 0:
-                _store_h2(h2_aa, i, j, k, l, value)
-            elif section == 1:
-                _store_h2(h2_bb, i, j, k, l, value)
-            elif section == 2:
-                _store_h2_mixed(h2_ab, i, j, k, l, value)
-            else:
-                raise FcidumpError(
-                    f"line {ln}: two-electron entry in one-electron section"
-                )
+            if unrestricted and section not in (3, 4):
+                raise FcidumpError(f"line {ln}: one-electron entry in two-electron section")
+            tensor = h1_b if section == 4 else h1_a
+            spins, at = "a", (i - 1, j - 1)
         else:
-            _store_h2(h2_aa, i, j, k, l, value)
+            if min(i, j, k, l) == 0:
+                raise FcidumpError(f"line {ln}: partial zero indices in {stripped!r}")
+            if section > 2:
+                raise FcidumpError(f"line {ln}: two-electron entry in one-electron section")
+            tensor = (h2_aa, h2_bb, h2_ab)[section]
+            spins, at = "ab" if section == 2 else "aa", (i - 1, j - 1, k - 1, l - 1)
+        for image in orbit[spins]:
+            tensor[image(at)] = value
 
     return IntegralTensors(
         core_energy=core,
@@ -226,25 +223,21 @@ def parse_fcidump(text: str) -> IntegralTensors:
 # ---- FCIDUMP emission --------------------------------------------------------
 
 
-def _iter_unique_h2(h2: np.ndarray, mixed: bool) -> Iterable[tuple[float, int, int, int, int]]:
-    n = h2.shape[0]
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            for k in range(1, (n if mixed else i) + 1):
-                lmax = k if mixed else (j if k == i else k)
-                for l in range(1, lmax + 1):
-                    v = h2[i - 1, j - 1, k - 1, l - 1]
-                    if abs(v) > _WRITE_TOL:
-                        yield v, i, j, k, l
+def _line(v: float, i: int, j: int, k: int, l: int) -> str:
+    return f" {v:.16g} {i:4d} {j:4d} {k:4d} {l:4d}"
 
 
-def _iter_unique_h1(h1: np.ndarray) -> Iterable[tuple[float, int, int]]:
-    n = h1.shape[0]
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            v = h1[i - 1, j - 1]
-            if abs(v) > _WRITE_TOL:
-                yield v, i, j
+def _orbit_lines(tensor: np.ndarray, spins: str) -> list[str]:
+    """FCIDUMP lines of a block: each orbit's largest index tuple, in
+    ascending order, where its entry is above the write tolerance."""
+    dims = tensor.shape
+    idx = np.indices(dims).reshape(len(dims), -1)
+    images = [np.ravel_multi_index(idx[list(perm)], dims) for perm in index_symmetries(spins)]
+    top = np.flatnonzero(images[0] == np.maximum.reduce(images))
+    top = top[np.abs(tensor.ravel()[top]) > _WRITE_TOL]
+    at = np.transpose(np.unravel_index(top, dims)) + 1
+    zeros = [0] * (4 - len(dims))
+    return [_line(v, *ix, *zeros) for v, ix in zip(tensor.ravel()[top].tolist(), at.tolist())]
 
 
 def emit_fcidump(t: IntegralTensors) -> str:
@@ -258,33 +251,14 @@ def emit_fcidump(t: IntegralTensors) -> str:
         f" ISYM=1,{flags}",
         "&END",
     ]
-
-    def _line(v: float, i: int, j: int, k: int, l: int) -> str:
-        return f" {v:.16g} {i:4d} {j:4d} {k:4d} {l:4d}"
-
     if t.is_restricted:
-        for v, i, j, k, l in _iter_unique_h2(t.h2, mixed=False):
-            out.append(_line(v, i, j, k, l))
-        for v, i, j in _iter_unique_h1(t.h1):
-            out.append(_line(v, i, j, 0, 0))
-        out.append(_line(t.core_energy, 0, 0, 0, 0))
+        out += _orbit_lines(t.h2, "aa") + _orbit_lines(t.h1, "a")
     else:
-        for v, i, j, k, l in _iter_unique_h2(t.h2_block("aa"), mixed=False):
-            out.append(_line(v, i, j, k, l))
-        out.append(_line(0.0, 0, 0, 0, 0))
-        for v, i, j, k, l in _iter_unique_h2(t.h2_block("bb"), mixed=False):
-            out.append(_line(v, i, j, k, l))
-        out.append(_line(0.0, 0, 0, 0, 0))
-        for v, i, j, k, l in _iter_unique_h2(t.h2_block("ab"), mixed=True):
-            out.append(_line(v, i, j, k, l))
-        out.append(_line(0.0, 0, 0, 0, 0))
-        for v, i, j in _iter_unique_h1(t.h1_block("alpha")):
-            out.append(_line(v, i, j, 0, 0))
-        out.append(_line(0.0, 0, 0, 0, 0))
-        for v, i, j in _iter_unique_h1(t.h1_block("beta")):
-            out.append(_line(v, i, j, 0, 0))
-        out.append(_line(0.0, 0, 0, 0, 0))
-        out.append(_line(t.core_energy, 0, 0, 0, 0))
+        blocks = [(t.h2_block(s), s) for s in ("aa", "bb", "ab")]
+        blocks += [(t.h1_block(s), s[0]) for s in ("alpha", "beta")]
+        for tensor, spins in blocks:
+            out += _orbit_lines(tensor, spins) + [_line(0.0, 0, 0, 0, 0)]
+    out.append(_line(t.core_energy, 0, 0, 0, 0))
     return "\n".join(out) + "\n"
 
 

@@ -58,8 +58,7 @@ class SparseOperator:
         """Build from unsorted/duplicated arrays, merging repeated keys."""
         keys = np.asarray(keys, dtype=np.uint64)
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        if keys.size:
-            keys, coeffs = _kernels.sort_canonical(keys, coeffs)
+        coeffs, keys = _kernels.summed(coeffs, keys)
         return cls(n_modes=n_modes, keys=keys, coeffs=coeffs)
 
     @classmethod
@@ -114,26 +113,6 @@ class SparseOperator:
     def restrict(self, rows: np.ndarray) -> "SparseOperator":
         """The terms at the sorted positions ``rows`` alone."""
         return SparseOperator(self.n_modes, self.keys[rows], self.coeffs[rows])
-
-    # ---- arithmetic -------------------------------------------------------
-
-    def scaled(self, factor: float) -> "SparseOperator":
-        return SparseOperator(self.n_modes, self.keys.copy(), self.coeffs * factor)
-
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        if other.n_modes != self.n_modes:
-            raise ValueError("operators live on different mode counts")
-        return SparseOperator.from_arrays(
-            self.n_modes,
-            np.concatenate([self.keys, other.keys]),
-            np.concatenate([self.coeffs, other.coeffs]),
-        )
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return self + other.scaled(-1.0)
-
-    def copy(self) -> "SparseOperator":
-        return SparseOperator(self.n_modes, self.keys.copy(), self.coeffs.copy())
 
     def __repr__(self) -> str:
         return f"SparseOperator(n_modes={self.n_modes}, terms={len(self)})"

@@ -703,12 +703,6 @@ def _sources(graph: SurrogateGraph, keys: np.ndarray, gates: Sequence[Gate]) -> 
     return keys
 
 
-def _unique(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct ``keys``, by one sort and a neighbour mask (no hashing)."""
-    keys = np.sort(keys)
-    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-
-
 def cut_landscapes(
     graph: SurrogateGraph,
     params: np.ndarray,
@@ -824,7 +818,8 @@ def landscape_rows(
             for pattern, pos in _spans(starts, counts):
                 z, exists, _, _ = walk(pattern, order[pos], ends_only=True)
                 ends.append(z[exists])
-            weighted = _unique(np.concatenate(ends))
+            weighted = np.sort(np.concatenate(ends))
+            weighted = weighted[_kernels.run_starts(weighted)]
             weights = _far_weights(graph, params, coeffs, weighted, far)
             cosine_w = weights[np.searchsorted(weighted, keys[cosine])]
         else:

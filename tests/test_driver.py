@@ -13,7 +13,6 @@ import scipy.linalg
 import majprop.instances as inst
 from majprop import FermionicCircuit, Gate, TruncationPolicy, expectation, fock_expectation
 from majprop.driver import (
-    AdaptResult,
     MemoryBudgetError,
     OptimizationError,
     RunConfig,

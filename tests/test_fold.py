@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from majprop import FermionicCircuit, TruncationPolicy, hamiltonian
+from majprop import FermionicCircuit, TruncationPolicy, _kernels, hamiltonian
 from majprop.driver import init_active_rotations
 from majprop.hamiltonian import (
     DressedHamiltonian,
@@ -26,7 +26,13 @@ from majprop.hamiltonian import (
     ladder_terms,
     spin_orbital_mode,
 )
-from majprop.integrals import aufbau_occupation, dress_integrals, parse_fcidump, rotation_matrix
+from majprop.integrals import (
+    aufbau_occupation,
+    dress_integrals,
+    index_symmetries,
+    parse_fcidump,
+    rotation_matrix,
+)
 from majprop.pool import build_majoranic_pool
 from majprop.surrogate import (
     build_surrogate,
@@ -283,7 +289,7 @@ def _every_tuple_map(n, shared):
         idx = np.indices(dims).reshape(len(dims), -1).T
         orbit = np.minimum.reduce([
             np.ravel_multi_index(idx[:, list(perm)].T, dims)
-            for perm in hamiltonian._symmetries(name)
+            for perm in index_symmetries(name)
         ])
         reps, col = np.unique(orbit, return_inverse=True)
         for spins, weight in uses:
@@ -336,12 +342,12 @@ def test_conjugate_string_expands_to_the_complex_conjugate(rng, daggers):
     weights = rng.normal(size=50)
     conj_daggers = [not d for d in reversed(daggers)]
     for row, weight in zip(modes, weights):
-        keys, real, imag = hamiltonian._merge([ladder_terms([row], daggers, [weight])])
-        c_keys, c_real, c_imag = hamiltonian._merge(
-            [ladder_terms([row[::-1]], conj_daggers, [weight])]
+        values, keys = _kernels.summed(*ladder_terms([row], daggers, [weight])[::-1])
+        c_values, c_keys = _kernels.summed(
+            *ladder_terms([row[::-1]], conj_daggers, [weight])[::-1]
         )
         assert np.array_equal(keys, c_keys)
-        assert np.array_equal(real, c_real) and np.array_equal(imag, -c_imag)
+        assert np.array_equal(values, c_values.conj())
 
 
 def test_integral_map_still_refuses_a_non_hermitian_expansion(monkeypatch):

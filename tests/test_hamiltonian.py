@@ -1,5 +1,7 @@
 """Integral handling and Majorana Hamiltonian assembly against dense references."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,7 +26,9 @@ from majprop.integrals import (
     parse_fcidump,
 )
 from majprop.monomials import MajoranaMonomial
-from majprop.oracle import basis_state, dense_expectation, dense_monomial, dense_operator
+from majprop.oracle import basis_state, dense_monomial, dense_operator
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 MINIMAL = """\
 &FCI NORB=1,NELEC=2,MS2=0,
@@ -74,11 +78,33 @@ def test_parse_empty_body():
     assert t.core_energy == 0.0
 
 
+def _support(tensor):
+    return {tuple(int(x) for x in idx) for idx in np.argwhere(tensor)}
+
+
 def test_parse_applies_eightfold_symmetry():
     text = "&FCI NORB=2,NELEC=2,MS2=0 &END\n 0.25 2 1 2 2\n"
     t = parse_fcidump(text)
     for idx in [(1, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 0), (1, 1, 0, 1)]:
         assert t.h2[idx] == 0.25
+    # a line fills every member of its orbit and nothing else: (31|21) has
+    # eight distinct members in a same-spin block, four in the mixed block
+    i, j, k, l = 2, 0, 1, 0
+    within = {(i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k)}
+    eightfold = within | {(k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i)}
+    assert len(eightfold) == 8
+    t = parse_fcidump("&FCI NORB=3,NELEC=2,MS2=0 &END\n 0.25 3 1 2 1\n 0.5 3 1 0 0\n")
+    assert _support(t.h2) == eightfold and set(t.h2[t.h2 != 0]) == {0.25}
+    assert _support(t.h1) == {(2, 0), (0, 2)} and set(t.h1[t.h1 != 0]) == {0.5}
+    delimiter = " 0.0 0 0 0 0\n"
+    t = parse_fcidump(
+        "&FCI NORB=3,NELEC=2,MS2=0,UHF=.TRUE. &END\n" + 2 * delimiter
+        + " 0.25 3 1 2 1\n" + delimiter + " 0.5 3 1 0 0\n" + delimiter + " 0.75 2 1 0 0\n"
+    )
+    assert _support(t.h2_ab) == within and set(t.h2_ab[t.h2_ab != 0]) == {0.25}
+    assert not t.h2.any() and not t.h2_bb.any()
+    assert _support(t.h1) == {(2, 0), (0, 2)} and set(t.h1[t.h1 != 0]) == {0.5}
+    assert _support(t.h1_beta) == {(1, 0), (0, 1)} and set(t.h1_beta[t.h1_beta != 0]) == {0.75}
 
 
 def test_parse_errors_carry_line_numbers():
@@ -90,6 +116,29 @@ def test_parse_errors_carry_line_numbers():
         parse_fcidump("&FCI NELEC=1 &END\n")
     with pytest.raises(FcidumpError):
         parse_fcidump("&FCI NORB=1\n 1.0 1 1 0 0\n")
+    # the blank line and the orbital-energy line (value i 0 0 0) are
+    # skipped, but still counted
+    restricted = "&FCI NORB=2,NELEC=2 &END\n\n -0.5 1 0 0 0\n"
+    uhf = "&FCI NORB=2,NELEC=2,UHF=.TRUE. &END\n 0.25 1 1 1 1\n"
+    delimiters = 3 * " 0.0 0 0 0 0\n"
+    t = parse_fcidump(restricted + " 0.3 1 1 0 0\n")
+    assert _support(t.h1) == {(0, 0)} and not t.h2.any() and t.core_energy == 0.0
+    for text, match in [
+        (restricted + " 1.0 1 x 1 1\n", "line 4: non-numeric field"),
+        (restricted + " 1.0 1 0 1 1\n", "line 4: partial zero indices"),
+        (uhf + " 1.0 2 1 0 0\n", "line 3: one-electron entry in two-electron section"),
+        (uhf + delimiters + " 1.0 2 1 1 1\n", "line 6: two-electron entry in one-electron"),
+    ]:
+        with pytest.raises(FcidumpError, match=match):
+            parse_fcidump(text)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.fcidump")), ids=lambda p: p.stem)
+def test_fcidump_fixtures_round_trip_byte_for_byte(path):
+    """Writing a parsed fixture gives its text back: the orbit storage and
+    the emission order (each orbit's largest index tuple, ascending)."""
+    text = path.read_text()
+    assert emit_fcidump(parse_fcidump(text)) == text
 
 
 def test_fcidump_roundtrip_restricted(rng):

@@ -160,7 +160,8 @@ def test_no_unused_module_imports():
     assert list(_unused_imports(probe)) == ["os", "np", "Callable"]
     offenders = {
         f"{path.parent.name}/{path.name}": names
-        for path in sorted([*PACKAGE.glob("*.py"), *(CHECKOUT / "scripts").glob("*.py")])
+        for path in sorted([*PACKAGE.glob("*.py"), *(CHECKOUT / "scripts").glob("*.py"),
+                            *(CHECKOUT / "tests").glob("*.py")])
         if (names := list(_unused_imports(path.read_text())))
     }
     assert offenders == {}

@@ -198,3 +198,54 @@ def test_paired_eigenvalue_kernel_matches_scalar(rng):
         vals = _kernels.paired_eigenvalues(keys, int(occ))
         for bits, v in zip(pair_masks, vals):
             assert v == paired_eigenvalue(MajoranaMonomial(bits, n), int(occ))
+
+
+def _summed_in_order(values, *keys):
+    """Reference sums: a Python loop adding each key tuple's values in input order."""
+    sums = {}
+    zero = 0j if np.iscomplexobj(values) else 0.0
+    for value, *key in zip(values.tolist(), *(k.tolist() for k in keys)):
+        sums[tuple(key)] = sums.get(tuple(key), zero) + value
+    return sums
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_summed_adds_each_key_in_input_order(rng, dtype):
+    """Runs of ~40 equal keys (past the 8 at which ``np.add.reduceat``
+    stops adding in input order) sum bit for bit like the in-order loop."""
+    pool = rng.integers(0, 2**64, size=5, dtype=np.uint64)
+    keys = pool[rng.integers(0, pool.size, size=200)]
+    scale = 10.0 ** rng.integers(-8, 9, size=(2, keys.size))
+    values = rng.normal(size=keys.size) * scale[0]
+    if dtype is complex:
+        values = values + 1j * rng.normal(size=keys.size) * scale[1]
+    sums, uniq = _kernels.summed(values, keys)
+    reference = _summed_in_order(values, keys)
+    assert uniq.dtype == np.uint64 and sums.dtype == dtype
+    assert uniq.tolist() == sorted(key for key, in reference)
+    expected = np.array([reference[(key,)] for key in uniq.tolist()])
+    assert np.array_equal(sums.view(np.uint64), expected.view(np.uint64))
+    # the order matters at these magnitudes: reversed input sums differ
+    assert _summed_in_order(values[::-1], keys[::-1]) != reference
+
+
+def test_summed_groups_key_tuples_in_lexicographic_order(rng):
+    keys = rng.integers(0, 2**64, size=4, dtype=np.uint64)[rng.integers(0, 4, size=300)]
+    columns = rng.integers(0, 6, size=300).astype(np.int32)
+    values = rng.normal(size=300) * 10.0 ** rng.integers(-8, 9, size=300)
+    sums, uniq, cols = _kernels.summed(values, keys, columns)
+    reference = _summed_in_order(values, keys, columns)
+    pairs = list(zip(uniq.tolist(), cols.tolist()))
+    assert pairs == sorted(reference) and cols.dtype == np.int32
+    expected = np.array([reference[pair] for pair in pairs])
+    assert np.array_equal(sums.view(np.uint64), expected.view(np.uint64))
+
+
+def test_summed_of_nothing_is_empty():
+    sums, keys = _kernels.summed(np.zeros(0), np.zeros(0, np.uint64))
+    assert sums.shape == keys.shape == (0,)
+    assert sums.dtype == np.float64 and keys.dtype == np.uint64
+    sums, keys, columns = _kernels.summed(
+        np.zeros(0, complex), np.zeros(0, np.uint64), np.zeros(0, np.int32)
+    )
+    assert sums.size == keys.size == columns.size == 0 and sums.dtype == complex
