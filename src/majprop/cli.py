@@ -239,7 +239,7 @@ def bound(spectral_path, energy, penalty) -> None:
 
 @cli.command()
 @click.option("--modes", type=int, default=8, show_default=True)
-@click.option("--instances", type=int, default=5, show_default=True)
+@click.option("--instances", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--gates", type=int, default=12, show_default=True)
 @click.option("--tolerance", type=float, default=1e-10, show_default=True)
 @_seed_option

@@ -465,10 +465,9 @@ class AdaptResult:
     pool.  The map and the pool are built once per process and size and
     then shared, so after the first call at a size ``dressing_s`` holds
     only the dressed Hamiltonian's set-up and ``pool_s`` reads near zero.
-    In a fresh process ``dressing_s`` also includes loading
-    ``scipy.sparse``, and the baseline row's ``optimize_s`` loading
-    ``scipy.optimize`` (about 0.17 and 0.23 s on a 2-CPU Xeon VM), since
-    each loads with its first use.  ``pool`` is that shared, immutable pool.
+    In a fresh process the baseline row's ``optimize_s`` also includes
+    loading ``scipy.optimize`` (about 0.23 s on a 2-CPU Xeon VM), which
+    loads with its first use.  ``pool`` is that shared, immutable pool.
     The first graph build is the baseline row's ``insert_s``.  ``stop`` says
     which exit ended the loop: "max_iterations", "improvement_floor" (the
     best candidate's achievable improvement fell under the floor) or
@@ -505,6 +504,8 @@ class AdaptResult:
 
 def load_circuit_json(text: str) -> tuple[FermionicCircuit, int]:
     payload = json.loads(text)
+    if "hf_occupation" not in payload:
+        raise ValueError("circuit JSON has no 'hf_occupation' field")
     occupation = int(payload.pop("hf_occupation"))
     return FermionicCircuit.from_json(json.dumps(payload)), occupation
 

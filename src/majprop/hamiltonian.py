@@ -13,9 +13,9 @@ block of weighted ladder strings is multiplied out one Majorana factor at a
 time on uint64 keys, with the phase tracked exactly as a power of i.  The
 blocks' terms are then summed by key with :func:`_kernels.summed`.
 
-The coefficients are linear in the integrals, so one sparse
-:class:`IntegralMap` from the unique integral entries to the coefficients
-of every spin- and number-conserving one- and two-body key holds for all
+The coefficients are linear in the integrals, so one :class:`IntegralMap`,
+the sparse matrix from the unique integral entries to the coefficients of
+every spin- and number-conserving one- and two-body key, holds for all
 integrals of a size.  :class:`DressedHamiltonian` uses it to give the
 Hamiltonian with a block of orbital rotations folded into the integrals,
 H(theta) = R(theta)^dag H R(theta), and the pullback of a gradient on its
@@ -26,17 +26,14 @@ from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .integrals import IntegralTensors, check_rotation, index_symmetries, rotation_matrix
 from .operators import SparseOperator
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 __all__ = [
     "DressedHamiltonian",
@@ -149,7 +146,7 @@ def build_majorana_hamiltonian(t: IntegralTensors | DressedHamiltonian) -> Spars
     if isinstance(t, DressedHamiltonian):
         return _operator(t.n_modes, t.keys, t.coeffs)
     mapping = integral_map(t.n_spatial, t.is_restricted)
-    return _operator(2 * t.n_spatial, mapping.keys, mapping.matrix @ mapping.entries(t))
+    return _operator(2 * t.n_spatial, mapping.keys, mapping.apply(mapping.entries(t)))
 
 
 def _operator(n_modes: int, keys: np.ndarray, coeffs: np.ndarray) -> SparseOperator:
@@ -181,27 +178,46 @@ class _Block:
 class IntegralMap:
     """Majorana coefficients as a linear map of the unique integral entries.
 
-    Row r of ``matrix`` is key ``keys[r]``; its columns are the core energy
-    and then, block by block, one entry per symmetry orbit of the integral
-    tensors.  ``shared`` maps have one one-body and one two-body block that
-    serve both spins (restricted integrals under one rotation for both
-    spins); the others keep the alpha, beta and mixed blocks apart.  The
-    rows cover every key the blocks can reach at any integral values, since
-    rotating the orbitals fills terms that are zero by symmetry, and hold
-    no stored zero.  ``transpose`` is ``matrix.T`` in CSR form, for
-    pullbacks.  Both are canonical CSR (sorted, duplicate-free columns)
-    with int32 ``indices`` and ``indptr``, so the map keeps 12 bytes per
-    nonzero in each: 0.85 MiB in all at 10 orbitals (22,031 nonzeros).  A
-    map is shared by every caller of :func:`integral_map`, so its arrays
-    are read-only.
+    Row r of the matrix is key ``keys[r]``; its ``n_columns`` columns are
+    the core energy and then, block by block, one entry per symmetry orbit
+    of the integral tensors.  ``shared`` maps have one one-body and one
+    two-body block that serve both spins (restricted integrals under one
+    rotation for both spins); the others keep the alpha, beta and mixed
+    blocks apart.  The rows cover every key the blocks can reach at any
+    integral values, since rotating the orbitals fills terms that are zero
+    by symmetry.  The nonzeros are ``values`` at (``rows``, ``columns``)
+    in CSR order (by row, then column), 24 bytes each: 0.50 MiB at 10
+    orbitals (22,031 nonzeros).  Both products add each row's and each
+    column's terms in that order.  A map is shared by every caller of
+    :func:`integral_map`, so its arrays are read-only.
     """
 
     n_spatial: int
     shared: bool
     keys: np.ndarray
-    matrix: scipy.sparse.csr_array
-    transpose: scipy.sparse.csr_array
+    rows: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
+    n_columns: int
     blocks: tuple[_Block, ...]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The coefficients on ``keys`` of the map's input ``x``."""
+        return _scatter(self.rows, self.values * x[self.columns], self.keys.size)
+
+    def apply_transpose(self, d: np.ndarray) -> np.ndarray:
+        """The pullback of a gradient ``d`` on ``keys`` onto the map's input."""
+        return _scatter(self.columns, self.values * d[self.rows], self.n_columns)
+
+    def restrict(self, rows: np.ndarray) -> IntegralMap:
+        """The map's ``rows`` alone, renumbered in that order, entries kept in order."""
+        first = np.searchsorted(self.rows, rows)
+        count = np.searchsorted(self.rows, rows, "right") - first
+        at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        part = replace(self, keys=self.keys[rows], rows=np.repeat(np.arange(rows.size), count),
+                       columns=self.columns[at], values=self.values[at])
+        _read_only(part.keys, part.rows, part.columns, part.values)
+        return part
 
     def entries(self, t: IntegralTensors) -> np.ndarray:
         """The map's input for the integrals ``t``: core energy, then each
@@ -240,14 +256,14 @@ def _conjugates(spins: str) -> list[tuple[int, ...]]:
     return group if spins[0] != spins[1] else group + [(2, 3, 0, 1), (3, 2, 1, 0)]
 
 
-def _read_only(*arrays: np.ndarray | scipy.sparse.csr_array) -> None:
-    import scipy.sparse
-
+def _read_only(*arrays: np.ndarray) -> None:
     for array in arrays:
-        if scipy.sparse.issparse(array):
-            _read_only(array.data, array.indices, array.indptr)
-        else:
-            array.flags.writeable = False
+        array.flags.writeable = False
+
+
+def _scatter(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """The sums of ``values`` at ``at`` in input order, as floats even for no values."""
+    return np.bincount(at, values, size).astype(float, copy=False)
 
 
 def _expanded(
@@ -286,11 +302,11 @@ def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
 
     The matrix is assembled by sort and sum: each use's nonzero real terms
     are summed per (key, column) as soon as they are expanded, the uses'
-    sums are summed the same way, and the CSR arrays (int32 ``indices``
-    and ``indptr``) are read off the sorted pairs that do not cancel.
-    Every term is a dyadic rational, so the sums are exact in any order.
-    The build holds one use's expansion and the summed pairs at a time: at
-    10 orbitals it peaks near 6 MiB (tracemalloc) for a map of under 1 MiB.
+    sums are summed the same way, and the entries are the sorted pairs
+    that do not cancel.  Every term is a dyadic rational, so the sums are
+    exact in any order.  The build holds one use's expansion and the summed
+    pairs at a time: at 10 orbitals it peaks near 6 MiB (tracemalloc) for a
+    map of under 1 MiB.
     """
     n = n_spatial
     mode = {s: np.array([spin_orbital_mode(p, sector, n) for p in range(1, n + 1)])
@@ -348,16 +364,10 @@ def integral_map(n_spatial: int, shared: bool) -> IntegralMap:
     values, keys, columns = _kernels.summed(*(np.concatenate(part) for part in zip(*runs)))
     kept = values != 0.0
     keys, columns, values = keys[kept], columns[kept], values[kept]
-    rows = _kernels.run_starts(keys)
-    indptr = np.append(rows, keys.size).astype(np.int32)
-
-    import scipy.sparse
-
-    matrix = scipy.sparse.csr_array((values, columns, indptr), shape=(rows.size, start))
-    transpose = matrix.T.tocsr()
-    keys = keys[rows]
-    _read_only(keys, matrix, transpose)
-    return IntegralMap(n, shared, keys, matrix, transpose, tuple(blocks))
+    keys, rows = np.unique(keys, return_inverse=True)
+    columns = columns.astype(np.intp)
+    _read_only(keys, rows, columns, values)
+    return IntegralMap(n, shared, keys, rows, columns, values, start, tuple(blocks))
 
 
 def _transform(h: np.ndarray, vs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -407,10 +417,8 @@ class DressedHamiltonian:
         self.tensors = tensors
         self.map = integral_map(n, shared)
         self.keys = self.map.keys
-        self.coeffs = self.map.matrix @ self.map.entries(tensors)
+        self.coeffs = self.map.apply(self.map.entries(tensors))
         self.n_slots = 1 + max((slot for *_, slot in rotation_spec), default=-1)
-        self._matrix = self.map.matrix
-        self._transpose = self.map.transpose
         self._core = np.array([tensors.core_energy])
         # per spin: each rotation's orbitals, its slot, and +1 where it
         # turns from its lower orbital
@@ -428,15 +436,13 @@ class DressedHamiltonian:
             self._blocks.append((block, h, swapped))
 
     def restrict(self, rows: np.ndarray) -> DressedHamiltonian:
-        """The same H(theta) on ``keys[rows]`` alone.  It shares the
-        integrals and rotations and multiplies only those rows of the map.
-        Its coefficients equal the full ones on those keys bit for bit, and
-        with sorted ``rows`` so does its pullback of a gradient that is
-        zero on the other keys."""
+        """The same H(theta) on ``keys[rows]`` alone: it shares the integrals
+        and rotations and keeps only those rows of the map.  Its coefficients
+        equal the full ones on those keys bit for bit, and with sorted
+        ``rows`` so does its pullback of a gradient zero on the other keys."""
         part = copy.copy(self)
-        part.keys, part.coeffs = self.keys[rows], self.coeffs[rows]
-        part._matrix = self._matrix[rows]
-        part._transpose = part._matrix.T.tocsr()
+        part.map = self.map.restrict(rows)
+        part.keys, part.coeffs = part.map.keys, self.coeffs[rows]
         return part
 
     def linearize(
@@ -447,15 +453,17 @@ class DressedHamiltonian:
 
         The rotation product takes every angle's cosine and sine at once
         and leaves its trail in one array.  The pullback maps dE/dc through
-        the map's transpose onto the representative entries and spreads
-        each evenly over its orbit, giving a dE/dh' with the integrals'
-        symmetry.  That makes the derivative through every index of a block
-        with one V the same, so dE/dV is that of the first index times the
-        number of indices; the mixed block takes the beta one from its
-        transpose.  For the rotation R_k of the pair (p, q) on V = P_k
-        S_(k+1) (prefix ending with R_k, suffix after it), dE/dtheta_k is
-        -(c_p^T A c_q) with A = G V^T - V G^T, G = dE/dV and c_p, c_q the
-        columns p and q of P_k, the trail of :func:`rotation_matrix`.
+        :meth:`IntegralMap.apply_transpose` onto the representative entries
+        and spreads each evenly over its orbit, giving a dE/dh' with the
+        integrals' symmetry.  That makes the derivative through every index
+        of a block with one V the same, so dE/dV is that of the first index
+        times the number of indices; the mixed block takes the beta one
+        from its transpose.  For the rotation R_k of the pair (p, q) on
+        V = P_k S_(k+1) (prefix ending with R_k, suffix after it),
+        dE/dtheta_k is -(c_p^T A c_q) with A = G V^T - V G^T, G = dE/dV and
+        c_p, c_q the columns p and q of P_k, the trail of
+        :func:`rotation_matrix`; these add onto their slots in rotation
+        order, the alpha rotations first.
         """
         params = np.asarray(params, dtype=np.float64)
         n = self.tensors.n_spatial
@@ -470,10 +478,10 @@ class DressedHamiltonian:
             dressed, partial = _transform(h, [v[spin] for spin in _index_spins(block.spins)])
             parts.append(dressed.ravel()[block.last])
             partials.append(partial)
-        coeffs = self._matrix @ np.concatenate(parts)
+        coeffs = self.map.apply(np.concatenate(parts))
 
         def pullback(dcoeffs: np.ndarray) -> np.ndarray:
-            du = self._transpose @ dcoeffs
+            du = self.map.apply_transpose(dcoeffs)
             dv = {"a": np.zeros((n, n)), "b": np.zeros((n, n))}
             for (block, h, swapped), partial in zip(self._blocks, partials):
                 g = (du[block.columns] * block.share).reshape(h.shape)
@@ -484,13 +492,14 @@ class DressedHamiltonian:
                 g_b = g.transpose(2, 3, 0, 1)
                 dv["a"] += 2.0 * (g.reshape(n, -1) @ partial.reshape(-1, n))
                 dv["b"] += 2.0 * (g_b.reshape(n, -1) @ partial_b.reshape(-1, n))
-            grad = np.zeros(params.size)
+            slots, dtheta = [], []
             for spin, trail in trails.items():  # trail: (rotation, lower/higher orbital, n)
                 a = dv[spin] @ v[spin].T
                 a -= a.T
-                _, slots, orient = self._rotations[spin]
-                np.add.at(grad, slots, -orient * ((trail[:, 0] @ a) * trail[:, 1]).sum(1))
-            return grad
+                _, spin_slots, orient = self._rotations[spin]
+                slots.append(spin_slots)
+                dtheta.append(-orient * ((trail[:, 0] @ a) * trail[:, 1]).sum(1))
+            return _scatter(np.concatenate(slots), np.concatenate(dtheta), params.size)
 
         return coeffs, pullback
 

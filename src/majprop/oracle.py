@@ -185,13 +185,6 @@ def dense_expectation(op: SparseOperator, psi: np.ndarray) -> float:
 # ---- sector eigensolves ---------------------------------------------------
 
 
-def _alpha_mask(n_modes: int) -> int:
-    mask = 0
-    for bit in range(0, n_modes, 2):
-        mask |= 1 << bit
-    return mask
-
-
 def sector_indices(
     n_modes: int,
     n_particles: int | None = None,
@@ -208,10 +201,9 @@ def sector_indices(
     if n_particles is not None:
         keep &= np.bitwise_count(idx) == n_particles
     if twice_sz is not None:
-        alpha = _alpha_mask(n_modes)
-        n_a = np.bitwise_count(idx & alpha)
-        n_b = np.bitwise_count(idx & ~np.int64(alpha))
-        keep &= (n_a - n_b) == twice_sz
+        alpha = sum(1 << bit for bit in range(0, n_modes, 2))  # the odd (alpha) modes
+        n_a = np.bitwise_count(idx & alpha).astype(np.int64)  # a uint8 difference wraps
+        keep &= n_a - np.bitwise_count(idx & ~np.int64(alpha)) == twice_sz
     return idx[keep]
 
 
@@ -232,18 +224,14 @@ def eigensolve_sector(
     if m == 0:
         raise ValueError("empty sector")
     H = np.zeros((m, m), dtype=np.complex128)
-    positions = np.arange(m)
     for bits, c in zip(op.keys.tolist(), op.coeffs.tolist()):
         rows, amps = _monomial_columns(int(bits), op.n_modes, cols)
-        pos = np.searchsorted(cols, rows)
-        pos_clipped = np.minimum(pos, m - 1)
+        pos_clipped = np.minimum(np.searchsorted(cols, rows), m - 1)
         valid = cols[pos_clipped] == rows
-        H[pos_clipped[valid], positions[valid]] += c * amps[valid]
+        H[pos_clipped[valid], np.flatnonzero(valid)] += c * amps[valid]
     if not np.allclose(H, H.conj().T, atol=1e-10):
         raise ValueError("projected operator is not Hermitian")
-    import scipy.linalg
-
-    w, v = scipy.linalg.eigh(H)
+    w, v = np.linalg.eigh(H)
     return w, v, cols
 
 

@@ -4,8 +4,10 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from majprop import FermionicCircuit
 from majprop.cli import main
 from majprop.driver import load_circuit_json
 
@@ -19,13 +21,20 @@ def _read_rows(path):
         return list(csv.DictReader(handle))
 
 
-def test_help_and_bad_usage_exit_codes(capsys):
+def test_help_and_bad_usage_exit_codes(tmp_path, capsys):
     assert main([]) == 0
     assert "Commands" in capsys.readouterr().out
     assert main(["no-such-command"]) == 1
     assert main(["pool-info", "--occupied", "many", "--virtual", "1"]) == 1
     assert main(["verify", "--threads", "2"]) == 1  # the option is gone
     assert main(["run", "--fcidump", H2, "--seed", "5"]) == 1  # run draws nothing at random
+    capsys.readouterr()
+    assert main(["verify", "--instances", "0"]) == 1  # no instance checks nothing
+    assert "PASS" not in capsys.readouterr().out
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(FermionicCircuit(4, [], np.zeros(0)).to_json())  # no hf_occupation
+    assert main(["evaluate", "--fcidump", H2, "--circuit", str(circuit)]) == 1
+    assert "circuit JSON has no 'hf_occupation' field" in capsys.readouterr().err
 
 
 def test_pool_info_reference_counts(capsys):

@@ -325,12 +325,106 @@ def _every_tuple_map(n, shared):
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
 def test_integral_map_equals_the_every_tuple_expansion(n, shared):
-    """Expanding one tuple per conjugate orbit gives the keys and matrix of
-    expanding every tuple, bit for bit."""
+    """Expanding one tuple per conjugate orbit gives the keys and entries of
+    expanding every tuple, bit for bit and in CSR order."""
     keys, matrix = _every_tuple_map(n, shared)
     built = integral_map(n, shared)
     assert np.array_equal(built.keys, keys)
-    assert np.array_equal(built.matrix.toarray(), matrix.toarray())
+    assert np.array_equal(built.rows, np.repeat(np.arange(keys.size), np.diff(matrix.indptr)))
+    assert np.array_equal(built.columns, matrix.indices)
+    assert np.array_equal(built.values, matrix.data)
+    assert built.n_columns == matrix.shape[1]
+
+
+def _csr(mapping):
+    """The map as a canonical scipy CSR matrix, read off its entries."""
+    indptr = np.append(0, np.cumsum(np.bincount(mapping.rows, minlength=mapping.keys.size)))
+    return scipy.sparse.csr_array(
+        (mapping.values, mapping.columns, indptr), shape=(mapping.keys.size, mapping.n_columns)
+    )
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_map_products_keep_the_csr_bits(rng, n, shared):
+    """Both products of the map, full and restricted to sorted random rows,
+    equal scipy's CSR products bit for bit: ``np.bincount`` adds each row's
+    and each column's terms in the order the CSR kernels add them."""
+    mapping = integral_map(n, shared)
+    matrix = _csr(mapping)
+    assert matrix.has_canonical_format
+    for _ in range(3):
+        rows = np.sort(rng.choice(mapping.keys.size, rng.integers(mapping.keys.size + 1),
+                                  replace=False))
+        for part, reference in ((mapping, matrix), (mapping.restrict(rows), matrix[rows])):
+            x = rng.normal(size=mapping.n_columns)
+            d = rng.normal(size=part.keys.size)
+            assert np.array_equal(part.apply(x), reference @ x)
+            assert np.array_equal(part.apply_transpose(d), reference.T.tocsr() @ d)
+        assert np.array_equal(mapping.restrict(rows).keys, mapping.keys[rows])
+
+
+def _csr_linearize(dressed, matrix, params):
+    """:meth:`DressedHamiltonian.linearize` with the map as the CSR
+    ``matrix`` (and its transpose) and the slot scatter by ``np.add.at``,
+    the reference its bincount products must match bit for bit."""
+    params = np.asarray(params, dtype=np.float64)
+    n = dressed.tensors.n_spatial
+    v, trails = {}, {}
+    for spin, (pairs, slots, _) in dressed._rotations.items():
+        trails[spin] = np.empty((len(pairs), 2, n))
+        v[spin] = rotation_matrix(n, pairs, params[slots], trails[spin])
+    v.setdefault("b", v["a"])
+    parts, partials = [dressed._core], []
+    for block, h, _ in dressed._blocks:
+        spins = hamiltonian._index_spins(block.spins)
+        dressed_h, partial = hamiltonian._transform(h, [v[spin] for spin in spins])
+        parts.append(dressed_h.ravel()[block.last])
+        partials.append(partial)
+    coeffs = matrix @ np.concatenate(parts)
+
+    def pullback(dcoeffs):
+        du = matrix.T.tocsr() @ dcoeffs
+        dv = {"a": np.zeros((n, n)), "b": np.zeros((n, n))}
+        for (block, h, swapped), partial in zip(dressed._blocks, partials):
+            g = (du[block.columns] * block.share).reshape(h.shape)
+            if swapped is None:
+                dv[block.spins[0]] += h.ndim * (g.reshape(n, -1) @ partial.reshape(-1, n))
+                continue
+            _, partial_b = hamiltonian._transform(swapped, [v["b"], v["b"], v["a"], v["a"]])
+            g_b = g.transpose(2, 3, 0, 1)
+            dv["a"] += 2.0 * (g.reshape(n, -1) @ partial.reshape(-1, n))
+            dv["b"] += 2.0 * (g_b.reshape(n, -1) @ partial_b.reshape(-1, n))
+        grad = np.zeros(params.size)
+        for spin, trail in trails.items():
+            a = dv[spin] @ v[spin].T
+            a -= a.T
+            _, slots, orient = dressed._rotations[spin]
+            np.add.at(grad, slots, -orient * ((trail[:, 0] @ a) * trail[:, 1]).sum(1))
+        return grad
+
+    return coeffs, pullback
+
+
+@pytest.mark.parametrize("sharing", ["restricted", "unrestricted"])
+@pytest.mark.parametrize("system", ["restricted", "uhf"])
+def test_linearize_keeps_the_csr_bits(rng, sharing, system):
+    """Coefficients and pullbacks of the dressed Hamiltonian, full and
+    restricted to sorted random rows, equal the CSR formula's bit for bit,
+    also when slots repeat within and across spins."""
+    tensors = _systems(rng)[system]
+    _, n_rot, spec = init_active_rotations(tensors.n_spatial, sharing)
+    for rotations in (spec, spec + [(1, 2, "alpha", 0), (2, 3, "alpha", 0), (1, 3, "beta", 0)]):
+        full = DressedHamiltonian(tensors, rotations)
+        matrix = _csr(full.map)
+        rows = np.sort(rng.choice(full.keys.size, full.keys.size // 3, replace=False))
+        for dressed, reference in ((full, matrix), (full.restrict(rows), matrix[rows])):
+            theta = rng.uniform(-np.pi, np.pi, n_rot + 1)
+            coeffs, pullback = dressed.linearize(theta)
+            ref_coeffs, ref_pullback = _csr_linearize(dressed, reference, theta)
+            assert np.array_equal(coeffs, ref_coeffs)
+            dcoeffs = rng.normal(size=dressed.keys.size)
+            assert np.array_equal(pullback(dcoeffs), ref_pullback(dcoeffs))
 
 
 @pytest.mark.parametrize("daggers", [(True, False), (True, True, False, False),
@@ -410,9 +504,7 @@ def test_integral_map_build_peaks_near_what_it_keeps():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = [mapping.keys]
-    kept += [getattr(a, name) for a in (mapping.matrix, mapping.transpose)
-             for name in ("data", "indices", "indptr")]
+    kept = [mapping.keys, mapping.rows, mapping.columns, mapping.values]
     kept += [getattr(b, name) for b in mapping.blocks for name in ("reps", "columns", "share", "last")]
     assert peak <= 7 * 2**20
     assert sum(array.nbytes for array in kept) < 2**20
@@ -420,12 +512,12 @@ def test_integral_map_build_peaks_near_what_it_keeps():
 
 def test_integral_map_is_shared_and_read_only():
     """The same (orbital count, sharing) gives the same map object, whose
-    keys, matrix and transpose refuse writes; the transpose is the matrix's."""
+    keys, entries and blocks refuse writes, as do those of a restriction."""
     mapping = integral_map(4, True)
     assert integral_map(4, True) is mapping
     assert integral_map(4, False) is not mapping
-    assert (mapping.transpose != mapping.matrix.T).nnz == 0
-    for array in (mapping.keys, mapping.matrix.data, mapping.matrix.indices,
-                  mapping.transpose.data, mapping.blocks[-1].share):
+    part = mapping.restrict(np.arange(0, mapping.keys.size, 2))
+    for array in (mapping.keys, mapping.rows, mapping.columns, mapping.values,
+                  mapping.blocks[-1].share, part.keys, part.rows, part.columns, part.values):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0

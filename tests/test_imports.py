@@ -217,6 +217,42 @@ def test_no_module_level_scipy_imports():
     assert offenders == {}
 
 
+def _scipy_imports(tree):
+    """Every scipy module a module imports, wherever the statement sits;
+    ``from scipy import x`` imports ``scipy.x``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "scipy":
+                yield from (f"scipy.{a.name}" for a in node.names)
+            elif node.module.split(".")[0] == "scipy":
+                yield node.module
+
+
+def test_scipy_only_for_the_optimizer():
+    """The package's one scipy module is ``scipy.optimize``, for L-BFGS-B
+    in ``driver.optimize_parameters``; numpy serves every other kernel."""
+    probe = ast.parse(
+        "import numpy as np, scipy\n"
+        "from scipy import linalg, sparse\n"
+        "class A:\n"
+        "    from scipy.sparse.linalg import eigsh\n"
+        "def f():\n"
+        "    import scipy.optimize\n"
+        "    from . import _kernels\n"
+    )
+    assert sorted(_scipy_imports(probe)) == [
+        "scipy", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg"
+    ]
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := list(_scipy_imports(ast.parse(path.read_text()))))
+    }
+    assert found == {"driver.py": ["scipy.optimize"]}
+
+
 _COLD_START = """
 import json, sys
 from pathlib import Path
@@ -228,7 +264,7 @@ import majprop, majprop.cli
 fixtures = Path(sys.argv[1])
 h4 = majprop.parse_fcidump((fixtures / "h4_chain_r20.fcidump").read_text())
 stages = {"import": loaded()}
-majprop.build_majorana_hamiltonian(h4)
+majprop.oracle.eigensolve_sector(majprop.build_majorana_hamiltonian(h4), 4, 0)
 stages["hamiltonian"] = loaded()
 h2 = majprop.parse_fcidump((fixtures / "h2_sto3g.fcidump").read_text())
 majprop.run_adapt_vmpe(h2, majprop.RunConfig(max_iterations=1))
@@ -238,9 +274,9 @@ print(json.dumps(stages))
 
 
 def test_scipy_loads_with_its_first_use():
-    """In a fresh interpreter, importing the package and its CLI and
-    reading an FCIDUMP load no scipy; the first Hamiltonian build loads
-    ``scipy.sparse`` (its integral map) and the first optimizer run
+    """In a fresh interpreter, importing the package and its CLI, reading
+    an FCIDUMP, building its Hamiltonian and solving a sector of it
+    densely load no scipy; the first optimizer run loads
     ``scipy.optimize``."""
     done = subprocess.run(
         [sys.executable, "-c", _COLD_START, str(CHECKOUT / "tests" / "fixtures")],
@@ -249,6 +285,5 @@ def test_scipy_loads_with_its_first_use():
     )
     stages = json.loads(done.stdout)
     assert stages["import"] == []
-    assert "scipy.sparse" in stages["hamiltonian"]
-    assert "scipy.optimize" not in stages["hamiltonian"]
+    assert stages["hamiltonian"] == []
     assert "scipy.optimize" in stages["run"]

@@ -1,10 +1,14 @@
 """Statevector reference machinery checked against first principles."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from majprop.hamiltonian import build_majorana_hamiltonian
 from majprop.instances import random_molecular_hamiltonian
+from majprop.integrals import parse_fcidump
 from majprop.monomials import MajoranaMonomial
 from majprop.operators import SparseOperator
 from majprop.oracle import (
@@ -22,6 +26,8 @@ from majprop.oracle import (
     exact_overlap,
     sector_indices,
 )
+
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
 def _number_operator(mode, n_modes):
@@ -104,6 +110,37 @@ def test_sector_indices_counts():
     # modes 1,3 are alpha, 2,4 beta: one of each spin
     sector = sector_indices(n, n_particles=2, twice_sz=0)
     assert sorted(sector.tolist()) == [0b0011, 0b0110, 0b1001, 0b1100]
+
+
+def test_spin_sectors_partition_each_particle_sector():
+    """Every 2 S_z, negative ones included, picks its own determinants, and
+    together they cover the particle-number sector."""
+    assert sector_indices(4, n_particles=2, twice_sz=2).tolist() == [0b0101]
+    assert sector_indices(4, n_particles=2, twice_sz=-2).tolist() == [0b1010]
+    for n_particles in range(7):
+        parts = [sector_indices(6, n_particles, sz) for sz in range(-6, 7)]
+        assert np.array_equal(np.sort(np.concatenate(parts)), sector_indices(6, n_particles))
+
+
+@pytest.mark.parametrize("name", ["h2_sto3g", "h4_chain_r15", "h4_chain_r20", "h4_chain_r25"])
+def test_eigensolve_matches_scipy_on_the_fixtures(name):
+    """numpy's eigh gives scipy's eigenvalues to 1e-12 on each fixture's sector."""
+    t = parse_fcidump((FIXTURE_DIR / f"{name}.fcidump").read_text())
+    h = build_majorana_hamiltonian(t)
+    w, _, cols = eigensolve_sector(h, t.n_electrons, t.ms2)
+    block = dense_operator(h)[np.ix_(cols, cols)]
+    np.testing.assert_allclose(w, scipy.linalg.eigh(block, eigvals_only=True), rtol=0, atol=1e-12)
+
+
+def test_eigensolve_matches_scipy_on_random_sectors(rng):
+    for n, n_particles, twice_sz in [(4, 2, 0), (4, 1, -1), (6, 3, 1), (6, 2, -2), (6, None, None)]:
+        op = random_molecular_hamiltonian(n, rng)
+        w, v, cols = eigensolve_sector(op, n_particles, twice_sz)
+        block = dense_operator(op)[np.ix_(cols, cols)]
+        np.testing.assert_allclose(
+            w, scipy.linalg.eigh(block, eigvals_only=True), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(block @ v, v * w, rtol=0, atol=1e-11)
 
 
 def test_eigensolve_full_space_matches_dense(rng):
