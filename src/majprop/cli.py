@@ -104,7 +104,7 @@ def run(fcidump_path, config_path, out_dir, cutoff, picture, iterations,
     """Grow and optimize a circuit for the given integrals."""
     data = json.loads(Path(config_path).read_text()) if config_path else {}
     overrides = {
-        "cutoff": None if cutoff == 0 else cutoff,
+        "cutoff": cutoff,
         "picture": picture,
         "max_iterations": iterations,
         "selection": selection,
@@ -161,6 +161,9 @@ def evaluate(fcidump_path, circuit_path, cutoffs, picture, out_path) -> None:
         raise click.UsageError("--cutoffs named no cutoffs")
     tensors = parse_fcidump(Path(fcidump_path).read_text())
     hamiltonian = build_majorana_hamiltonian(tensors)
+    policies = [TruncationPolicy(length_cutoff=None if c == 0 else c) for c in ladder]
+    for policy in policies:
+        policy.validate(hamiltonian.max_degree())
     circuit, occupation = load_circuit_json(Path(circuit_path).read_text())
     if circuit.n_modes != hamiltonian.n_modes:
         raise ValueError(
@@ -174,8 +177,7 @@ def evaluate(fcidump_path, circuit_path, cutoffs, picture, out_path) -> None:
         exact = dense_expectation(hamiltonian, psi)
 
     rows = []
-    for c in ladder:
-        policy = TruncationPolicy(length_cutoff=None if c == 0 else c)
+    for c, policy in zip(ladder, policies):
         energy = expectation(hamiltonian, circuit, occupation, policy, picture)
         error = "" if exact is None else repr(abs(energy - exact))
         rows.append((c, energy, error))

@@ -402,12 +402,7 @@ class RunConfig:
         self._check_types()
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
-        if self.cutoff is not None:
-            if self.cutoff % 2 or self.cutoff < hamiltonian_max_length:
-                raise ValueError(
-                    f"cutoff must be even and at least the longest Hamiltonian "
-                    f"monomial ({hamiltonian_max_length}), got {self.cutoff}"
-                )
+        self.policy().validate(hamiltonian_max_length)
         if self.picture not in ("heisenberg", "schrodinger"):
             raise ValueError(f"unknown picture {self.picture!r}")
         if self.placement not in (None, "front", "back"):
@@ -506,8 +501,7 @@ def load_circuit_json(text: str) -> tuple[FermionicCircuit, int]:
     payload = json.loads(text)
     if "hf_occupation" not in payload:
         raise ValueError("circuit JSON has no 'hf_occupation' field")
-    occupation = int(payload.pop("hf_occupation"))
-    return FermionicCircuit.from_json(json.dumps(payload)), occupation
+    return FermionicCircuit.from_json(text), int(payload["hf_occupation"])
 
 
 # ---- the outer loop ---------------------------------------------------------------
@@ -641,7 +635,7 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
             )
         )
 
-    circuit = FermionicCircuit(n_modes, graph.circuit.gates + rot_gates, theta.copy())
+    circuit = FermionicCircuit(n_modes, graph.gates + rot_gates, theta.copy())
     return AdaptResult(
         energy=energy,
         params=theta,

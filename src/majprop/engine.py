@@ -144,21 +144,21 @@ class FermionicCircuit:
         version = payload.get("format_version")
         if version != CIRCUIT_FORMAT_VERSION:
             raise ValueError(f"unsupported circuit format_version: {version!r}")
-        n_modes = int(payload["n_modes"])
-        gates = [
-            Gate(
-                generator=MajoranaMonomial.from_hex(g["generator"]).bits,
-                slot=int(g["slot"]),
-                sign=int(g.get("sign", 1)),
-                label=str(g.get("label", "")),
-            )
-            for g in payload["gates"]
-        ]
-        return cls(
-            n_modes=n_modes,
-            gates=gates,
-            params=np.asarray(payload["params"], dtype=np.float64),
-        )
+        try:
+            n_modes = int(payload["n_modes"])
+            gates = [
+                Gate(
+                    generator=MajoranaMonomial.from_hex(g["generator"]).bits,
+                    slot=int(g["slot"]),
+                    sign=int(g.get("sign", 1)),
+                    label=str(g.get("label", "")),
+                )
+                for g in payload["gates"]
+            ]
+            params = np.asarray(payload["params"], dtype=np.float64)
+        except KeyError as exc:
+            raise ValueError(f"circuit JSON has no {exc.args[0]!r} field") from None
+        return cls(n_modes=n_modes, gates=gates, params=params)
 
 
 # ---- truncation -------------------------------------------------------------
@@ -182,6 +182,15 @@ class TruncationPolicy:
     length_cutoff: int | None = None
     paired_accept: bool | None = None
     hygiene_eps: float = 1e-15
+
+    def validate(self, hamiltonian_max_length: int) -> None:
+        """Refuse a cutoff that is odd or shorter than the longest Hamiltonian monomial."""
+        cutoff = self.length_cutoff
+        if cutoff is not None and (cutoff % 2 or cutoff < hamiltonian_max_length):
+            raise ValueError(
+                f"cutoff must be even and at least the longest Hamiltonian "
+                f"monomial ({hamiltonian_max_length}), got {cutoff}"
+            )
 
     def resolved(self, picture: str) -> "TruncationPolicy":
         if self.paired_accept is not None:

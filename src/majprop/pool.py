@@ -32,6 +32,7 @@ from .hamiltonian import spin_orbital_mode
 from .surrogate import (  # noqa: F401 -- perfbench/tracing.py wraps pool.extend_surrogate
     SurrogateGraph,
     extend_surrogate,
+    gate_pairs,
     landscape_rows,
 )
 
@@ -119,10 +120,9 @@ class Pool:
     """An immutable tuple of candidates on ``n_modes`` modes.
 
     ``generators`` and ``signs`` hold every candidate's generators and gate
-    signs as read-only (candidates, 2) arrays, the layout
-    :func:`surrogate.landscape_rows` reads (a lone gate pairs with generator
-    0, the identity, of sign 1).  They are built on first use, since
-    generators fit ``uint64`` only up to the 32 modes propagation supports.
+    signs as :func:`surrogate.gate_pairs` lays them out.  They are built on
+    first use, since generators fit ``uint64`` only up to the 32 modes
+    propagation supports.
     """
 
     n_modes: int
@@ -132,22 +132,16 @@ class Pool:
         object.__setattr__(self, "candidates", tuple(self.candidates))
 
     @functools.cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return gate_pairs([list(zip(c.generators, c.signs)) for c in self.candidates])
+
+    @property
     def generators(self) -> np.ndarray:
-        return self._padded("generators", 0, np.uint64)
+        return self._pairs[0]
 
-    @functools.cached_property
+    @property
     def signs(self) -> np.ndarray:
-        return self._padded("signs", 1, np.float64)
-
-    def _padded(self, name: str, fill: int, dtype: type) -> np.ndarray:
-        out = np.full((len(self.candidates), 2), fill, dtype)
-        for row, cand in enumerate(self.candidates):
-            values = getattr(cand, name)
-            if len(values) > 2:
-                raise ValueError("landscapes are resolved for at most two gates")
-            out[row, : len(values)] = values
-        out.flags.writeable = False
-        return out
+        return self._pairs[1]
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -403,7 +397,7 @@ def score_pool_ggf(
     """Exact achievable improvement and optimal angle per candidate.
 
     ``where`` is the insertion point: "front", "back", or a gate index
-    (the candidate goes before that gate of ``graph.circuit``).  The
+    (the candidate goes before that gate of ``graph.gates``).  The
     landscape coefficients come in closed form from ``landscape_rows`` at
     any point.  All improvements are <= 0; a flat landscape scores 0 with
     theta* = 0.

@@ -38,12 +38,13 @@ recorded steps, since a new gate can turn keys that reach no sink weight
 into ones that do.
 
 A graph takes new gates at any cut of its gate list: the steps before the
-cut are kept as they are, and the new gates and the rest of the sweep are
-recorded from the layer at the cut.  At the natural end, the end the graph
-was recorded towards (front of the circuit in the Heisenberg picture, back
-in the Schrodinger picture), that rest is empty: an insertion records
-its new gates from the final layer, re-indexes no kept step, and then
-prunes the grown graph.
+cut are kept as they are, and the new gates and the rest of the sweep,
+read off the steps, which hold their gates, are recorded from the layer at
+the cut.  At the natural end, the end the graph was recorded towards (front
+of the circuit in the Heisenberg picture, back in the Schrodinger
+picture), that rest is empty: an insertion records its new gates from the
+final layer, re-indexes no kept step, and then prunes the grown graph.  A
+build is the insertion of the whole circuit into the source layer.
 
 Scoring inserts nothing: a gate's landscape at any cut sums the paths of
 the layer's keys through it that end on a key of nonzero weight after the
@@ -102,7 +103,7 @@ __all__ = [
 
 @dataclass
 class _Step:
-    """One gate's in-place update of the key vector.
+    """The in-place update of the key vector by the step's ``gate``.
 
     ``z`` indexes the keys the gate updates (the anticommuting keys of the
     layer after it), in ascending key order.  ``p`` points each entry at
@@ -115,7 +116,7 @@ class _Step:
     and gradients run over, as intp positions and float64 signs.
     """
 
-    slot: int
+    gate: Gate
     z: np.ndarray
     p: np.ndarray
     sw: np.ndarray
@@ -176,7 +177,7 @@ def _prune(graph: SurrogateGraph) -> _Sweep:
         slot_of[entries] = own
         partner = slot_of[step.p[entries].astype(np.intp)]
         steps.append(_Step(
-            step.slot, renum[step.z[entries].astype(np.intp)].astype(np.intp),
+            step.gate, renum[step.z[entries].astype(np.intp)].astype(np.intp),
             np.where(partner >= 0, partner, own), step.sw[entries].astype(np.float64),
         ))
     held = need[graph.ham_at]
@@ -203,14 +204,14 @@ class SurrogateGraph:
     in the Heisenberg picture, sink in the Schrodinger picture) holds its
     coefficients as built (those of a dressed Hamiltonian at zero rotation
     angles); every evaluation rebuilds it from ``hamiltonian.linearize`` at
-    its own angles (:func:`_ends`).
+    its own angles (:func:`_ends`).  The graph holds no angle: each step
+    holds its gate, and ``gates`` reads the circuit's gates off the steps.
     """
 
     n_modes: int
     picture: str
     occupation: int
     policy: TruncationPolicy
-    circuit: FermionicCircuit
     hamiltonian: SparseOperator | DressedHamiltonian
     source: np.ndarray
     steps: list[_Step] = field(default_factory=list)
@@ -224,13 +225,20 @@ class SurrogateGraph:
     pruned: _Sweep | None = field(default=None, repr=False)
 
     @property
+    def gates(self) -> list[Gate]:
+        """The recorded gates in circuit order: the sweep's, reversed for Heisenberg."""
+        gates = [step.gate for step in self.steps]
+        return gates[::-1] if self.picture == "heisenberg" else gates
+
+    @property
     def n_slots(self) -> int:
-        return int(self.circuit.params.size)
+        """Angles an evaluation reads: those of the gates and the Hamiltonian's."""
+        return max([self.hamiltonian.n_slots] + [step.gate.slot + 1 for step in self.steps])
 
     def stats(self) -> dict:
-        """Size summary (for logging and the CLI graph-info output); layers
-        only grow, so the final one is the widest, and the edges count each
-        update and each landing sine branch."""
+        """Size summary (the benchmark's tracer reads it); layers only grow,
+        so the final one is the widest, and the edges count each update and
+        each landing sine branch."""
         return {
             "picture": self.picture,
             "gates": len(self.steps),
@@ -239,11 +247,6 @@ class SurrogateGraph:
             "total_edges": int(sum(s.z.size + np.count_nonzero(s.sw) for s in self.steps)),
             "parameters": self.n_slots,
         }
-
-
-def _processed_gates(circuit: FermionicCircuit, picture: str) -> list[Gate]:
-    gates = list(circuit.gates)
-    return gates[::-1] if picture == "heisenberg" else gates
 
 
 _MAX_POSITION = np.iinfo(np.int32).max
@@ -299,7 +302,7 @@ def _branch(
         gamma, np.concatenate([partner[lands], a[src]])
     ) * sin_sign * gate.sign
     z = _interleave(was, at, np.arange(size, size + new.size), np.int32)
-    return new, _Step(gate.slot, z, p, sw)
+    return new, _Step(gate, z, p, sw)
 
 
 def _slots(keys: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -348,7 +351,8 @@ def build_surrogate(
     coefficients.  The truncation rule reads only keys, so the recorded
     branch structure holds at every angle.  Terms of weight 0 are left out
     while no angle moves the coefficients; a Hamiltonian with parameter
-    slots (a dressed one) weighs all its keys.
+    slots (a dressed one) weighs all its keys.  The build is the insertion
+    of the whole circuit, in sweep order, into the source layer.
     """
     _check_picture(picture)
     policy = (policy or TruncationPolicy()).resolved(picture)
@@ -364,19 +368,13 @@ def build_surrogate(
         picture=picture,
         occupation=occupation,
         policy=policy,
-        circuit=circuit.copy(),
         hamiltonian=hamiltonian,
         source=weights,
         layer_sizes=[first.size],
     )
-    keys, sorted_keys, order, graph.steps, sizes = _record(
-        graph, first, first, np.arange(first.size, dtype=np.int32),
-        _processed_gates(circuit, picture),
-    )
-    graph.layer_sizes += sizes
-    _attach(graph, keys, sorted_keys, order, np.empty(0))
-    graph.pruned = _prune(graph)
-    return graph
+    _attach(graph, first, first, np.arange(first.size, dtype=np.int32), np.empty(0))
+    gates = circuit.gates[::-1] if picture == "heisenberg" else circuit.gates
+    return extend_surrogate(graph, gates, 0)
 
 
 def _weighed(hamiltonian: SparseOperator | DressedHamiltonian) -> np.ndarray:
@@ -460,16 +458,15 @@ def _sink_weights(graph: SurrogateGraph, keys: np.ndarray, coeffs: np.ndarray) -
 
 def _check_params(graph: SurrogateGraph, params: np.ndarray) -> np.ndarray:
     params = np.asarray(params, dtype=np.float64)
-    top = max([graph.hamiltonian.n_slots - 1] + [s.slot for s in graph.steps])
-    if top >= params.size:
-        raise ValueError(f"parameter slot {top} missing from params")
+    if graph.n_slots > params.size:
+        raise ValueError(f"parameter slot {graph.n_slots - 1} missing from params")
     return params
 
 
 def _widened(step: _Step) -> _Step:
     """A recorded step with intp positions, for a sweep over the recorded
     steps: numpy indexes with int32 arrays several times slower."""
-    return _Step(step.slot, step.z.astype(np.intp), step.p.astype(np.intp), step.sw)
+    return _Step(step.gate, step.z.astype(np.intp), step.p.astype(np.intp), step.sw)
 
 
 def _forward(
@@ -486,7 +483,7 @@ def _forward(
     angles = params.tolist()  # Python floats: cheaper per-gate indexing
     v = source.copy()
     for step in steps:
-        theta = angles[step.slot]
+        theta = angles[step.gate.slot]
         g = v[step.z]
         v[step.z] = math.cos(theta) * g + math.sin(theta) * (step.sw * g[step.p])
         if gathers is not None:
@@ -513,14 +510,14 @@ def _backward(
     angles = params.tolist()
     grad = None if gathers is None else np.zeros(params.size)
     for step in steps:
-        theta = angles[step.slot]
+        theta = angles[step.gate.slot]
         cos_t, sin_t = math.cos(theta), math.sin(theta)
         w_z = w[step.z]
         w_p = (step.sw * w_z)[step.p]
         w[step.z] = cos_t * w_z + sin_t * w_p
         if grad is not None:
             g = next(gathers)
-            grad[step.slot] += cos_t * g.dot(w_p) - sin_t * g.dot(w_z)
+            grad[step.gate.slot] += cos_t * g.dot(w_p) - sin_t * g.dot(w_z)
     return grad
 
 
@@ -566,14 +563,14 @@ def _sweep_gradient(
     return energy, grad
 
 
-def _cut(graph: SurrogateGraph, where: Literal["front", "back"] | int) -> tuple[int, int]:
-    """(gate index, sweep depth) of "front", "back" or a gate index: new
-    gates go before that gate, after the first ``depth`` recorded steps."""
+def _cut(graph: SurrogateGraph, where: Literal["front", "back"] | int) -> int:
+    """Sweep depth of "front", "back" or a gate index: new gates go before
+    that gate, after the first ``depth`` recorded steps."""
     n_gates = len(graph.steps)
     cut = {"front": 0, "back": n_gates}.get(where, where)
     if not isinstance(cut, (int, np.integer)) or not 0 <= cut <= n_gates:
         raise ValueError(f"cannot insert at {where!r}: not front, back or 0..{n_gates}")
-    return int(cut), int(n_gates - cut if graph.picture == "heisenberg" else cut)
+    return int(n_gates - cut if graph.picture == "heisenberg" else cut)
 
 
 def _layer_keys(
@@ -598,25 +595,20 @@ def extend_surrogate(
     (so a Heisenberg graph, which sweeps the circuit from its back, holds
     them in reverse).  The steps before the cut are kept as they are, since
     the layer at the cut is the first keys of the final one, and the new
-    gates and the rest of the circuit are recorded from that layer, so the
-    result equals a fresh build of the extended circuit, array for array.
-    At the natural end (front in the Heisenberg picture, back in the
-    Schrodinger picture) only the new gates are recorded, from the whole
-    final layer.  Every insertion then prunes the whole graph anew
-    (:func:`_prune`).
+    gates and the rest of the circuit, read off the steps after the cut,
+    are recorded from that layer, so the result equals a fresh build of the
+    extended circuit, array for array.  At the natural end (front in the
+    Heisenberg picture, back in the Schrodinger picture) only the new gates
+    are recorded, from the whole final layer.  Every insertion then prunes
+    the whole graph anew (:func:`_prune`).
     """
-    cut, depth = _cut(graph, where)
-    gates = list(gates)
-    circuit = graph.circuit.copy()
-    n_slots = max((gate.slot + 1 for gate in gates), default=0)
-    circuit.params = np.pad(circuit.params, (0, max(n_slots - circuit.n_slots, 0)))
-    circuit.gates[cut:cut] = gates[::-1] if graph.picture == "heisenberg" else gates
-    far = _processed_gates(graph.circuit, graph.picture)[depth:]
+    depth = _cut(graph, where)
+    far = [step.gate for step in graph.steps[depth:]]
     keys, sorted_keys, order, steps, sizes = _record(
-        graph, *_layer_keys(graph, depth), gates + far
+        graph, *_layer_keys(graph, depth), list(gates) + far
     )
     grown = replace(
-        graph, circuit=circuit, steps=graph.steps[:depth] + steps,
+        graph, steps=graph.steps[:depth] + steps,
         layer_sizes=graph.layer_sizes[: depth + 1] + sizes,
     )
     _attach(grown, keys, sorted_keys, order, graph.sink[: graph.layer_sizes[depth]])
@@ -718,13 +710,21 @@ def cut_landscapes(
     before, as for :func:`extend_surrogate`).  Only the gates' generators
     and signs matter; :func:`landscape_rows` computes the rows from those.
     """
+    pairs = gate_pairs([[(gate.generator, gate.sign) for gate in gates] for gates in gate_sets])
+    return landscape_rows(graph, params, where, *pairs)
+
+
+def gate_pairs(gate_sets: Sequence[Sequence[tuple[int, int]]]) -> tuple[np.ndarray, np.ndarray]:
+    """Gate sets of (generator, sign) pairs as the read-only (rows, 2) arrays
+    :func:`landscape_rows` reads; a lone gate pairs with the identity."""
     generators, signs = np.zeros((len(gate_sets), 2), np.uint64), np.ones((len(gate_sets), 2))
     for row, gates in enumerate(gate_sets):
         if len(gates) > 2:
             raise ValueError("landscapes are resolved for at most two gates")
-        for k, gate in enumerate(gates):
-            generators[row, k], signs[row, k] = gate.generator, gate.sign
-    return landscape_rows(graph, params, where, generators, signs)
+        for k, (generator, sign) in enumerate(gates):
+            generators[row, k], signs[row, k] = generator, sign
+    generators.flags.writeable = signs.flags.writeable = False
+    return generators, signs
 
 
 def landscape_rows(
@@ -762,7 +762,7 @@ def landscape_rows(
     depend on the others.
     """
     params = _check_params(graph, params)
-    _, depth = _cut(graph, where)
+    depth = _cut(graph, where)
     gens, signs = np.asarray(generators, np.uint64), np.asarray(signs, np.float64)
     coeffs = graph.hamiltonian.linearize(params)[0]
     recorded = map(_widened, graph.steps[:depth])
@@ -777,7 +777,7 @@ def landscape_rows(
     walked[::4] = False
     gamma = np.bitwise_xor.reduce(np.where(sine, gens[:, None], 0), axis=2).ravel()
     sin_sign = 1.0 if graph.picture == "heisenberg" else -1.0
-    far = _processed_gates(graph.circuit, graph.picture)[depth:]
+    far = [step.gate for step in graph.steps[depth:]]
 
     def walk(pattern, ix, ends_only=False):
         """Paths of the keys ``keys[ix]`` through the pairs ``gens[pattern >> 2]``,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from majprop import FermionicCircuit
+from majprop import FermionicCircuit, Gate
 from majprop.cli import main
 from majprop.driver import load_circuit_json
 
@@ -35,6 +35,26 @@ def test_help_and_bad_usage_exit_codes(tmp_path, capsys):
     circuit.write_text(FermionicCircuit(4, [], np.zeros(0)).to_json())  # no hf_occupation
     assert main(["evaluate", "--fcidump", H2, "--circuit", str(circuit)]) == 1
     assert "circuit JSON has no 'hf_occupation' field" in capsys.readouterr().err
+    # evaluate refuses the cutoffs run refuses, with run's message
+    payload = json.loads(FermionicCircuit(4, [Gate(0b1111, 0)], np.zeros(1)).to_json())
+    payload["hf_occupation"] = 0b0011
+    circuit.write_text(json.dumps(payload))
+    for cutoff in ("-4", "3", "2"):
+        assert main(["evaluate", "--fcidump", H2, "--circuit", str(circuit),
+                     f"--cutoffs={cutoff}"]) == 1
+        assert main(["run", "--fcidump", H2, "--out", str(tmp_path), "--cutoff", cutoff]) == 1
+        evaluated, ran = capsys.readouterr().err.splitlines()
+        assert evaluated == ran == (
+            f"error: cutoff must be even and at least the longest Hamiltonian monomial (4), "
+            f"got {cutoff}"
+        )
+    # a missing circuit field is named
+    for record, name in ((payload, "n_modes"), (payload["gates"][0], "generator")):
+        value = record.pop(name)
+        circuit.write_text(json.dumps(payload))
+        assert main(["evaluate", "--fcidump", H2, "--circuit", str(circuit)]) == 1
+        assert f"circuit JSON has no '{name}' field" in capsys.readouterr().err
+        record[name] = value
 
 
 def test_pool_info_reference_counts(capsys):

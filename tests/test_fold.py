@@ -139,8 +139,9 @@ def test_folded_scores_and_insertions_match_the_rotation_gates(rng, picture, pla
             grown, grown_ref = (
                 extend_surrogate(folded, gates, placement), extend_surrogate(gated, gates, cut)
             )
+            circuit = FermionicCircuit(grown.n_modes, grown.gates, np.zeros(n_slots + 1))
             fresh = build_surrogate(
-                folded.hamiltonian, grown.circuit, folded.occupation, folded.policy, picture
+                folded.hamiltonian, circuit, folded.occupation, folded.policy, picture
             )
             assert np.array_equal(grown.final_keys, fresh.final_keys)
             assert np.array_equal(grown.sink, fresh.sink)

@@ -66,6 +66,32 @@ def test_no_private_imports_from_other_packages():
     assert offenders == {}
 
 
+def _asserts(tree):
+    """Line numbers of the ``assert`` statements of a module."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_invariants_are_real_errors():
+    """No module of the package or its scripts holds an ``assert``: an
+    invariant raises a real error, which ``python -O`` does not strip."""
+    probe = ast.parse(
+        "def f(x):\n"
+        "    if x < 0:\n"
+        "        raise ValueError(x)\n"
+        "    assert x, 'checked'\n"
+        "class A:\n"
+        "    def g(self):\n"
+        "        assert self\n"
+    )
+    assert _asserts(probe) == [4, 7]
+    offenders = {
+        f"{path.parent.name}/{path.name}": lines
+        for path in sorted([*PACKAGE.glob("*.py"), *(CHECKOUT / "scripts").glob("*.py")])
+        if (lines := _asserts(ast.parse(path.read_text())))
+    }
+    assert offenders == {}
+
+
 def test_traced_entry_points_exist(monkeypatch):
     """The benchmark's tracer wraps layer entry points by name; each one it
     lists must exist in the module it names, or ``--trace 1`` breaks.  It

@@ -707,9 +707,9 @@ def test_twenty_mode_back_cut_matches_probed_fresh_builds(rng):
     scores = score_pool_ggf(Pool(pool.n_modes, cands), graph, theta, where="back")
     e0 = eval_energy(graph, theta)
     for score, cand in zip(scores, cands):
+        body = FermionicCircuit(graph.n_modes, graph.gates, theta)
         fresh = build_surrogate(
-            dressed, _spliced(graph.circuit, theta, cand, len(graph.circuit)), occ, policy,
-            "heisenberg",
+            dressed, _spliced(body, theta, cand, len(body)), occ, policy, "heisenberg"
         )
         probed = probe_landscape(
             lambda t: eval_energy(fresh, np.append(theta, t)), e0, cand.is_composite
@@ -753,7 +753,7 @@ def test_landscape_rows_do_not_depend_on_the_chunk_size(rng, monkeypatch, pictur
     the body and at the back."""
     graph, theta, _ = _dressed_graph("h4", [3, 17, 9], picture, cutoff, rng)
     _, _, _, pool = _dressed_system("h4")
-    cuts = ("front", len(graph.circuit) // 2, "back")
+    cuts = ("front", len(graph.gates) // 2, "back")
     rows = [surrogate.landscape_rows(graph, theta, where, pool.generators, pool.signs)
             for where in cuts]
     monkeypatch.setattr(surrogate, "_BLOCK", 5)
@@ -799,6 +799,20 @@ def test_the_pool_is_shared_and_read_only():
     for array in (pool.generators, pool.signs):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0
+
+
+def test_three_gate_sets_are_refused_through_both_doors(rng):
+    """Landscapes are resolved for gate pairs: a three-gate candidate is
+    refused when a pool lays out its arrays, and a three-gate set when
+    ``cut_landscapes`` scores it."""
+    h = inst.random_molecular_hamiltonian(N, rng)
+    circuit = inst.random_circuit(N, 3, rng)
+    graph = build_surrogate(h, circuit, OCC)
+    triple = PoolCandidate((0b0011, 0b1100, 0b110000), (1, 1, -1), "triple")
+    with pytest.raises(ValueError, match="at most two gates"):
+        score_pool_ggf(Pool(N, [triple]), graph, circuit.params)
+    with pytest.raises(ValueError, match="at most two gates"):
+        cut_landscapes(graph, circuit.params, "front", [triple.gates(circuit.n_slots)])
 
 
 def test_ggf_rejects_a_cut_outside_the_circuit(rng):

@@ -20,7 +20,6 @@ from majprop.surrogate import (
     _coset,
     _echelon,
     _layer_keys,
-    _processed_gates,
     _record_step,
     _sweep_gradient,
 )
@@ -145,9 +144,8 @@ def test_extend_matches_rebuild(rng, picture, where):
             reference = circuit.copy()
             reference.params = np.append(reference.params, 0.0)
             reference.gates[cut:cut] = gates[::-1] if picture == "heisenberg" else gates
-            assert extended.circuit.gates == reference.gates
-            assert np.array_equal(extended.circuit.params, reference.params)
-            rebuilt = build_surrogate(h, extended.circuit, OCC, policy, picture)
+            assert extended.gates == reference.gates
+            rebuilt = build_surrogate(h, reference, OCC, policy, picture)
             _assert_same_graph(extended, rebuilt)
             for _ in range(3):
                 theta = rng.uniform(-np.pi, np.pi, slot + 1)
@@ -156,8 +154,9 @@ def test_extend_matches_rebuild(rng, picture, where):
             gate2 = Gate(int(inst.random_monomial_bits(N, 4, rng)), slot=slot + 1)
             again = extend_surrogate(extended, [gate2], where)
             assert len(again.steps) == len(circuit.gates) + n_new + 1
+            again_circuit = FermionicCircuit(N, again.gates, np.zeros(slot + 2))
             _assert_same_graph(
-                again, build_surrogate(h, again.circuit, OCC, policy, picture)
+                again, build_surrogate(h, again_circuit, OCC, policy, picture)
             )
 
 
@@ -213,7 +212,7 @@ def test_layer_keys_are_the_keys_of_a_partial_build(rng, picture):
         h, circuit = _instance(rng, n_gates=8)
         h.coeffs[3] = 0.0
         graph = build_surrogate(h, circuit, OCC, policy, picture)
-        processed = _processed_gates(circuit, picture)
+        processed = circuit.gates[::-1] if picture == "heisenberg" else circuit.gates
         for depth in range(len(processed) + 1):
             gates = processed[:depth]
             partial = FermionicCircuit(
@@ -236,14 +235,18 @@ def test_extend_rejects_a_cut_outside_the_circuit(rng):
 
 
 def test_build_ignores_stored_angles(rng):
+    """A graph holds no angle: builds of one circuit at different angles are
+    equal, array for array, and hold the circuit's gates in circuit order."""
     h, circuit = _instance(rng, n_gates=6)
     other = circuit.copy()
     other.params = rng.uniform(-np.pi, np.pi, other.n_slots)
-    g1 = build_surrogate(h, circuit, OCC, POLICY)
-    g2 = build_surrogate(h, other, OCC, POLICY)
-    assert np.array_equal(g1.final_keys, g2.final_keys)
-    theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
-    assert eval_energy(g1, theta) == eval_energy(g2, theta)
+    for picture in ("heisenberg", "schrodinger"):
+        g1 = build_surrogate(h, circuit, OCC, POLICY, picture)
+        g2 = build_surrogate(h, other, OCC, POLICY, picture)
+        _assert_same_graph(g1, g2)
+        assert g1.gates == g2.gates == circuit.gates
+        theta = rng.uniform(-np.pi, np.pi, circuit.n_slots)
+        assert eval_energy(g1, theta) == eval_energy(g2, theta)
 
 
 @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
