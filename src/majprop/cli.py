@@ -5,8 +5,7 @@ trajectory CSV plus circuit JSON; ``evaluate`` re-scores a saved circuit at
 a ladder of cutoffs (with the dense reference appended at desk scale);
 ``pool-info`` prints pool sizes; ``bound`` turns reference energies and a
 penalty expectation into overlap floors; ``verify`` cross-checks the
-propagation engine against the dense oracle on random instances; ``bench``
-emits a timing table.
+propagation engine against the dense oracle on random instances.
 
 Exit codes: 0 on success, 1 on bad input (flags, config files, paths,
 malformed data), 2 on runtime aborts (non-finite optimization, memory
@@ -18,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import sys
-import time
 from pathlib import Path
 
 import click
@@ -41,8 +39,7 @@ from .engine import TruncationPolicy, expectation
 from .hamiltonian import build_majorana_hamiltonian
 from .integrals import parse_fcidump
 from .oracle import circuit_state, dense_expectation
-from .pool import build_majoranic_pool, reduce_pool_equivalence
-from .surrogate import build_surrogate, eval_energy, eval_energy_and_gradient
+from .pool import build_majoranic_pool
 
 _DENSE_LIMIT = 14
 
@@ -65,21 +62,9 @@ def _emit_table(header: tuple[str, ...], rows: list[tuple], out_path: str | None
             writer.writerows(cells)
 
 
-def _timed(fn) -> float:
-    tic = time.perf_counter()
-    fn()
-    return time.perf_counter() - tic
-
-
 @click.group()
 def cli() -> None:
     """Adaptive fermionic circuit synthesis on the Majorana propagation engine."""
-
-
-_seed_option = click.option(
-    "--seed", type=int, default=0, show_default=True,
-    help="Seed for the random instances of verify/bench.",
-)
 
 
 # ---- run -----------------------------------------------------------------------
@@ -197,11 +182,9 @@ def pool_info(occupied, virtual) -> None:
     """Print the spin-preserving pool sizes for an active-space shape."""
     pool = build_majoranic_pool(occupied + virtual, occupied, virtual)
     info = pool.describe()
-    reduced = reduce_pool_equivalence(pool)
     click.echo(f"singles {info['singles']}")
     click.echo(f"doubles {info['doubles']}")
     click.echo(f"total {info['total']}")
-    click.echo(f"reduced {len(reduced)}")
 
 
 # ---- bound -----------------------------------------------------------------------
@@ -244,7 +227,8 @@ def bound(spectral_path, energy, penalty) -> None:
 @click.option("--instances", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--gates", type=int, default=12, show_default=True)
 @click.option("--tolerance", type=float, default=1e-10, show_default=True)
-@_seed_option
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seed for the random instances.")
 def verify(modes, instances, gates, tolerance, seed) -> None:
     """Cross-check truncation-free propagation against the dense oracle."""
     if modes > _DENSE_LIMIT:
@@ -269,45 +253,6 @@ def verify(modes, instances, gates, tolerance, seed) -> None:
             f"engine/oracle mismatch {worst:.3e} exceeds tolerance {tolerance:.1e}"
         )
     click.echo(f"PASS ({instances} instances, worst {worst:.3e})")
-
-
-# ---- bench -----------------------------------------------------------------------
-
-
-@cli.command()
-@click.option("--modes", default="8,12", show_default=True, help="Comma-separated mode counts.")
-@click.option("--gates", type=int, default=30, show_default=True)
-@click.option("--cutoff", type=int, default=4, show_default=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@_seed_option
-def bench(modes, gates, cutoff, out_path, seed) -> None:
-    """Time surrogate construction, re-evaluation, and gradients."""
-    import majprop.instances as inst
-
-    try:
-        sizes = [int(m) for m in modes.split(",") if m.strip()]
-    except ValueError as exc:
-        raise click.UsageError(f"bad --modes value {modes!r}: {exc}") from exc
-    rng = np.random.default_rng(seed)
-    header = ("n_modes", "n_gates", "cutoff", "build_s", "eval_s", "grad_s", "final_monomials")
-    rows = []
-    for n in sizes:
-        h = inst.random_molecular_hamiltonian(n, rng)
-        circuit = inst.random_circuit(n, gates, rng)
-        occupation = (1 << (n // 2)) - 1
-        policy = TruncationPolicy(length_cutoff=cutoff)
-        tic = time.perf_counter()
-        graph = build_surrogate(h, circuit, occupation, policy)
-        build_s = time.perf_counter() - tic
-        theta = rng.uniform(-0.5, 0.5, circuit.n_slots)
-        eval_s = min(
-            _timed(lambda: eval_energy(graph, theta)) for _ in range(3)
-        )
-        grad_s = min(
-            _timed(lambda: eval_energy_and_gradient(graph, theta)) for _ in range(3)
-        )
-        rows.append((n, gates, cutoff, build_s, eval_s, grad_s, int(graph.final_keys.size)))
-    _emit_table(header, rows, out_path)
 
 
 # ---- entry point -----------------------------------------------------------------

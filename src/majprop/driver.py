@@ -539,16 +539,28 @@ def run_adapt_vmpe(tensors: IntegralTensors, config: RunConfig) -> AdaptResult:
     The loop stops after max_iterations, as soon as the selected
     candidate's achievable improvement falls under ``_IMPROVEMENT_FLOOR``,
     or when no candidate is left to score; ``AdaptResult.stop`` says which.
+
+    The reference determinant is the aufbau fill of the header's NELEC
+    electrons, so NELEC must lie in 1..2*NORB and MS2 must be that fill's
+    2S_z, NELEC mod 2; anything else raises ``ValueError``.
     """
     start = time.perf_counter()
     n_spatial = tensors.n_spatial
     n_modes = 2 * n_spatial
+    n_electrons, ms2 = tensors.n_electrons, tensors.ms2
+    if not 1 <= n_electrons <= n_modes:
+        raise ValueError(f"NELEC={n_electrons} must lie in 1..{n_modes} (2*NORB)")
+    if ms2 != n_electrons % 2:
+        raise ValueError(
+            f"MS2={ms2} is not the aufbau reference's 2S_z: NELEC={n_electrons} "
+            f"fills to MS2={n_electrons % 2}"
+        )
     rot_gates, n_rot_slots, rotation_spec = init_active_rotations(n_spatial)
     dressed = DressedHamiltonian(tensors, rotation_spec)
     dressed_at = time.perf_counter()
     hamiltonian = build_majorana_hamiltonian(dressed)
     config.validate(hamiltonian.max_degree())
-    occupation = aufbau_occupation(tensors.n_electrons)
+    occupation = aufbau_occupation(n_electrons)
     occ_alpha = bin(occupation & 0x5555555555555555).count("1")
     occ_beta = bin(occupation & 0xAAAAAAAAAAAAAAAA).count("1")
     built_at = time.perf_counter()

@@ -3,8 +3,8 @@
 Random "molecular-form" Hamiltonians (real combinations of low-length even
 monomials plus an identity shift) and random rotation circuits with
 length-4 generators reproduce the unstructured regime in which length
-truncation has known error behaviour; they are used by the self-check and
-benchmark commands and throughout the test suite.
+truncation has known error behaviour; they are used by ``majprop verify``,
+throughout the test suite and, with random integrals, by the benchmark.
 """
 
 from __future__ import annotations

@@ -132,6 +132,15 @@ def _parse_namelist(header: str) -> dict[str, str]:
     return fields
 
 
+def _header_int(fields: dict[str, str], name: str, default: str | None = None) -> int:
+    """An integer header field; only one with a ``default`` may be missing."""
+    try:
+        return int(fields[name] if default is None else fields.get(name, default))
+    except (KeyError, ValueError):
+        missing = "missing or " if default is None else ""
+        raise FcidumpError(f"line 1: {missing}malformed {name} in header") from None
+
+
 def parse_fcidump(text: str) -> IntegralTensors:
     """Parse FCIDUMP text into full integral tensors.
 
@@ -151,12 +160,9 @@ def parse_fcidump(text: str) -> IntegralTensors:
     if data_start is None:
         raise FcidumpError("line 1: header never terminated (&END or / missing)")
     fields = _parse_namelist(" ".join(header_parts))
-    try:
-        norb = int(fields["NORB"])
-    except (KeyError, ValueError):
-        raise FcidumpError("line 1: missing or malformed NORB in header") from None
-    n_electrons = int(fields.get("NELEC", "0"))
-    ms2 = int(fields.get("MS2", "0"))
+    norb = _header_int(fields, "NORB")
+    n_electrons = _header_int(fields, "NELEC", "0")
+    ms2 = _header_int(fields, "MS2", "0")
     unrestricted = fields.get("UHF", "").upper().lstrip(".").startswith("T")
 
     h2_aa = np.zeros((norb,) * 4)

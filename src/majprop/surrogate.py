@@ -58,13 +58,15 @@ modulo that span; in the Schrodinger picture the Hamiltonian's weighed
 keys are closed backward through the remaining gates.  Only the keys
 found so record the rest of the sweep.
 
-The Hamiltonian's coefficients are the source of a Heisenberg graph and,
-scaled by 2^n, the sink of a Schrodinger graph.  Every evaluation takes
-them at its angles through ``hamiltonian.linearize``, and a gradient their
-pullback.  A :class:`SparseOperator` owns no angles: its coefficients are
-fixed and it has no pullback.  A :class:`hamiltonian.DressedHamiltonian`
-makes them functions of the angles of an orbital-rotation block folded into
-the integrals, so the graph is recorded over every key it can weigh.
+The Hamiltonian's coefficients are the source of a Heisenberg graph and
+the sink of a Schrodinger graph, whose source is the reference projector in
+trace coordinates (its paired eigenvalues, 2^n times its coefficients).
+Every evaluation takes them at its angles through ``hamiltonian.linearize``,
+and a gradient their pullback.  A :class:`SparseOperator` owns no angles:
+its coefficients are fixed and it has no pullback.  A
+:class:`hamiltonian.DressedHamiltonian` makes them functions of the angles
+of an orbital-rotation block folded into the integrals, so the graph is
+recorded over every key it can weigh.
 Pruning restricts the Hamiltonian to the keys the pruned sweep weighs (for
 a dressed one, a few hundred of the map's thousands of rows), so energies
 and gradients dress only those; scoring, which reads the full recorded
@@ -240,12 +242,9 @@ class SurrogateGraph:
         so the final one is the widest, and the edges count each update and
         each landing sine branch."""
         return {
-            "picture": self.picture,
-            "gates": len(self.steps),
             "max_layer": int(self.final_keys.size),
             "final_layer": int(self.final_keys.size),
             "total_edges": int(sum(s.z.size + np.count_nonzero(s.sw) for s in self.steps)),
-            "parameters": self.n_slots,
         }
 
 
@@ -347,9 +346,9 @@ def build_surrogate(
 
     Heisenberg graphs start from the Hamiltonian terms and sink into paired
     eigenvalues on the reference state; Schrodinger graphs start from the
-    truncated reference projector and sink into the Hamiltonian
-    coefficients.  The truncation rule reads only keys, so the recorded
-    branch structure holds at every angle.  Terms of weight 0 are left out
+    paired eigenvalues of the truncated reference projector's keys and
+    sink into the Hamiltonian coefficients.  The truncation rule reads only
+    keys, so the recorded branch structure holds at every angle.  Terms of weight 0 are left out
     while no angle moves the coefficients; a Hamiltonian with parameter
     slots (a dressed one) weighs all its keys.  The build is the insertion
     of the whole circuit, in sweep order, into the source layer.
@@ -360,9 +359,8 @@ def build_surrogate(
         weighed = _weighed(hamiltonian)
         first, weights = hamiltonian.keys[weighed], hamiltonian.coeffs[weighed]
     else:
-        start = _reference_projector(occupation, hamiltonian.n_modes, policy)
-        nonzero = start.coeffs != 0.0
-        first, weights = start.keys[nonzero], start.coeffs[nonzero]
+        first = _reference_projector(occupation, hamiltonian.n_modes, policy).keys
+        weights = _kernels.paired_eigenvalues(first, occupation)
     graph = SurrogateGraph(
         n_modes=hamiltonian.n_modes,
         picture=picture,
@@ -389,10 +387,9 @@ def _ends(
     """A sweep's source and sink weights with the Hamiltonian's
     coefficients ``coeffs`` on its side."""
     weights = np.zeros(sweep.source.size)
+    weights[sweep.ham_at] = coeffs[sweep.ham_of]
     if graph.picture == "heisenberg":
-        weights[sweep.ham_at] = coeffs[sweep.ham_of]
         return weights, sweep.sink
-    weights[sweep.ham_at] = (2.0**graph.n_modes) * coeffs[sweep.ham_of]
     return sweep.source, weights
 
 
@@ -444,15 +441,16 @@ def _attach(
 
 
 def _sink_weights(graph: SurrogateGraph, keys: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Sink weights of ``keys``, the Hamiltonian's coefficients ``coeffs``
-    where the Schrodinger picture reads them."""
+    """Sink weights of ``keys``: their paired eigenvalues in the Heisenberg
+    picture, the Hamiltonian's coefficients ``coeffs`` in the Schrodinger
+    picture."""
     sink = np.zeros(keys.size)
     if graph.picture == "heisenberg":
         paired = _kernels.is_paired(keys)
         sink[paired] = _kernels.paired_eigenvalues(keys[paired], graph.occupation)
     else:
         at, hit = _lookup(graph.hamiltonian.keys, keys)
-        sink[hit] = (2.0**graph.n_modes) * coeffs[at[hit]]
+        sink[hit] = coeffs[at[hit]]
     return sink
 
 
@@ -543,8 +541,8 @@ def _sweep_gradient(
     """Energy and gradient from a forward pass and an in-place backward adjoint.
 
     A dressed Hamiltonian's angles get the pullback of dE/d(coefficients):
-    the adjoint on the source layer (Heisenberg), or 2^n times the forward
-    vector at the sink (Schrodinger).
+    the adjoint on the source layer (Heisenberg), or the forward vector at
+    the sink (Schrodinger).
     """
     coeffs, pullback = sweep.hamiltonian.linearize(params)
     source, sink = _ends(graph, sweep, coeffs)
@@ -555,10 +553,7 @@ def _sweep_gradient(
     grad = _backward(reversed(sweep.steps), w, params, reversed(gathers))
     if pullback is not None:
         dcoeffs = np.zeros(coeffs.size)
-        if graph.picture == "heisenberg":
-            dcoeffs[sweep.ham_of] = w[sweep.ham_at]
-        else:
-            dcoeffs[sweep.ham_of] = (2.0**graph.n_modes) * v[sweep.ham_at]
+        dcoeffs[sweep.ham_of] = (w if graph.picture == "heisenberg" else v)[sweep.ham_at]
         grad += pullback(dcoeffs)
     return energy, grad
 

@@ -2,13 +2,14 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from majprop import FermionicCircuit, Gate
-from majprop.cli import main
+from majprop.cli import cli, main
 from majprop.driver import load_circuit_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -27,6 +28,7 @@ def test_help_and_bad_usage_exit_codes(tmp_path, capsys):
     assert main(["no-such-command"]) == 1
     assert main(["pool-info", "--occupied", "many", "--virtual", "1"]) == 1
     assert main(["verify", "--threads", "2"]) == 1  # the option is gone
+    assert main(["bench"]) == 1  # the command is gone: c11 times build, eval and grad
     assert main(["run", "--fcidump", H2, "--seed", "5"]) == 1  # run draws nothing at random
     capsys.readouterr()
     assert main(["verify", "--instances", "0"]) == 1  # no instance checks nothing
@@ -64,7 +66,15 @@ def test_pool_info_reference_counts(capsys):
     assert "doubles 14050" in out
     assert "total 14250" in out
     assert main(["pool-info", "--occupied", "1", "--virtual", "1"]) == 0
-    assert "total 3" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == ["singles 2", "doubles 1", "total 3"]
+
+
+def test_readme_names_the_cli_commands():
+    """Every ``majprop <command>`` the README shows is a command, and it
+    shows each command."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    shown = set(re.findall(r"(?:^|`)majprop ([a-z][a-z-]*)", readme, flags=re.MULTILINE))
+    assert shown == set(cli.commands)
 
 
 def test_run_writes_trajectory_and_circuit(tmp_path, capsys):
@@ -139,6 +149,27 @@ def test_run_rejects_mistyped_config_values(tmp_path, capsys, data, key):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "fixture, field, edited, message",
+    [
+        (H4, "MS2=0", "MS2=2", "MS2=2 is not the aufbau reference's 2S_z: NELEC=4 fills to MS2=0"),
+        (H2, "NELEC=2,", "", "NELEC=0 must lie in 1..4 (2*NORB)"),
+        (H4, "NELEC=4", "NELEC=9", "NELEC=9 must lie in 1..8 (2*NORB)"),
+    ],
+)
+def test_run_refuses_a_header_the_reference_cannot_fill(tmp_path, capsys, fixture, field,
+                                                        edited, message):
+    """The reference determinant is the aufbau fill of NELEC electrons, so
+    a header it cannot match is bad input, caught before the pool is built."""
+    text = Path(fixture).read_text()
+    assert field in text.splitlines()[0]
+    fcidump = tmp_path / "edited.fcidump"
+    fcidump.write_text(text.replace(field, edited, 1))
+    assert main(["run", "--fcidump", str(fcidump), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_run_missing_fcidump_is_a_usage_error(tmp_path):
@@ -229,15 +260,3 @@ def test_verify_failure_exits_two(capsys):
     ])
     assert rc == 2
     assert "exceeds tolerance" in capsys.readouterr().err
-
-
-def test_bench_emits_timing_csv(tmp_path, capsys):
-    rc = main([
-        "bench", "--modes", "8", "--gates", "10", "--cutoff", "4",
-        "--out", str(tmp_path / "bench.csv"),
-    ])
-    assert rc == 0
-    rows = _read_rows(tmp_path / "bench.csv")
-    assert len(rows) == 1
-    assert rows[0]["n_modes"] == "8"
-    assert float(rows[0]["build_s"]) > 0

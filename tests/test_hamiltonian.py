@@ -114,6 +114,9 @@ def test_parse_errors_carry_line_numbers():
         parse_fcidump("&FCI NORB=1,NELEC=1 &END\n 1.0 2 1 0 0\n")
     with pytest.raises(FcidumpError, match="NORB"):
         parse_fcidump("&FCI NELEC=1 &END\n")
+    for name, value in (("NELEC", "two"), ("MS2", "0.5")):
+        with pytest.raises(FcidumpError, match=f"line 1: malformed {name} in header"):
+            parse_fcidump(f"&FCI NORB=1,{name}={value} &END\n")
     with pytest.raises(FcidumpError):
         parse_fcidump("&FCI NORB=1\n 1.0 1 1 0 0\n")
     # the blank line and the orbital-energy line (value i 0 0 0) are
